@@ -66,13 +66,16 @@ def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelRe
 
 
 def _real_expand(h: np.ndarray) -> np.ndarray:
-    """2x2-block real form of a complex matrix: h -> [[Re, -Im], [Im, Re]]."""
-    n_r, n_t = h.shape
-    out = np.empty((2 * n_r, 2 * n_t))
-    out[0::2, 0::2] = h.real
-    out[0::2, 1::2] = -h.imag
-    out[1::2, 0::2] = h.imag
-    out[1::2, 1::2] = h.real
+    """2x2-block real form of complex matrices: h -> [[Re, -Im], [Im, Re]].
+
+    Acts on the last two axes; leading axes are a batch.
+    """
+    *batch, n_r, n_t = h.shape
+    out = np.empty((*batch, 2 * n_r, 2 * n_t))
+    out[..., 0::2, 0::2] = h.real
+    out[..., 0::2, 1::2] = -h.imag
+    out[..., 1::2, 0::2] = h.imag
+    out[..., 1::2, 1::2] = h.real
     return out
 
 

@@ -8,14 +8,13 @@ outputs are bit-identical wherever the oracle is feasible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CodebookTooLarge, RankDeficientChannel
-from .stcode import PAMAlphabet
+from .stcode import PAMAlphabet, grid_rows
 
 #: hard guard on |S|^k for the exhaustive oracle
 DEFAULT_CODEBOOK_CAP = 1_000_000
@@ -34,28 +33,40 @@ class DecodingProblem:
     y: np.ndarray
     Heff: np.ndarray
     alphabet: PAMAlphabet
-    k: int = 0
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         h = np.asarray(self.Heff, dtype=float)
         if h.ndim != 2 or y.shape != (h.shape[0],):
             raise ValueError("y must be a vector matching Heff's row count")
-        k = self.k or h.shape[1]
-        if k != h.shape[1]:
-            raise ValueError("k does not match Heff's column count")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "Heff", h)
-        object.__setattr__(self, "k", k)
 
 
 @lru_cache(maxsize=32)
 def codebook(m: int, k: int) -> np.ndarray:
     """All of S^k in lexicographic (ascending, leftmost slowest) order."""
-    syms = PAMAlphabet(m).symbols
-    grid = np.array(list(itertools.product(syms.tolist(), repeat=k)), dtype=np.int64)
+    grid = grid_rows(PAMAlphabet(m).symbols, k)
     grid.setflags(write=False)
     return grid
+
+
+def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
+    """Flat codebook index of the ML decision for each problem of a batch.
+
+    ``heff`` is (b, d, k), ``y`` is (b, d) and ``zf`` the codebook as floats,
+    (N, k).  Minimizes sum (y - Heff z)^2 over the rows of ``zf``; argmin
+    returns the first minimum, the lexicographic tie-break on the ordered
+    codebook.  Batches are blocked to keep the (b, N, d) candidates small.
+    """
+    n = heff.shape[0]
+    block = max(1, (1 << 21) // zf.shape[0])
+    out = np.empty(n, dtype=np.int64)
+    for off in range(0, n, block):
+        cand = np.einsum("bik,ck->bci", heff[off:off + block], zf)
+        dist = np.sum((y[off:off + block, None, :] - cand) ** 2, axis=2)
+        out[off:off + block] = np.argmin(dist, axis=1)
+    return out
 
 
 def _split_exhaustive(y, h, syms, k):
@@ -99,7 +110,7 @@ def ml_decode_exhaustive(problem: DecodingProblem,
     Raises CodebookTooLarge when |S|^k exceeds ``cap``.
     """
     m = problem.alphabet.m
-    k = problem.k
+    k = problem.Heff.shape[1]
     total = m ** k
     if total > cap:
         raise CodebookTooLarge(
@@ -108,17 +119,9 @@ def ml_decode_exhaustive(problem: DecodingProblem,
     syms = problem.alphabet.symbols
     if total > _MATERIALIZE_LIMIT:
         flat = _split_exhaustive(y, h, syms, k)
-        idx = np.empty(k, dtype=np.int64)
-        for j in range(k - 1, -1, -1):
-            flat, r = divmod(flat, m)
-            idx[j] = r
-        return syms[idx]
+        return grid_rows(syms, k, flat, flat + 1)[0]
     grid = codebook(m, k)
-    g = h.T @ h
-    w = h.T @ y
-    zf = grid.astype(float)
-    dist = np.einsum("ij,jk,ik->i", zf, g, zf) - 2.0 * (zf @ w)
-    return grid[int(np.argmin(dist))].copy()
+    return grid[exhaustive_argmin(h[None], y[None], grid.astype(float))][0]
 
 
 def sphere_decode(problem: DecodingProblem) -> np.ndarray:
@@ -133,7 +136,7 @@ def sphere_decode(problem: DecodingProblem) -> np.ndarray:
     Raises RankDeficientChannel when Heff is numerically rank deficient.
     """
     y, h = problem.y, problem.Heff
-    k = problem.k
+    k = h.shape[1]
     q, r = np.linalg.qr(h)
     diag = np.diag(r)
     if np.min(np.abs(diag)) <= _RANK_TOL * max(float(np.max(np.abs(r))), 1e-300):

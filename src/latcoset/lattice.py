@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Union
 
 import numpy as np
@@ -25,6 +25,9 @@ REL_TOL = 1e-9
 
 #: default ceiling on the number of points one enumeration may produce
 ENUMERATION_CAP = 10_000_000
+
+#: squared radius from which integer enumeration norms could overflow int64
+_INT64_NORM_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -68,29 +71,32 @@ def int_det(mat) -> int:
     return sign * m[-1][-1]
 
 
-def _solve_exact(a_rows, b_rows):
-    """Solve A X = B over the rationals; returns X as Fraction rows.
+def independent_rows(rows, limit: int | None = None) -> list[int]:
+    """Indices of the rows a greedy scan keeps as linearly independent.
 
-    Raises SingularMatrix when A is singular.
+    Each row is reduced against the kept ones by fraction-free integer
+    elimination (v <- a v - b w, then divided by the gcd of its entries),
+    so it is kept exactly when it is outside their rational span.  The scan
+    stops after ``limit`` kept rows.
     """
-    n = len(a_rows)
-    a = [[Fraction(x) for x in row] for row in a_rows]
-    x = [[Fraction(v) for v in row] for row in b_rows]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        x[col], x[piv] = x[piv], x[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        x[col] = [v / inv for v in x[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                x[r] = [v - f * w for v, w in zip(x[r], x[col])]
-    return x
+    echelon = []  # (pivot column, reduced integer row)
+    kept = []
+    for idx, row in enumerate(rows):
+        v = [int(x) for x in row]
+        for col, w in echelon:
+            if v[col]:
+                a, b = w[col], v[col]
+                v = [a * x - b * y for x, y in zip(v, w)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is not None:
+            echelon.append((piv, v))
+            kept.append(idx)
+            if len(kept) == limit:
+                break
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +315,15 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
 
     Both x and -x appear.  For integer lattices the radius test is exact;
     for real lattices it is taken with relative tolerance REL_TOL.  Raises
-    CapacityError when the point count would exceed ``cap``.
+    CapacityError when the point count would exceed ``cap``, or when an
+    integer radius reaches 2^62, past which exact int64 norms could wrap.
     """
     if r_sq <= 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
+        if r_sq >= _INT64_NORM_LIMIT:
+            raise CapacityError(
+                f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
         basis_f = lat.B.astype(float)
         Z = _enumerate_coefficients(basis_f, float(r_sq), cap)
         pts = Z @ lat.B.T
@@ -337,25 +347,6 @@ def _sorted_by_norm(pts: np.ndarray, exact: bool):
         norms = np.sum(pts * pts, axis=1)
     order = np.lexsort(tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1)) + (norms,))
     return pts[order], norms[order]
-
-
-def _greedy_minima_exact(pts, norms, s):
-    """Greedy independent subset over exact integers; returns found minima."""
-    echelon = []  # rows of Fractions in echelon form, paired with pivot column
-    minima = []
-    for p, nrm in zip(pts, norms):
-        v = [Fraction(int(x)) for x in p]
-        for pivot_col, row in echelon:
-            if v[pivot_col] != 0:
-                f = v[pivot_col] / row[pivot_col]
-                v = [a - f * b for a, b in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is not None:
-            echelon.append((piv, v))
-            minima.append(int(nrm))
-            if len(minima) == s:
-                break
-    return minima
 
 
 def _greedy_minima_float(pts, norms, s):
@@ -396,7 +387,7 @@ def successive_minima(lat: Lattice, cap: int = ENUMERATION_CAP) -> SuccessiveMin
         if pts.shape[0]:
             spts, norms = _sorted_by_norm(pts, exact)
             if exact:
-                minima = _greedy_minima_exact(spts, norms, s)
+                minima = [int(norms[i]) for i in independent_rows(spts, s)]
             else:
                 minima = _greedy_minima_float(spts, norms, s)
             if len(minima) == s:
@@ -421,17 +412,17 @@ def is_well_rounded(lat: Lattice, cap: int = ENUMERATION_CAP) -> bool:
 # ---------------------------------------------------------------------------
 
 def index_in_superlattice(sub: IntegerLattice, sup: IntegerLattice) -> int:
-    """Exact index |sup / sub|; raises NotASublattice if containment fails."""
+    """Exact index |sup / sub|; raises NotASublattice if containment fails.
+
+    ``sub`` lies in ``sup`` exactly when every generator of ``sub`` has the
+    zero coset label modulo ``sup``; the index is then |det sub| / |det sup|.
+    """
     if sub.k != sup.k:
         raise NotASublattice("dimension mismatch between sub- and superlattice")
-    x = _solve_exact(_as_int_rows(sup.B), _as_int_rows(sub.B))
-    for row in x:
-        for v in row:
-            if v.denominator != 1:
-                raise NotASublattice(
-                    "a claimed sublattice generator lies outside the superlattice")
-    xi = [[int(v) for v in row] for row in x]
-    return abs(int_det(xi))
+    if np.any(coset_labels(sub.B.T, *label_operator(sup)) != 0):
+        raise NotASublattice(
+            "a claimed sublattice generator lies outside the superlattice")
+    return abs(sub.det) // abs(sup.det)
 
 
 def smith_normal_form(mat) -> SmithDecomposition:
@@ -517,23 +508,38 @@ def smith_normal_form(mat) -> SmithDecomposition:
     return SmithDecomposition(U=U, D=D, V=V)
 
 
+def label_operator(sub: IntegerLattice) -> tuple[np.ndarray, np.ndarray]:
+    """(U mod d_k, d) of ``sub``'s Smith form, the operator of :func:`coset_labels`.
+
+    Every d_i divides d_k, so labels may be taken from U and t reduced
+    modulo d_k.  The arrays are int64 while k * d_k^2 < 2^63, which keeps
+    every product sum exact, and Python integers (object dtype) beyond.
+    """
+    dec = sub.smith
+    dk = dec.diagonal[-1]
+    dtype = np.int64 if sub.k * dk * dk < 1 << 63 else object
+    return (dec.U % dk).astype(dtype), np.array(dec.diagonal, dtype=dtype)
+
+
+def coset_labels(t, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Residue labels (U t) mod d of the rows of ``t``, one row each.
+
+    ``(u, d)`` comes from :func:`label_operator`.  Two rows get equal labels
+    iff their difference lies in the sublattice.
+    """
+    t = np.asarray(t)
+    if t.dtype != np.int64 or u.dtype != np.int64:
+        t = t.astype(object)
+    return ((t % d[-1]).astype(u.dtype) @ u.T) % d
+
+
 def coset_label(t, sub: IntegerLattice) -> tuple:
     """Residue label of t modulo the sublattice: (U t) mod diag(D).
 
     Two vectors get the same label iff their difference lies in ``sub``;
     the number of distinct labels equals |det sub.B|.
     """
-    dec = sub.smith
-    k = sub.k
     tv = [int(x) for x in t]
-    if len(tv) != k:
+    if len(tv) != sub.k:
         raise ValueError("vector length does not match the lattice dimension")
-    d = dec.diagonal
-    out = []
-    for i in range(k):
-        acc = 0
-        row = dec.U[i]
-        for j in range(k):
-            acc += int(row[j]) * tv[j]
-        out.append(acc % abs(d[i]))
-    return tuple(out)
+    return tuple(int(x) for x in coset_labels([tv], *label_operator(sub))[0])

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NoFeasibleCandidate
-from .lattice import IntegerLattice, enumerate_shorter_than
+from .lattice import IntegerLattice, enumerate_shorter_than, independent_rows
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -130,23 +129,6 @@ def _minkowski_radius_sq(k: int, det: int) -> int:
     return int(math.ceil(bound))
 
 
-def _int_rank(rows: np.ndarray) -> int:
-    """Exact rank of an integer point set (rows)."""
-    echelon = []
-    for p in rows:
-        v = [Fraction(int(x)) for x in p]
-        for pivot_col, row in echelon:
-            if v[pivot_col] != 0:
-                f = v[pivot_col] / row[pivot_col]
-                v = [a - f * b for a, b in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x != 0), None)
-        if piv is not None:
-            echelon.append((piv, v))
-            if len(echelon) == len(p):
-                break
-    return len(echelon)
-
-
 def _evaluate(lat: IntegerLattice) -> tuple[int, int]:
     """(lambda_1^2, rank of the shortest shell) for an integer lattice.
 
@@ -160,7 +142,7 @@ def _evaluate(lat: IntegerLattice) -> tuple[int, int]:
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
     l1 = int(norms.min())
     shell = pts[norms == l1]
-    return l1, _int_rank(shell)
+    return l1, len(independent_rows(shell, k))
 
 
 def _candidate_key(l1: int, basis: np.ndarray) -> tuple:
@@ -218,9 +200,7 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
 
     restart_budget = remaining if not cfg.hill_climb else (remaining + 1) // 2
     for _ in range(restart_budget):
-        h = _random_hnf(k, n, rng)
-        v = _random_unimodular(k, rng)
-        consider(IntegerLattice(2 * (h @ v)))
+        consider(random_sublattice_with_index(k, n, rng))
 
     if cfg.hill_climb:
         current = best_wr[1] if best_wr is not None else best_any[1]

@@ -13,7 +13,6 @@ column by column, each complex entry contributing an interleaved
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,6 +25,9 @@ from .lattice import IntegerLattice, RealLattice, successive_minima
 THETA = (1.0 + math.sqrt(5.0)) / 2.0
 
 _ORTHO_TOL = 1e-12
+
+#: rows per slice when min_determinant walks its coefficient grid
+_GRID_SLICE = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +132,30 @@ def devectorize(v, n: int, T: int) -> Codeword:
     vv = np.asarray(v, dtype=float)
     if vv.shape != (2 * n * T,):
         raise ValueError(f"vector must have length {2 * n * T}")
-    flat = vv[0::2] + 1j * vv[1::2]
-    return Codeword(flat.reshape(T, n).T)
+    return Codeword(codeword_matrices(vv, n, T))
+
+
+def codeword_matrices(vecs: np.ndarray, n: int, T: int) -> np.ndarray:
+    """Complex n x T matrices of vectorized codewords along the last axis.
+
+    The batched inverse of :func:`vectorize`: (..., 2nT) -> (..., n, T).
+    """
+    flat = vecs[..., 0::2] + 1j * vecs[..., 1::2]
+    return np.swapaxes(flat.reshape(vecs.shape[:-1] + (T, n)), -1, -2)
+
+
+def grid_rows(values, k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop of the grid values^k in lexicographic order.
+
+    Row i holds the mixed-radix digits of i (leftmost slowest) mapped
+    through ``values``, so ascending values give ascending rows.
+    """
+    values = np.asarray(values)
+    m = len(values)
+    stop = m ** k if stop is None else stop
+    powers = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    flat = np.arange(start, stop, dtype=np.int64)
+    return values[(flat[:, None] // powers) % m]
 
 
 @lru_cache(maxsize=None)
@@ -194,19 +218,6 @@ def code_map_by_name(name: str) -> STCodeMap:
                          f"{sorted(_BUILTIN_MAPS)}") from None
 
 
-def _coefficient_grid(values: np.ndarray, k: int, chunk: int = 1 << 18):
-    """Yield chunks of the full grid values^k as (N, k) int arrays."""
-    total = len(values) ** k
-    buf = []
-    count = 0
-    for z in itertools.product(values.tolist(), repeat=k):
-        buf.append(z)
-        count += 1
-        if len(buf) == chunk or count == total:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-
-
 def min_determinant(code_map: STCodeMap, region=2, codeword_scale: float = 1.0) -> float:
     """Minimum |det X|^2 over nonzero coefficient vectors in a finite region.
 
@@ -222,16 +233,17 @@ def min_determinant(code_map: STCodeMap, region=2, codeword_scale: float = 1.0) 
         if b < 1:
             raise ValueError("box radius must be >= 1")
         step_vals = np.arange(-b, b + 1, dtype=np.int64)
-    n, t, k = code_map.n, code_map.T, code_map.k
+    k = code_map.k
     m = code_map.M * codeword_scale
+    total = len(step_vals) ** k
     best = None
-    for grid in _coefficient_grid(step_vals, k):
+    for start in range(0, total, _GRID_SLICE):
+        grid = grid_rows(step_vals, k, start, min(start + _GRID_SLICE, total))
         grid = grid[np.any(grid != 0, axis=1)]
         if grid.shape[0] == 0:
             continue
         vecs = grid.astype(float) @ m.T  # (N, 2nT)
-        cw = (vecs[:, 0::2] + 1j * vecs[:, 1::2]).reshape(-1, t, n)
-        cw = np.transpose(cw, (0, 2, 1))  # (N, n, T)
+        cw = codeword_matrices(vecs, code_map.n, code_map.T)
         dets = np.abs(np.linalg.det(cw)) ** 2
         local = float(dets.min())
         if best is None or local < best:

@@ -11,17 +11,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .channel import snr_to_sigma
-from .decoder import DecodingProblem, sphere_decode
+from .channel import _real_expand, snr_to_sigma
+from .decoder import (DecodingProblem, codebook, exhaustive_argmin,
+                      ml_decode_exhaustive, sphere_decode)
 from .errors import NotASublattice, RankDeficientChannel
 from .lattice import (ENUMERATION_CAP, IntegerLattice, RealLattice,
-                      coset_label, enumerate_shorter_than, index_in_superlattice,
-                      is_well_rounded, successive_minima)
-from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
+                      coset_label, coset_labels, enumerate_shorter_than,
+                      index_in_superlattice, is_well_rounded, label_operator,
+                      successive_minima)
+from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
 CHUNK_TRIALS = 1024
@@ -159,119 +161,57 @@ def _chunk_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-@lru_cache(maxsize=32)
-def _grid_cache(m: int, k: int) -> np.ndarray:
-    from .decoder import codebook
-    return codebook(m, k)
+def _decode_one(problem: DecodingProblem) -> np.ndarray:
+    """Sphere decoding, or the exhaustive ML decision on a rank-deficient channel."""
+    try:
+        return sphere_decode(problem)
+    except RankDeficientChannel:
+        return ml_decode_exhaustive(problem)
 
 
-@lru_cache(maxsize=64)
-def _label_ids_cache(m: int, k: int, half_b_bytes: bytes) -> np.ndarray:
-    """Coset-label id of every codebook word, in codebook order."""
-    half = IntegerLattice(np.frombuffer(half_b_bytes, dtype=np.int64).reshape(k, k))
-    dec = half.smith
-    d = np.array([abs(x) for x in dec.diagonal], dtype=object)
-    u = dec.U
-    grid = _grid_cache(m, k)
-    t = (grid - 1) // 2
-    labs = (t.astype(object) @ np.array(u, dtype=object).T) % d
-    weights = np.cumprod(np.concatenate(([1], d[:-1].astype(np.int64))))
-    ids = (labs.astype(np.int64) * weights).sum(axis=1)
-    return ids
-
-
-def _real_expand_batch(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    b, n_r, n_t = re.shape
-    out = np.empty((b, 2 * n_r, 2 * n_t))
-    out[:, 0::2, 0::2] = re
-    out[:, 0::2, 1::2] = -im
-    out[:, 1::2, 0::2] = im
-    out[:, 1::2, 1::2] = re
-    return out
-
-
-def _label_tuple(half: IntegerLattice, z: np.ndarray) -> tuple:
-    t = (z.astype(np.int64) - 1) // 2
-    return coset_label(t, half)
-
-
-def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, half_b: np.ndarray | None,
-                    sigma_sq: float, n_r: int, n_trials: int,
-                    rng: np.random.Generator, strategy: str) -> tuple[int, int]:
+def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labeler, sigma_sq: float,
+                    n_r: int, n_trials: int, rng: np.random.Generator,
+                    strategy: str) -> tuple[int, int]:
     """Run one chunk of trials; returns (message successes, word successes).
 
-    Draw order is fixed: symbol indices, channel block, noise block.  When
-    ``half_b`` is None, message success equals word success.
+    Draw order is fixed: symbol indices, channel block, noise block.
+    ``labeler`` is the half sublattice's :func:`label_operator`; when it is
+    None, message success equals word success.
     """
     m = alphabet.m
     k = code_map.k
     n_t = code_map.n
     t_uses = code_map.T
-    syms = alphabet.symbols
 
     sym_idx = rng.integers(0, m, size=(n_trials, k))
     hblock = rng.standard_normal((n_trials, n_r, n_t, 2))
     noise = rng.standard_normal((n_trials, 2 * n_r * t_uses)) * math.sqrt(sigma_sq / 2.0)
 
-    z = syms[sym_idx]
-    mmat = code_map.M
-    mb = mmat.reshape(t_uses, 2 * n_t, k)
-    r4 = _real_expand_batch(hblock[..., 0], hblock[..., 1])
+    z = alphabet.symbols[sym_idx]
+    mb = code_map.M.reshape(t_uses, 2 * n_t, k)
+    r4 = _real_expand(hblock[..., 0] + 1j * hblock[..., 1])
     heff = np.einsum("bij,tjk->btik", r4, mb).reshape(n_trials, 2 * n_r * t_uses, k)
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
     if strategy == "exhaustive":
-        grid = _grid_cache(m, k)
-        powers = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        true_idx = sym_idx @ powers
-        grid_f = grid.astype(float)
-        block = max(1, (1 << 21) // grid.shape[0])
-        zhat_idx = np.empty(n_trials, dtype=np.int64)
-        for off in range(0, n_trials, block):
-            hb = heff[off:off + block]
-            yb = y[off:off + block]
-            cand = np.einsum("bik,ck->bci", hb, grid_f)
-            dist = np.sum((yb[:, None, :] - cand) ** 2, axis=2)
-            zhat_idx[off:off + block] = np.argmin(dist, axis=1)
-        word_succ = int(np.count_nonzero(zhat_idx == true_idx))
-        if half_b is None:
-            return word_succ, word_succ
-        ids = _label_ids_cache(m, k, half_b.tobytes())
-        msg_succ = int(np.count_nonzero(ids[zhat_idx] == ids[true_idx]))
-        return msg_succ, word_succ
-
-    # sphere strategy
-    half = IntegerLattice(half_b) if half_b is not None else None
-    msg_succ = 0
-    word_succ = 0
-    for i in range(n_trials):
-        h_i = heff[i]
-        ok = False
-        for _ in range(4):  # initial try plus up to 3 channel resamples
-            try:
-                zhat = sphere_decode(DecodingProblem(y=y[i], Heff=h_i, alphabet=alphabet))
-                ok = True
-                break
-            except RankDeficientChannel:
-                extra = rng.standard_normal((n_r, n_t, 2))
-                r4_i = _real_expand_batch(extra[None, ..., 0], extra[None, ..., 1])[0]
-                h_i = np.einsum("ij,tjk->tik", r4_i, mb).reshape(2 * n_r * t_uses, k)
-                y[i] = h_i @ z[i].astype(float) + noise[i]
-        if not ok:
-            continue  # counted as failure for both metrics
-        if np.array_equal(zhat, z[i]):
-            word_succ += 1
-            msg_succ += 1
-        elif half is not None and _label_tuple(half, zhat) == _label_tuple(half, z[i]):
-            msg_succ += 1
-    return msg_succ, word_succ
+        grid = codebook(m, k)
+        zhat = grid[exhaustive_argmin(heff, y, grid.astype(float))]
+    else:
+        zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
+                         for i in range(n_trials)])
+    word_succ = int(np.count_nonzero(np.all(zhat == z, axis=1)))
+    if labeler is None:
+        return word_succ, word_succ
+    labels = coset_labels((np.concatenate([zhat, z]) - 1) // 2, *labeler)
+    same = np.all(labels[:n_trials] == labels[n_trials:], axis=1)
+    return int(np.count_nonzero(same)), word_succ
 
 
 def _chunk_task(args):
-    (code_map, alphabet, half_b, sigma_sq, n_r, seed,
+    (code_map, alphabet, labeler, sigma_sq, n_r, seed,
      point_idx, chunk_idx, n_trials, strategy) = args
     rng = _chunk_rng(seed, point_idx, chunk_idx)
-    return _simulate_chunk(code_map, alphabet, half_b, sigma_sq, n_r,
+    return _simulate_chunk(code_map, alphabet, labeler, sigma_sq, n_r,
                            n_trials, rng, strategy)
 
 
@@ -283,7 +223,7 @@ def _resolve_strategy(decoder: str, m: int, k: int) -> str:
     return "exhaustive" if m ** k <= EXHAUSTIVE_LIMIT else "sphere"
 
 
-def _run_curve(code_map: STCodeMap, alphabet: PAMAlphabet, half_b: np.ndarray | None,
+def _run_curve(code_map: STCodeMap, alphabet: PAMAlphabet, labeler,
                snr_db_list, trials: int, seed: int, workers: int,
                decoder: str, n_r: int, metric: str) -> ECDPCurve:
     if trials < 1:
@@ -295,7 +235,7 @@ def _run_curve(code_map: STCodeMap, alphabet: PAMAlphabet, half_b: np.ndarray | 
         n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
         for chunk_idx in range(n_chunks):
             n = min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS)
-            tasks.append((code_map, alphabet, half_b, sigma_sq, n_r, seed,
+            tasks.append((code_map, alphabet, labeler, sigma_sq, n_r, seed,
                           point_idx, chunk_idx, n, strategy))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -334,8 +274,9 @@ def ecdp_monte_carlo(code: CosetCode, snr_db_list, trials: int, seed: int, *,
     decoded word lies in the transmitted word's coset.  Estimates come with
     95% Wilson intervals.
     """
-    return _run_curve(code.map, code.alphabet, code.B_half, snr_db_list, trials,
-                      seed, workers, decoder, n_r, "message_success")
+    return _run_curve(code.map, code.alphabet, label_operator(code.half_sub),
+                      snr_db_list, trials, seed, workers, decoder, n_r,
+                      "message_success")
 
 
 def bob_cer_monte_carlo(code_map: STCodeMap, alphabet: PAMAlphabet, snr_db_list,
@@ -392,8 +333,7 @@ def ecdp_bound_report(code: CosetCode, sigma_e_sq: float,
     t_uses = code.map.T
     lat = RealLattice(code.map.M @ code.sub.B.astype(float))
     pts = enumerate_shorter_than(lat, trunc, cap=cap)
-    cw = (pts[:, 0::2] + 1j * pts[:, 1::2]).reshape(-1, t_uses, n)
-    cw = np.transpose(cw, (0, 2, 1))
+    cw = codeword_matrices(pts, n, t_uses)
     gamma = float(sigma_e_sq) ** (-n) if exponent_mode == "pow2n" else 1.0 / float(sigma_e_sq)
     gram = cw @ np.conj(np.transpose(cw, (0, 2, 1)))
     dets = np.linalg.det(np.eye(n)[None, :, :] + gamma * gram).real

@@ -51,6 +51,15 @@ class TestRealify:
         h2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(realify(h1 + h2, 2), realify(h1, 2) + realify(h2, 2))
 
+    def test_batched_expansion_matches_each_matrix(self):
+        from latcoset.channel import _real_expand
+        rng = np.random.default_rng(8)
+        hs = rng.standard_normal((3, 5, 2, 3)) + 1j * rng.standard_normal((3, 5, 2, 3))
+        batch = _real_expand(hs)
+        assert batch.shape == (3, 5, 4, 6)
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(batch[idx], _real_expand(hs[idx]))
+
 
 class TestTransmit:
     def test_near_noiseless(self):

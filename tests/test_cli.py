@@ -62,6 +62,14 @@ class TestAnalyze:
         row = parse_csv(out)[0]
         assert (row["index"], row["wr"], row["lambda1_sq"]) == ("32", "no", "16")
 
+    def test_int64_norm_overflow_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(IntegerLattice(2 ** 33 * np.eye(4, dtype=np.int64)).to_json())
+        code, _, err = run_cli(["analyze", "--code", "alamouti", "--pam", "4",
+                                "--lattices", str(path)], capsys)
+        assert code == 4
+        assert "int64" in err
+
     def test_odd_entry_lattice_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(IntegerLattice(np.diag([1, 2, 2, 2])).to_json())

@@ -116,6 +116,3 @@ class TestSphere:
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             DecodingProblem(y=np.zeros(7), Heff=np.eye(8), alphabet=PAMAlphabet(4))
-        with pytest.raises(ValueError):
-            DecodingProblem(y=np.zeros(8), Heff=np.zeros((8, 4)),
-                            alphabet=PAMAlphabet(4), k=5)

@@ -317,3 +317,17 @@ class TestJson:
             IntegerLattice.from_json('{"k": 2, "basis": [[1, 0], [2, 0]]}')
         with pytest.raises(ValueError):
             IntegerLattice.from_json('{"k": 2, "basis": [[1.5, 0], [0, 1]]}')
+
+
+class TestInt64Edge:
+    def test_huge_radius_raises_capacity_error(self):
+        # squared norms of diag(2^33) wrap int64 to 0 unless refused
+        lat = IntegerLattice(np.diag([2 ** 33, 2 ** 33]))
+        with pytest.raises(CapacityError):
+            successive_minima(lat)
+        with pytest.raises(CapacityError):
+            enumerate_shorter_than(lat, 1 << 62)
+
+    def test_radius_below_limit_is_exact(self):
+        lat = IntegerLattice(np.diag([2 ** 30, 2 ** 30]))
+        assert successive_minima(lat).lambda_sq == (2 ** 60, 2 ** 60)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,23 @@ class TestVectorization:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             devectorize([1.0, 2.0], 2, 2)
+
+    def test_batched_matrices_match_devectorize(self):
+        from latcoset.stcode import codeword_matrices
+        vecs = np.random.default_rng(2).standard_normal((4, 3, 12))
+        batch = codeword_matrices(vecs, 2, 3)
+        assert batch.shape == (4, 3, 2, 3)
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(batch[idx], devectorize(vecs[idx], 2, 3).Z)
+
+
+class TestGridRows:
+    def test_matches_product_order(self):
+        from latcoset.stcode import grid_rows
+        values = np.array([-3, -1, 1, 3])
+        full = [list(z) for z in itertools.product(values.tolist(), repeat=3)]
+        assert grid_rows(values, 3).tolist() == full
+        assert grid_rows(values, 3, 17, 45).tolist() == full[17:45]
 
 
 class TestAlamouti:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
-                      alamouti_map, bob_cer_monte_carlo, builtin_sublattice,
-                      design_report, ecdp_bound, ecdp_bound_report,
-                      ecdp_monte_carlo, golden_map, message_of, rates,
-                      wilson_interval)
+                      RankDeficientChannel, alamouti_map, bob_cer_monte_carlo,
+                      builtin_sublattice, design_report, ecdp_bound,
+                      ecdp_bound_report, ecdp_monte_carlo, golden_map,
+                      message_of, rates, wilson_interval)
 
 
 def coset(map_name, lattice_name, m):
@@ -136,6 +136,17 @@ class TestMonteCarlo:
         e = ecdp_monte_carlo(c, [0.0], 512, seed=3, decoder="exhaustive")
         s = ecdp_monte_carlo(c, [0.0], 512, seed=3, decoder="sphere")
         assert e == s
+
+    def test_rank_deficient_sphere_trials_decode_exhaustively(self, monkeypatch):
+        def rank_deficient(problem):
+            raise RankDeficientChannel("forced")
+
+        monkeypatch.setattr("latcoset.wiretap.sphere_decode", rank_deficient)
+        c = coset("alamouti", "L2", 4)
+        snrs = [-5.0, 5.0, 15.0]
+        s = ecdp_monte_carlo(c, snrs, 700, seed=13, decoder="sphere")
+        e = ecdp_monte_carlo(c, snrs, 700, seed=13, decoder="exhaustive")
+        assert s == e
 
     def test_floor_lower_bound_invariant(self):
         c = coset("alamouti", "L2", 4)
