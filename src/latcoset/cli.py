@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import NAMES, builtin_sublattice, canonical_name
-from .errors import CapacityError, NoFeasibleCandidate, NotASublattice, SingularMatrix
+from .errors import (CapacityError, CodebookTooLarge, NoFeasibleCandidate,
+                     NotASublattice, SingularMatrix)
 from .lattice import IntegerLattice
 from .search import SearchConfig, search_wr_sublattice
 from .stcode import PAMAlphabet, code_map_by_name
@@ -358,7 +359,8 @@ def main(argv=None) -> int:
                               "best_lambda1_sq": rep.best_lambda1_sq,
                               "well_rounded": rep.best_is_wr}, sort_keys=True))
         return 1
-    except (ValueError, KeyError, SingularMatrix, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, SingularMatrix, CodebookTooLarge, OSError,
+            json.JSONDecodeError) as exc:
         print(f"latcoset: configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,15 @@ Two interchangeable routes: an exhaustive search (the oracle) and a
 box-constrained sphere decoder.  Both return the argmin of
 ||y - Heff z||^2 over z in S^k with ties broken lexicographically, so their
 outputs are bit-identical wherever the oracle is feasible.
+
+The exhaustive route scores a batch of problems against the whole codebook
+with one matrix product, using the expansion
+||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
+(Agrell, Eriksson, Vardy & Zeger, "Closest point search in lattices",
+IEEE Trans. IT 2002): the codebook side is cached per (m, k), the problem
+side is k(k+1)/2 + k numbers per problem.  Rows whose best candidates the
+product cannot separate within its rounding bound are re-decided by the
+residual form sum (y - Heff z)^2, so decisions are the residual form's.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ DEFAULT_CODEBOOK_CAP = 1_000_000
 _MATERIALIZE_LIMIT = 1 << 22
 
 _RANK_TOL = 1e-10
+
+#: elements of the (problems x codewords) distance block of one product
+_BLOCK_ELEMENTS = 1 << 21
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,21 +65,78 @@ def codebook(m: int, k: int) -> np.ndarray:
     return grid
 
 
-def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
-    """Flat codebook index of the ML decision for each problem of a batch.
+@lru_cache(maxsize=32)
+def _codebook_features(m: int, k: int):
+    """Cached codebook side of :func:`exhaustive_argmin` for S^k.
 
-    ``heff`` is (b, d, k), ``y`` is (b, d) and ``zf`` the codebook as floats,
-    (N, k).  Minimizes sum (y - Heff z)^2 over the rows of ``zf``; argmin
-    returns the first minimum, the lexicographic tie-break on the ordered
-    codebook.  Batches are blocked to keep the (b, N, d) candidates small.
+    Returns the float codebook (N, k); the features (n_f, N), n_f =
+    k(k+1)/2 + k, rows w * vech(z z^T) (upper triangle, row-major, w = 1 on
+    the diagonal and 2 off it) and then -2 z, all exact in float; the index
+    pair that reads [vech(G), c] off the Gram matrix of [Heff | y], where
+    G = Heff^T Heff and c = Heff^T y; and the weights (zmax, ..., zmax, 1)
+    that turn |[Heff | y]| into the rows of the error scale S.
     """
+    zf = codebook(m, k).astype(float)
+    iu, ju = np.triu_indices(k)
+    w = np.where(iu == ju, 1.0, 2.0)
+    feats = np.concatenate([zf[:, iu] * zf[:, ju] * w, -2.0 * zf], axis=1).T.copy()
+    gram_idx = (np.concatenate([iu, np.arange(k)]), np.concatenate([ju, np.full(k, k)]))
+    scale_weights = np.append(np.full(k, m - 1.0), 1.0)
+    zf.setflags(write=False)
+    feats.setflags(write=False)
+    return zf, feats, gram_idx, scale_weights
+
+
+def _residual_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
+    """First argmin of sum (y - Heff z)^2 over the rows of ``zf``, per problem."""
     n = heff.shape[0]
-    block = max(1, (1 << 21) // zf.shape[0])
+    block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
     out = np.empty(n, dtype=np.int64)
     for off in range(0, n, block):
         cand = np.einsum("bik,ck->bci", heff[off:off + block], zf)
         dist = np.sum((y[off:off + block, None, :] - cand) ** 2, axis=2)
         out[off:off + block] = np.argmin(dist, axis=1)
+    return out
+
+
+def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Flat codebook index of the ML decision for each problem of a batch.
+
+    ``heff`` is (b, d, k), ``y`` is (b, d) and the codebook is
+    ``codebook(m, k)``.  The Gram matrix of [Heff | y] gives each problem's
+    [vech(Heff^T Heff), Heff^T y], and one product of those rows with the
+    cached features of :func:`_codebook_features` gives
+    ||y - Heff z||^2 - ||y||^2 for a block of problems and every word.
+    argmin returns the first minimum, the lexicographic tie-break on the
+    ordered codebook.  Blocks keep (b, N) within ``_BLOCK_ELEMENTS``.
+
+    The product loses accuracy to cancellation, so it only decides rows
+    where one candidate is clearly best.  With d rows in Heff, n_f features,
+    zmax the largest symbol and S = sum_i (|y_i| + zmax sum_a |Heff_ia|)^2,
+    the product and the residual form sum (y - Heff z)^2 (less ||y||^2)
+    differ by at most E = (2(d + k) + n_f + 8) eps S, over twice the
+    textbook bounds of their dot products and sums.  A row with a second
+    candidate within 2E of its minimum is re-decided by the residual form,
+    so every decision is the residual form's, bit for bit.
+    """
+    n, d, k = heff.shape
+    zf, feats, (rows, cols), scale_weights = _codebook_features(m, k)
+    hy = np.concatenate([heff, y[:, :, None]], axis=2)
+    lhs = (hy.transpose(0, 2, 1) @ hy)[:, rows, cols]
+    bound = np.abs(hy) @ scale_weights
+    scale = np.einsum("bi,bi->b", bound, bound)
+    slack = 2 * (2 * (d + k) + feats.shape[0] + 8) * _EPS * scale
+    block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
+    out = np.empty(n, dtype=np.int64)
+    near = np.empty(n, dtype=bool)
+    for off in range(0, n, block):
+        dist = lhs[off:off + block] @ feats
+        best = np.argmin(dist, axis=1)
+        lim = dist[np.arange(best.shape[0]), best] + slack[off:off + block]
+        out[off:off + block] = best
+        near[off:off + block] = (dist <= lim[:, None]).sum(axis=1) > 1
+    if near.any():
+        out[near] = _residual_argmin(heff[near], y[near], zf)
     return out
 
 
@@ -120,8 +191,7 @@ def ml_decode_exhaustive(problem: DecodingProblem,
     if total > _MATERIALIZE_LIMIT:
         flat = _split_exhaustive(y, h, syms, k)
         return grid_rows(syms, k, flat, flat + 1)[0]
-    grid = codebook(m, k)
-    return grid[exhaustive_argmin(h[None], y[None], grid.astype(float))][0]
+    return codebook(m, k)[exhaustive_argmin(h[None], y[None], m)][0]
 
 
 def sphere_decode(problem: DecodingProblem) -> np.ndarray:

@@ -29,6 +29,8 @@ ENUMERATION_CAP = 10_000_000
 #: squared radius from which integer enumeration norms could overflow int64
 _INT64_NORM_LIMIT = 1 << 62
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
 
 # ---------------------------------------------------------------------------
 # exact integer helpers (plain Python ints, no overflow)
@@ -152,6 +154,8 @@ class IntegerLattice:
         k = len(rows)
         if any(len(r) != k for r in rows):
             raise ValueError("basis must be square")
+        if any(not _INT64_MIN <= v <= _INT64_MAX for r in rows for v in r):
+            raise ValueError("basis entries must fit in int64, [-2^63, 2^63)")
         if int_det(rows) == 0:
             raise SingularMatrix("integer basis has determinant zero")
         arr = np.array(rows, dtype=np.int64)
@@ -182,14 +186,16 @@ class IntegerLattice:
     @classmethod
     def from_json(cls, text: str) -> "IntegerLattice":
         data = json.loads(text)
+        if not isinstance(data, dict) or not {"k", "basis"} <= data.keys():
+            raise ValueError('lattice JSON must be an object {"k": ..., "basis": [...]}')
         k = data["k"]
         cols = data["basis"]
-        if len(cols) != k or any(len(c) != k for c in cols):
+        if (not isinstance(cols, list) or any(not isinstance(c, list) for c in cols)
+                or len(cols) != k or any(len(c) != k for c in cols)):
             raise ValueError("basis must be a square k x k matrix")
         if any(not isinstance(v, int) for c in cols for v in c):
             raise ValueError("basis entries must be integers")
-        b = np.array(cols, dtype=np.int64).T  # stored column-major
-        return cls(b)
+        return cls(np.array(cols, dtype=object).T)  # stored column-major
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,24 @@ class TestAnalyze:
         assert code == 4
         assert "int64" in err
 
+    def test_basis_entry_past_int64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"k": 4, "basis": [
+            [2 ** 63 if i == j == 0 else 2 * (i == j) for i in range(4)]
+            for j in range(4)]}))
+        code, _, err = run_cli(["analyze", "--code", "alamouti", "--pam", "4",
+                                "--lattices", str(path)], capsys)
+        assert code == 2
+        assert "int64" in err
+
+    def test_non_object_lattice_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(["analyze", "--code", "alamouti", "--pam", "4",
+                                "--lattices", str(path)], capsys)
+        assert code == 2
+        assert "object" in err
+
     def test_odd_entry_lattice_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(IntegerLattice(np.diag([1, 2, 2, 2])).to_json())
@@ -119,6 +137,13 @@ class TestSimulate:
                               "--lattices", "L2", "--snr", "0",
                               "--trials", "0", "--seed", "1"], capsys)
         assert code == 2
+
+    def test_forced_exhaustive_past_cap_exits_2(self, capsys):
+        code, _, err = run_cli(["simulate", "--code", "golden", "--pam", "8",
+                                "--lattices", "L'1", "--snr", "0", "--trials", "1",
+                                "--decoder", "exhaustive"], capsys)
+        assert code == 2
+        assert "configuration error" in err and "cap" in err
 
     def test_cer_independent_of_lattice(self, tmp_path, capsys):
         outs = []

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latcoset import (ChannelParams, CodebookTooLarge, DecodingProblem,
-                      PAMAlphabet, RankDeficientChannel, alamouti_map,
-                      golden_map, ml_decode_exhaustive, realify,
-                      sample_channel, sphere_decode)
-from latcoset.decoder import _split_exhaustive, codebook
+import latcoset.wiretap as wiretap
+from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProblem,
+                      IntegerLattice, PAMAlphabet, RankDeficientChannel,
+                      alamouti_map, ecdp_monte_carlo, golden_map,
+                      ml_decode_exhaustive, realify, sample_channel,
+                      sphere_decode)
+from latcoset.decoder import _split_exhaustive, codebook, exhaustive_argmin
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -49,6 +52,54 @@ class TestExhaustive:
             flat = _split_exhaustive(y, h, alphabet.symbols, 4)
             grid = codebook(4, 4)
             assert np.array_equal(grid[flat], direct)
+
+
+def residual_argmin(heff, y, m):
+    """First argmin of sum (y - Heff z)^2 over the codebook, one problem at a time."""
+    zf = codebook(m, heff.shape[2]).astype(float)
+    return np.array([np.argmin(np.sum((yi - zf @ hi.T) ** 2, axis=1))
+                     for hi, yi in zip(heff, y)])
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
+           n=st.integers(1, 6), snr_db=st.sampled_from([-60.0, 0.0, 20.0]),
+           integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_residual_argmin(self, code, m, n, snr_db, integer, seed):
+        # integer channels with half-integer outputs are full of exact ties
+        rng = np.random.default_rng(seed)
+        code_map = alamouti_map() if code == "alamouti" else golden_map()
+        if integer:
+            heff = rng.integers(-2, 3, (n, 8, code_map.k)).astype(float)
+            y = rng.integers(-6, 7, (n, 8)) / 2.0
+        else:
+            problems = [random_problem(rng, code_map, m, sigma_sq=10 ** (-snr_db / 10))[0]
+                        for _ in range(n)]
+            heff = np.array([p.Heff for p in problems])
+            y = np.array([p.y for p in problems])
+        assert np.array_equal(exhaustive_argmin(heff, y, m), residual_argmin(heff, y, m))
+
+    def test_exact_ties_pick_the_lexicographically_first_word(self):
+        # Heff = h I, y = 2h: every coordinate is midway between the symbols 1
+        # and 3, and (y - h)^2 = (y - 3h)^2 = h^2 exactly, so (1,1), (1,3),
+        # (3,1) and (3,3) tie.  The product form rounds h^2 and h y apart and
+        # splits some of these ties; the recheck must restore the first word.
+        h = 2.0 ** 30 + np.arange(1, 64, 2)
+        heff = h[:, None, None] * np.eye(2)
+        y = 2.0 * np.repeat(h[:, None], 2, axis=1)
+        got = exhaustive_argmin(heff, y, 4)
+        assert np.array_equal(codebook(4, 2)[got], np.ones((len(h), 2), dtype=np.int64))
+
+    def test_forced_exhaustive_cap_raises_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(wiretap, "_chunk_rng", no_draw)
+        code = CosetCode(map=golden_map(), alphabet=PAMAlphabet(8),
+                         sub=IntegerLattice(2 * np.eye(8, dtype=np.int64)))
+        with pytest.raises(CodebookTooLarge):
+            ecdp_monte_carlo(code, [0.0], 1, 0, decoder="exhaustive")
 
 
 class TestSphere:

@@ -1,9 +1,10 @@
 """Property tests of the exact core against sympy's rational arithmetic.
 
 Coset labels, containment and the sublattice index are checked against a
-rational solve, and the greedy independent-row scan against sympy's rank,
-with entries up to 2^20 (past the int64 label range, so both the int64 and
-the Python-integer paths run).
+rational solve, the greedy independent-row scan against sympy's rank, and
+the determinant and the Smith form against sympy's determinant and
+invariant factors, with entries up to 2^20 (past the int64 label range, so
+both the int64 and the Python-integer paths run).
 """
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from latcoset import (IntegerLattice, NotASublattice, coset_label,  # noqa: E402
                       index_in_superlattice)
-from latcoset.lattice import independent_rows, int_det  # noqa: E402
+from latcoset.lattice import (independent_rows, int_det,  # noqa: E402
+                              smith_normal_form)
 
 BIG = 2 ** 20
 
@@ -92,3 +95,26 @@ def test_independent_rows_match_rank(rows):
     ranks = [0] + [sympy.Matrix(rows[:i + 1]).rank() for i in range(len(rows))]
     expected = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
     assert independent_rows(rows) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(vectors(k, BIG), min_size=k, max_size=k)))
+def test_int_det_matches_sympy(rows):
+    assert int_det(rows) == sympy.Matrix(rows).det()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: nonsingular(k, BIG)))
+def test_smith_form_matches_sympy(rows):
+    snf = smith_normal_form(rows)
+    u, b, d, v = (sympy.Matrix(x) for x in (snf.U.tolist(), rows, snf.D.tolist(),
+                                             snf.V.tolist()))
+    diag = snf.diagonal
+    assert u * b * v == d
+    assert d == sympy.diag(*diag)
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert all(x > 0 for x in diag)
+    assert all(nxt % cur == 0 for cur, nxt in zip(diag, diag[1:]))
+    assert sympy.prod(diag) == abs(int_det(rows))
+    assert list(diag) == [abs(x) for x in invariant_factors(b, domain=sympy.ZZ)]
