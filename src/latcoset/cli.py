@@ -27,8 +27,7 @@ from .errors import (CapacityError, CodebookTooLarge, NoFeasibleCandidate,
 from .lattice import IntegerLattice
 from .search import SearchConfig, search_wr_sublattice
 from .stcode import PAMAlphabet, code_map_by_name
-from .wiretap import (CosetCode, bob_cer_monte_carlo, design_report,
-                      ecdp_bound_report, ecdp_monte_carlo)
+from .wiretap import CosetCode, design_report, ecdp_bound_report, simulate_curves
 
 _VERSION_LINE = f"# latcoset v{__version__}"
 
@@ -113,31 +112,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
-    snr = args.snr
     code_map = code_map_by_name(args.code)
-    alphabet = PAMAlphabet(args.pam)
-
-    outputs = []  # (lattice name, csv text)
+    loaded = [_load_lattice(s) for s in args.lattices or []]
+    codes = ([] if args.metric == "cer"
+             else [_coset_code(args, name, lat) for name, lat in loaded])
+    cer, ecdps = simulate_curves(code_map, PAMAlphabet(args.pam), codes, args.snr,
+                                 args.trials, args.seed, workers=args.workers,
+                                 decoder=args.decoder, n_r=args.n_r)
     if args.metric == "cer":
-        curve = bob_cer_monte_carlo(code_map, alphabet, snr, args.trials,
-                                    args.seed, workers=args.workers,
-                                    decoder=args.decoder, n_r=args.n_r)
-        csv = _curve_csv(curve, "cer")
-        names = [(_load_lattice(s)[0]) for s in args.lattices] if args.lattices else [None]
-        for name in names:
-            outputs.append((name, csv))
+        csv = _curve_csv(cer, "cer")
+        outputs = [(name, csv) for name, _ in loaded] or [(None, csv)]
     else:
-        if not args.lattices:
-            raise ValueError("simulate --metric ecdp needs at least one lattice")
-        for source in args.lattices:
-            name, lat = _load_lattice(source)
-            code = _coset_code(args, name, lat)
-            curve = ecdp_monte_carlo(code, snr, args.trials, args.seed,
-                                     workers=args.workers, decoder=args.decoder,
-                                     n_r=args.n_r)
-            outputs.append((name, _curve_csv(curve, "ecdp")))
+        outputs = [(name, _curve_csv(curve, "ecdp"))
+                   for (name, _), curve in zip(loaded, ecdps)]
 
     if args.out is None:
         for name, csv in outputs:
@@ -272,8 +259,6 @@ _DEFAULTS = {
               "sigma_e_sq": None, "snr": None, "truncation": None},
     "search": {"budget": 10000, "seed": 0, "hill_climb": False},
 }
-
-_LIST_KEYS = {"lattices": str, "snr": float, "sigma_e_sq": float}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:

@@ -87,14 +87,19 @@ def _codebook_features(m: int, k: int):
     return zf, feats, gram_idx, scale_weights
 
 
+def _residual_distances(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
+    """sum (y - Heff z)^2 for each problem of a block and each row z of ``zf``."""
+    cand = np.einsum("bik,ck->bci", heff, zf)
+    return np.sum((y[:, None, :] - cand) ** 2, axis=2)
+
+
 def _residual_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
     """First argmin of sum (y - Heff z)^2 over the rows of ``zf``, per problem."""
     n = heff.shape[0]
     block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
     out = np.empty(n, dtype=np.int64)
     for off in range(0, n, block):
-        cand = np.einsum("bik,ck->bci", heff[off:off + block], zf)
-        dist = np.sum((y[off:off + block, None, :] - cand) ** 2, axis=2)
+        dist = _residual_distances(heff[off:off + block], y[off:off + block], zf)
         out[off:off + block] = np.argmin(dist, axis=1)
     return out
 
@@ -143,34 +148,44 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
 def _split_exhaustive(y, h, syms, k):
     """Exhaustive argmin without materializing S^k; returns the flat index.
 
-    Splits coefficients into two halves and scans the product in chunks.
-    Ties resolve to the smallest flat (lexicographic) index.
+    Splits coefficients into two halves and scores chunks of words as
+    ||H1 z1||^2 - 2 <H1 z1, y - H2 z2> + ||y - H2 z2||^2.  With d rows in H
+    and S as in :func:`exhaustive_argmin`, this score and the residual form
+    differ by at most E = (8k + 4d + 16) eps S, twice the sum of their
+    first-order error bounds.  Words within 2E of the running minimum are
+    re-decided by the residual form; ties go to the smallest flat
+    (lexicographic) index.
     """
     m = len(syms)
+    d = h.shape[0]
     k1 = k // 2
     k2 = k - k1
     z1 = codebook(m, k1)
     z2 = codebook(m, k2)
     c1 = h[:, :k1] @ z1.T.astype(float)          # (d, N1)
     n1 = np.sum(c1 * c1, axis=0)
-    best_d = np.inf
-    best_flat = -1
+    bound = np.abs(y) + (m - 1) * np.abs(h).sum(axis=1)
+    slack = 2 * (8 * k + 4 * d + 16) * _EPS * float(bound @ bound)
+    best_score = np.inf
+    best = (np.inf, -1)  # (residual, flat index)
     n2_total = z2.shape[0]
-    chunk = max(1, (1 << 22) // z1.shape[0])
+    chunk = max(1, _BLOCK_ELEMENTS // z1.shape[0])
     for off in range(0, n2_total, chunk):
         zc = z2[off:off + chunk]
         r2 = y[:, None] - h[:, k1:] @ zc.T.astype(float)   # (d, N2c)
         cross = c1.T @ r2                                   # (N1, N2c)
         d2 = np.sum(r2 * r2, axis=0)
-        dist = n1[:, None] - 2.0 * cross + d2[None, :]
-        flat_local = int(np.argmin(dist))
-        i1, i2l = divmod(flat_local, zc.shape[0])
-        d = float(dist[i1, i2l])
-        flat = i1 * n2_total + off + i2l
-        if d < best_d or (d == best_d and flat < best_flat):
-            best_d = d
-            best_flat = flat
-    return best_flat
+        score = n1[:, None] - 2.0 * cross + d2[None, :]
+        best_score = min(best_score, float(score.min()))
+        near = np.flatnonzero(score <= best_score + slack)  # ascending flat order
+        if near.size == 0:
+            continue
+        i1, i2 = np.divmod(near, zc.shape[0])
+        words = np.concatenate([z1[i1], zc[i2]], axis=1).astype(float)
+        res = _residual_distances(h[None], y[None], words)[0]
+        j = int(np.argmin(res))
+        best = min(best, (float(res[j]), int(i1[j]) * n2_total + off + int(i2[j])))
+    return best[1]
 
 
 def ml_decode_exhaustive(problem: DecodingProblem,

@@ -190,10 +190,13 @@ class IntegerLattice:
             raise ValueError('lattice JSON must be an object {"k": ..., "basis": [...]}')
         k = data["k"]
         cols = data["basis"]
+        # type(...) is int: JSON true and false load as bool, a subclass of int
+        if type(k) is not int:
+            raise ValueError("k must be an integer")
         if (not isinstance(cols, list) or any(not isinstance(c, list) for c in cols)
                 or len(cols) != k or any(len(c) != k for c in cols)):
             raise ValueError("basis must be a square k x k matrix")
-        if any(not isinstance(v, int) for c in cols for v in c):
+        if any(type(v) is not int for c in cols for v in c):
             raise ValueError("basis entries must be integers")
         return cls(np.array(cols, dtype=object).T)  # stored column-major
 

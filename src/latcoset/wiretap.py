@@ -9,7 +9,6 @@ bit-identical across runs and across worker counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,15 +173,16 @@ def _decode_one(problem: DecodingProblem) -> np.ndarray:
         return ml_decode_exhaustive(problem)
 
 
-def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labeler, sigma_sq: float,
-                    n_r: int, n_trials: int, rng: np.random.Generator,
-                    strategy: str) -> tuple[int, int]:
-    """Run one chunk of trials; returns (message successes, word successes).
+def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_sq: float,
+                    n_r: int, seed: int, point_idx: int, chunk_idx: int, n_trials: int,
+                    strategy: str) -> tuple[int, ...]:
+    """Run one chunk of trials; returns (word successes, *message successes).
 
     Draw order is fixed: symbol indices, channel block, noise block.
-    ``labeler`` is the half sublattice's :func:`label_operator`; when it is
-    None, message success equals word success.
+    ``labelers`` holds one half sublattice's :func:`label_operator` per
+    message count.
     """
+    rng = _chunk_rng(seed, point_idx, chunk_idx)
     m = alphabet.m
     k = code_map.k
     n_t = code_map.n
@@ -203,20 +203,13 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labeler, sigma_s
     else:
         zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
                          for i in range(n_trials)])
-    word_succ = int(np.count_nonzero(np.all(zhat == z, axis=1)))
-    if labeler is None:
-        return word_succ, word_succ
-    labels = coset_labels((np.concatenate([zhat, z]) - 1) // 2, *labeler)
-    same = np.all(labels[:n_trials] == labels[n_trials:], axis=1)
-    return int(np.count_nonzero(same)), word_succ
-
-
-def _chunk_task(args):
-    (code_map, alphabet, labeler, sigma_sq, n_r, seed,
-     point_idx, chunk_idx, n_trials, strategy) = args
-    rng = _chunk_rng(seed, point_idx, chunk_idx)
-    return _simulate_chunk(code_map, alphabet, labeler, sigma_sq, n_r,
-                           n_trials, rng, strategy)
+    counts = [int(np.count_nonzero(np.all(zhat == z, axis=1)))]
+    t = (np.concatenate([zhat, z]) - 1) // 2
+    for labeler in labelers:
+        labels = coset_labels(t, *labeler)
+        same = np.all(labels[:n_trials] == labels[n_trials:], axis=1)
+        counts.append(int(np.count_nonzero(same)))
+    return tuple(counts)
 
 
 def _resolve_strategy(decoder: str, m: int, k: int) -> str:
@@ -230,45 +223,46 @@ def _resolve_strategy(decoder: str, m: int, k: int) -> str:
     return "exhaustive" if m ** k <= EXHAUSTIVE_LIMIT else "sphere"
 
 
-def _run_curve(code_map: STCodeMap, alphabet: PAMAlphabet, labeler,
-               snr_db_list, trials: int, seed: int, workers: int,
-               decoder: str, n_r: int, metric: str) -> ECDPCurve:
+def _curve(snr_db_list, successes, trials: int) -> ECDPCurve:
+    return ECDPCurve(points=tuple(
+        ECDPPoint(float(snr_db), count / trials, trials, *wilson_interval(count, trials))
+        for snr_db, count in zip(snr_db_list, successes)))
+
+
+def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_list,
+                    trials: int, seed: int, *, workers: int = 1, decoder: str = "auto",
+                    n_r: int = 2) -> tuple[ECDPCurve, tuple[ECDPCurve, ...]]:
+    """Bob's CER and one ECDP curve per coset code, from one pass of trials.
+
+    Every code in ``codes`` must use ``code_map`` and ``alphabet``.  The
+    draws and ML decisions of a trial depend on the code map, the alphabet,
+    the SNR point and the seed only; each code's sublattice enters at the
+    coset label of the decoded and sent words.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
+    labelers = [label_operator(code.half_sub) for code in codes]
+    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = []
-    for point_idx, _ in enumerate(snr_db_list):
-        sigma_sq = snr_to_sigma(snr_db_list[point_idx], code_map, alphabet).sigma_sq
-        n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    for point_idx, snr_db in enumerate(snr_db_list):
+        sigma_sq = snr_to_sigma(snr_db, code_map, alphabet).sigma_sq
         for chunk_idx in range(n_chunks):
             n = min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS)
-            tasks.append((code_map, alphabet, labeler, sigma_sq, n_r, seed,
+            tasks.append((code_map, alphabet, labelers, sigma_sq, n_r, seed,
                           point_idx, chunk_idx, n, strategy))
     if workers > 1:
+        # imported here: multiprocessing adds ~1.5 MB of RSS that serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_task, tasks, chunksize=4))
+            results = list(pool.map(_simulate_chunk, *zip(*tasks)))
     else:
-        results = [_chunk_task(t) for t in tasks]
+        results = [_simulate_chunk(*task) for task in tasks]
 
-    points = []
-    pos = 0
-    for point_idx, snr_db in enumerate(snr_db_list):
-        n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-        msg = word = 0
-        for _ in range(n_chunks):
-            msg += results[pos][0]
-            word += results[pos][1]
-            pos += 1
-        if metric == "message_success":
-            count = msg
-        elif metric == "word_error":
-            count = trials - word
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        lo, hi = wilson_interval(count, trials)
-        points.append(ECDPPoint(snr_db=float(snr_db), estimate=count / trials,
-                                trials=trials, ci_low=lo, ci_high=hi))
-    return ECDPCurve(points=tuple(points))
+    counts = np.array(results, dtype=np.int64).reshape(
+        len(snr_db_list), n_chunks, 1 + len(codes)).sum(axis=1).T.tolist()
+    cer = _curve(snr_db_list, [trials - c for c in counts[0]], trials)
+    return cer, tuple(_curve(snr_db_list, c, trials) for c in counts[1:])
 
 
 def ecdp_monte_carlo(code: CosetCode, snr_db_list, trials: int, seed: int, *,
@@ -281,9 +275,8 @@ def ecdp_monte_carlo(code: CosetCode, snr_db_list, trials: int, seed: int, *,
     decoded word lies in the transmitted word's coset.  Estimates come with
     95% Wilson intervals.
     """
-    return _run_curve(code.map, code.alphabet, label_operator(code.half_sub),
-                      snr_db_list, trials, seed, workers, decoder, n_r,
-                      "message_success")
+    return simulate_curves(code.map, code.alphabet, [code], snr_db_list, trials, seed,
+                           workers=workers, decoder=decoder, n_r=n_r)[1][0]
 
 
 def bob_cer_monte_carlo(code_map: STCodeMap, alphabet: PAMAlphabet, snr_db_list,
@@ -294,8 +287,8 @@ def bob_cer_monte_carlo(code_map: STCodeMap, alphabet: PAMAlphabet, snr_db_list,
     Uses the same per-trial draws as :func:`ecdp_monte_carlo` for the same
     seed, so message errors are pathwise a subset of word errors.
     """
-    return _run_curve(code_map, alphabet, None, snr_db_list, trials,
-                      seed, workers, decoder, n_r, "word_error")
+    return simulate_curves(code_map, alphabet, [], snr_db_list, trials, seed,
+                           workers=workers, decoder=decoder, n_r=n_r)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ class TestAnalyze:
         assert code == 2
         assert "object" in err
 
+    def test_boolean_lattice_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"k": 4, "basis": [[true, 0, 0, 0], [0, 2, 0, 0], '
+                        '[0, 0, 2, 0], [0, 0, 0, 2]]}')
+        code, _, err = run_cli(["analyze", "--code", "alamouti", "--pam", "4",
+                                "--lattices", str(path)], capsys)
+        assert code == 2
+        assert "integers" in err
+
     def test_odd_entry_lattice_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(IntegerLattice(np.diag([1, 2, 2, 2])).to_json())
@@ -156,6 +165,36 @@ class TestSimulate:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+        out_dir = tmp_path / "both"
+        code, _, _ = run_cli(["simulate", "--code", "alamouti", "--pam", "4",
+                              "--metric", "cer", "--lattices", "L1,L3",
+                              "--snr", "10", "--trials", "500",
+                              "--seed", "2", "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert [p.read_bytes() for p in sorted(out_dir.iterdir())] == outs
+
+    def test_one_run_matches_single_lattice_runs(self, tmp_path, capsys):
+        base = ["simulate", "--code", "alamouti", "--pam", "4", "--snr", "0,5",
+                "--trials", "1500", "--seed", "6"]
+        assert run_cli(base + ["--lattices", "L1,L2,L3",
+                               "--out", str(tmp_path / "all")], capsys)[0] == 0
+        for name in ["L1", "L2", "L3"]:
+            one = tmp_path / name
+            assert run_cli(base + ["--lattices", name, "--out", str(one)], capsys)[0] == 0
+            fname = f"ecdp_alamouti_4pam_{name.lower()}.csv"
+            assert (tmp_path / "all" / fname).read_bytes() == (one / fname).read_bytes()
+
+    def test_bad_lattice_exits_2_before_any_trial(self, monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr("latcoset.wiretap._chunk_rng", no_draw)
+        for metric in ["ecdp", "cer"]:
+            code, _, err = run_cli(["simulate", "--code", "alamouti", "--pam", "4",
+                                    "--metric", metric, "--lattices", "L1,L99",
+                                    "--snr", "0", "--trials", "10"], capsys)
+            assert code == 2
+            assert "L99" in err
 
     def test_full_sweep_point_count_and_floor(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"

@@ -53,6 +53,16 @@ class TestExhaustive:
             grid = codebook(4, 4)
             assert np.array_equal(grid[flat], direct)
 
+    def test_split_path_exact_ties_pick_the_lexicographically_first_word(self):
+        # 10-PAM, k = 8: the lifted cap runs the split path.  Heff = h I and
+        # y = 2h put every coordinate midway between the symbols 1 and 3, so
+        # the 256 words of {1,3}^8 tie exactly; the split sums round them apart.
+        h = 2.0 ** 30 + 11
+        p = DecodingProblem(y=np.full(8, 2 * h), Heff=h * np.eye(8),
+                            alphabet=PAMAlphabet(10))
+        assert ml_decode_exhaustive(p, cap=10 ** 9).tolist() == [1] * 8
+        assert sphere_decode(p).tolist() == [1] * 8
+
 
 def residual_argmin(heff, y, m):
     """First argmin of sum (y - Heff z)^2 over the codebook, one problem at a time."""

@@ -318,6 +318,13 @@ class TestJson:
         with pytest.raises(ValueError):
             IntegerLattice.from_json('{"k": 2, "basis": [[1.5, 0], [0, 1]]}')
 
+    def test_booleans_rejected(self):
+        # JSON true loads as a bool, which Python also counts as the int 1
+        with pytest.raises(ValueError):
+            IntegerLattice.from_json('{"k": 2, "basis": [[true, 0], [0, 2]]}')
+        with pytest.raises(ValueError):
+            IntegerLattice.from_json('{"k": true, "basis": [[2]]}')
+
 
 class TestInt64Edge:
     def test_huge_radius_raises_capacity_error(self):

@@ -9,6 +9,7 @@ from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
                       builtin_sublattice, design_report, ecdp_bound,
                       ecdp_bound_report, ecdp_monte_carlo, golden_map,
                       message_of, rates, wilson_interval)
+from latcoset.wiretap import simulate_curves
 
 
 def coset(map_name, lattice_name, m):
@@ -174,6 +175,19 @@ class TestMonteCarlo:
             ecdp = ecdp_monte_carlo(c, [0.0, 30.0], 3000, seed=12)
             for pe, pc in zip(ecdp.points, cer.points):
                 assert 1 - pe.estimate <= pc.estimate + 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pass_matches_each_curve(self, workers):
+        cm, alpha = alamouti_map(), PAMAlphabet(4)
+        codes = [coset("alamouti", name, 4) for name in ["L1", "L2", "L3"]]
+        snrs = [0.0, 10.0]
+        cer, ecdps = simulate_curves(cm, alpha, codes, snrs, 1500, 4, workers=workers)
+        assert cer.points == bob_cer_monte_carlo(cm, alpha, snrs, 1500, 4,
+                                                 workers=workers).points
+        assert len(ecdps) == len(codes)
+        for code, curve in zip(codes, ecdps):
+            assert curve.points == ecdp_monte_carlo(code, snrs, 1500, 4,
+                                                    workers=workers).points
 
     def test_bob_cer_ignores_sublattice(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
