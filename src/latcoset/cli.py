@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import lru_cache
 from pathlib import Path
-
 
 from . import __version__
 from .catalog import NAMES, builtin_sublattice, canonical_name
@@ -47,7 +48,7 @@ def _parse_float_list(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite([float(p) for p in parts])
         if step <= 0:
             raise ValueError("range step must be positive")
         out = []
@@ -56,7 +57,13 @@ def _parse_float_list(text: str) -> list[float]:
             out.append(round(v, 10))
             v += step
         return out
-    return [float(p) for p in text.split(",") if p.strip()]
+    return _finite([float(p) for p in text.split(",") if p.strip()])
+
+
+def _finite(values: list) -> list:
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+        raise ValueError(f"expected finite numbers, got {values!r}")
+    return values
 
 
 def _load_lattice(source: str) -> tuple[str, IntegerLattice]:
@@ -202,6 +209,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path")
 
 
+_CHOICES = {"code": ("alamouti", "golden"), "metric": ("ecdp", "cer"),
+            "decoder": ("auto", "sphere", "exhaustive"),
+            "exponent_mode": ("pow2n", "pow2", "both")}
+
+
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcoset",
@@ -209,34 +222,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="design-report table per lattice")
-    pa.add_argument("--code", choices=["alamouti", "golden"])
+    pa.add_argument("--code", choices=_CHOICES["code"])
     pa.add_argument("--pam", type=int)
     pa.add_argument("--lattices", help=f"comma list of names ({', '.join(NAMES)}) "
                                        "or .json paths")
     _add_common(pa)
 
     ps = sub.add_parser("simulate", help="Monte-Carlo curves (CSV)")
-    ps.add_argument("--code", choices=["alamouti", "golden"])
+    ps.add_argument("--code", choices=_CHOICES["code"])
     ps.add_argument("--pam", type=int)
     ps.add_argument("--lattices")
     ps.add_argument("--snr", help="comma list or start:stop:step, in dB")
     ps.add_argument("--trials", type=int)
     ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int)
-    ps.add_argument("--metric", choices=["ecdp", "cer"])
-    ps.add_argument("--decoder", choices=["auto", "sphere", "exhaustive"])
+    ps.add_argument("--metric", choices=_CHOICES["metric"])
+    ps.add_argument("--decoder", choices=_CHOICES["decoder"])
     ps.add_argument("--n-r", dest="n_r", type=int)
     _add_common(ps)
 
     pb = sub.add_parser("bound", help="eavesdropper-success bound (CSV)")
-    pb.add_argument("--code", choices=["alamouti", "golden"])
+    pb.add_argument("--code", choices=_CHOICES["code"])
     pb.add_argument("--pam", type=int)
     pb.add_argument("--lattices")
     pb.add_argument("--sigma-e-sq", dest="sigma_e_sq")
     pb.add_argument("--snr")
     pb.add_argument("--truncation", type=float)
     pb.add_argument("--exponent-mode", dest="exponent_mode",
-                    choices=["pow2n", "pow2", "both"])
+                    choices=_CHOICES["exponent_mode"])
     pb.add_argument("--n-r", dest="n_r", type=int)
     _add_common(pb)
 
@@ -261,6 +274,31 @@ _DEFAULTS = {
 }
 
 
+#: (test, description) of the type a config value must have: the type its flag
+#: parses to; keys in _CHOICES must be one of the flag's choices instead
+_CONFIG_TYPES = {
+    **dict.fromkeys(("pam", "trials", "seed", "workers", "n_r", "k", "index", "budget"),
+                    (lambda v: type(v) is int, "an integer")),
+    "truncation": (lambda v: type(v) in (int, float), "a number"),
+    "hill_climb": (lambda v: type(v) is bool, "a boolean"),
+    **dict.fromkeys(("lattices", "snr", "sigma_e_sq"),
+                    (lambda v: isinstance(v, (str, list)), "a string or a list")),
+    "out": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _config_value(key: str, value):
+    """``value`` from a config file, if it has the type the flag ``key`` parses to."""
+    if key in _CHOICES:
+        ok, what = value in _CHOICES[key], f"one of {', '.join(_CHOICES[key])}"
+    else:
+        test, what = _CONFIG_TYPES[key]
+        ok = test(value)
+    if not ok:
+        raise ValueError(f"config value {key!r} must be {what}, not {value!r}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     config = {}
     if args.config:
@@ -277,16 +315,19 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in merged.items():
         if value is None:
             if key in config:
-                merged[key] = config[key]
+                merged[key] = _config_value(key, config[key])
             elif key in defaults:
                 merged[key] = defaults[key]
     # normalize list-valued fields that may arrive as strings
-    if merged.get("lattices") is not None and isinstance(merged["lattices"], str):
-        merged["lattices"] = [s.strip() for s in merged["lattices"].split(",") if s.strip()]
-    if merged.get("snr") is not None and isinstance(merged["snr"], str):
-        merged["snr"] = _parse_float_list(merged["snr"])
-    if merged.get("sigma_e_sq") is not None and isinstance(merged["sigma_e_sq"], str):
-        merged["sigma_e_sq"] = _parse_float_list(merged["sigma_e_sq"])
+    lattices = merged.get("lattices")
+    if isinstance(lattices, str):
+        merged["lattices"] = [s.strip() for s in lattices.split(",") if s.strip()]
+    elif lattices is not None and not all(isinstance(s, str) for s in lattices):
+        raise ValueError(f"lattices must be names or paths, not {lattices!r}")
+    for key in ("snr", "sigma_e_sq"):
+        value = merged.get(key)
+        if value is not None:
+            merged[key] = _parse_float_list(value) if isinstance(value, str) else _finite(value)
     return argparse.Namespace(**merged)
 
 

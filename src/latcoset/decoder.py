@@ -5,14 +5,19 @@ box-constrained sphere decoder.  Both return the argmin of
 ||y - Heff z||^2 over z in S^k with ties broken lexicographically, so their
 outputs are bit-identical wherever the oracle is feasible.
 
-The exhaustive route scores a batch of problems against the whole codebook
-with one matrix product, using the expansion
+The exhaustive route is batched over problems and has two kernels, chosen
+by codebook size.  Up to ``_GEMM_LIMIT`` words it scores every word with
+one matrix product, using the expansion
 ||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
 (Agrell, Eriksson, Vardy & Zeger, "Closest point search in lattices",
 IEEE Trans. IT 2002): the codebook side is cached per (m, k), the problem
-side is k(k+1)/2 + k numbers per problem.  Rows whose best candidates the
-product cannot separate within its rounding bound are re-decided by the
-residual form sum (y - Heff z)^2, so decisions are the residual form's.
+side is k(k+1)/2 + k numbers per problem.  Beyond it a two-level search
+takes a QR of [Heff | y], prunes the top half of the coordinates against
+the radius of the greedy leaf and completes each surviving top word over
+the bottom half, holding only the two half codebooks.  In both, problems
+whose best candidates the kernel cannot separate within its rounding bound
+are re-decided by the residual form sum (y - Heff z)^2, so decisions are
+the residual form's.
 """
 
 from __future__ import annotations
@@ -28,14 +33,18 @@ from .stcode import PAMAlphabet, grid_rows
 #: hard guard on |S|^k for the exhaustive oracle
 DEFAULT_CODEBOOK_CAP = 1_000_000
 
-#: above this size the exhaustive search switches to a split (meet-in-the-
-#: middle) evaluation instead of materializing the full codebook
-_MATERIALIZE_LIMIT = 1 << 22
+#: codebooks up to this size are scored by one matrix product; larger ones
+#: by the two-level kernel, which never holds m^k of anything
+_GEMM_LIMIT = 4096
 
 _RANK_TOL = 1e-10
 
 #: elements of the (problems x codewords) distance block of one product
 _BLOCK_ELEMENTS = 1 << 21
+
+#: elements of a (problems x top words) or (survivors x bottom words) block
+#: of the two-level kernel
+_TWO_LEVEL_BLOCK = 1 << 14
 
 _EPS = float(np.finfo(float).eps)
 
@@ -123,8 +132,13 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     textbook bounds of their dot products and sums.  A row with a second
     candidate within 2E of its minimum is re-decided by the residual form,
     so every decision is the residual form's, bit for bit.
+
+    Codebooks of more than ``_GEMM_LIMIT`` words go to
+    :func:`_two_level_argmin`, which returns the same decisions.
     """
     n, d, k = heff.shape
+    if k > 1 and m ** k > _GEMM_LIMIT:
+        return _two_level_argmin(heff, y, m)
     zf, feats, (rows, cols), scale_weights = _codebook_features(m, k)
     hy = np.concatenate([heff, y[:, :, None]], axis=2)
     lhs = (hy.transpose(0, 2, 1) @ hy)[:, rows, cols]
@@ -145,46 +159,144 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _split_exhaustive(y, h, syms, k):
-    """Exhaustive argmin without materializing S^k; returns the flat index.
+@lru_cache(maxsize=32)
+def _half_codebooks(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float codebooks of the bottom (first k // 2) and top coordinates of S^k."""
+    halves = (codebook(m, k // 2).astype(float), codebook(m, k - k // 2).astype(float))
+    for half in halves:
+        half.setflags(write=False)
+    return halves
 
-    Splits coefficients into two halves and scores chunks of words as
-    ||H1 z1||^2 - 2 <H1 z1, y - H2 z2> + ||y - H2 z2||^2.  With d rows in H
-    and S as in :func:`exhaustive_argmin`, this score and the residual form
-    differ by at most E = (8k + 4d + 16) eps S, twice the sum of their
-    first-order error bounds.  Words within 2E of the running minimum are
-    re-decided by the residual form; ties go to the smallest flat
-    (lexicographic) index.
+
+def codebook_rows(flat: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Rows ``flat`` of ``codebook(m, k)``, read off the two half codebooks."""
+    bottom, top = codebook(m, k // 2), codebook(m, k - k // 2)
+    i_b, i_t = np.divmod(flat, top.shape[0])
+    return np.concatenate([bottom[i_b], top[i_t]], axis=-1)
+
+
+def _two_level_terms(heff, y, m, zb, zt):
+    """Per-problem terms of the two-level kernel for a block of problems.
+
+    With [Heff | y] = Q R and z = (z_b, z_t), ||y - Heff z||^2 is
+    c + T(z_t) + ||r_b - R_bb z_b||^2, where (y_b, y_t) = Q^T y is the last
+    column of R, T(z_t) = ||y_t - R_tt z_t||^2, r_b = y_b - R_bt z_t, and
+    c = ||y||^2 - ||Q^T y||^2 does not depend on z.
+    Returns T (b, top words); base = T + ||r_b||^2 and g = -2 R_bb^T r_b
+    (b, top words, k_b); ||R_bb z_b||^2 (b, bottom words); and the error
+    bound E of :func:`_two_level_argmin`.
     """
-    m = len(syms)
-    d = h.shape[0]
-    k1 = k // 2
-    k2 = k - k1
-    z1 = codebook(m, k1)
-    z2 = codebook(m, k2)
-    c1 = h[:, :k1] @ z1.T.astype(float)          # (d, N1)
-    n1 = np.sum(c1 * c1, axis=0)
-    bound = np.abs(y) + (m - 1) * np.abs(h).sum(axis=1)
-    slack = 2 * (8 * k + 4 * d + 16) * _EPS * float(bound @ bound)
-    best_score = np.inf
-    best = (np.inf, -1)  # (residual, flat index)
-    n2_total = z2.shape[0]
-    chunk = max(1, _BLOCK_ELEMENTS // z1.shape[0])
-    for off in range(0, n2_total, chunk):
-        zc = z2[off:off + chunk]
-        r2 = y[:, None] - h[:, k1:] @ zc.T.astype(float)   # (d, N2c)
-        cross = c1.T @ r2                                   # (N1, N2c)
-        d2 = np.sum(r2 * r2, axis=0)
-        score = n1[:, None] - 2.0 * cross + d2[None, :]
-        best_score = min(best_score, float(score.min()))
-        near = np.flatnonzero(score <= best_score + slack)  # ascending flat order
-        if near.size == 0:
+    b, d, k = heff.shape
+    kb = zb.shape[1]
+    r = np.linalg.qr(np.concatenate([heff, y[:, :, None]], axis=2), mode="r")
+    if r.shape[1] < k:  # fewer rows than coefficients: pad R with zero rows
+        r = np.concatenate([r, np.zeros((b, k - r.shape[1], k + 1))], axis=1)
+    rh, yq = r[:, :k, :k], r[:, :k, k:]
+    top = yq[:, kb:] - rh[:, kb:, kb:] @ zt.T
+    tscore = np.einsum("bit,bit->bt", top, top)
+    rb = yq[:, :kb] - rh[:, :kb, kb:] @ zt.T
+    base = tscore + np.einsum("bit,bit->bt", rb, rb)
+    g = (-2.0 * rh[:, :kb, :kb].transpose(0, 2, 1) @ rb).transpose(0, 2, 1)
+    q = rh[:, :kb, :kb] @ zb.T
+    qn = np.einsum("bic,bic->bc", q, q)
+    a = np.linalg.norm(y, axis=1) + (m - 1) * np.linalg.norm(heff, axis=1).sum(axis=1)
+    slack = (4 * d * (k + 1) + 16 * k + 48) * _EPS * a * a
+    return tscore, base, g, qn, slack
+
+
+def _complete(base, g, qn, zb, trial, top):
+    """Scores of every bottom word completing the (problem, top word) pairs."""
+    s = g[trial, top] @ zb.T
+    s += qn[trial]
+    s += base[trial, top][:, None]
+    return s
+
+
+def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """:func:`exhaustive_argmin` by a two-level search over the half codebooks.
+
+    The radius-pruned closest-point search of Agrell, Eriksson,
+    Vardy & Zeger (IEEE Trans. IT 2002) with the alphabet box of Viterbo &
+    Boutros (IEEE Trans. IT 1999), cut to two levels and batched over
+    problems: for [Heff | y] = QR and the terms of :func:`_two_level_terms`,
+    every top word is scored by T(z_t), a lower bound on its completions.
+    The greedy leaf (the best top word and its best bottom word) gives a
+    radius; only top words with T within the radius plus 2E survive, and
+    each survivor is completed over all bottom words as
+    T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2.  The flat index
+    of (z_b, z_t) is i_b * m^(k - k // 2) + i_t, as in ``codebook(m, k)``.
+
+    With d rows in Heff, zmax the largest symbol and
+    A = ||y|| + zmax sum_a ||Heff_a|| (columns), the computed scores (plus c),
+    the computed T and the residual form sum (y - Heff z)^2 each lie within
+    E / 2 = (2d(k + 1) + 8k + 24) eps A^2 of their exact values: the
+    Householder QR's backward error (2d(k + 1) eps A^2, Higham's bound with
+    the constant taken as 2 units of roundoff) plus twice the first-order
+    bounds of the products and sums.  So pruning past 2E never drops the
+    residual form's argmin, and a problem whose second-best candidate lies
+    within 2E of its best is re-decided by the residual form over those
+    candidates, ties to the smallest flat index.  Problems go in blocks of
+    ``_TWO_LEVEL_BLOCK // m^(k - k // 2)`` and survivor pairs in blocks of
+    ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.
+    """
+    zb, zt = _half_codebooks(m, heff.shape[2])
+    out = np.empty(heff.shape[0], dtype=np.int64)
+    block = max(1, _TWO_LEVEL_BLOCK // zt.shape[0])
+    for off in range(0, heff.shape[0], block):
+        out[off:off + block] = _two_level_block(heff[off:off + block],
+                                                y[off:off + block], m, zb, zt)
+    return out
+
+
+def _two_level_block(heff, y, m, zb, zt):
+    """Flat indices of :func:`_two_level_argmin` for one block of problems."""
+    tscore, base, g, qn, slack = _two_level_terms(heff, y, m, zb, zt)
+    b, n_t = tscore.shape
+    rows = np.arange(b)
+    t0 = np.argmin(tscore, axis=1)
+    radius = np.min(_complete(base, g, qn, zb, rows, t0), axis=1)
+    keep = tscore <= (radius + 2 * slack)[:, None]
+    keep[rows, t0] = True
+    trial, top = np.nonzero(keep)
+    n_pairs = trial.shape[0]
+    step = max(1, _TWO_LEVEL_BLOCK // zb.shape[0])
+    v1 = np.empty(n_pairs)
+    v2 = np.empty(n_pairs)
+    a1 = np.empty(n_pairs, dtype=np.int64)
+    for off in range(0, n_pairs, step):
+        s = _complete(base, g, qn, zb, trial[off:off + step], top[off:off + step])
+        at = np.argmin(s, axis=1)
+        pick = (np.arange(s.shape[0]), at)
+        a1[off:off + step] = at
+        v1[off:off + step] = s[pick]
+        s[pick] = np.inf
+        v2[off:off + step] = np.min(s, axis=1)
+    starts = np.searchsorted(trial, rows)
+    lo = np.minimum.reduceat(v1, starts)
+    lim = lo + 2 * slack
+    within = (v1 <= lim[trial]).astype(np.int64) + (v2 <= lim[trial])
+    near = np.add.reduceat(within, starts) > 1
+    first = np.minimum.reduceat(np.where(v1 == lo[trial], np.arange(n_pairs), n_pairs), starts)
+    out = a1[first] * n_t + top[first]
+    for p in np.flatnonzero(near):
+        out[p] = _recheck(heff[p], y[p], base, g, qn, zb, zt, p, top[trial == p], lim[p], step)
+    return out
+
+
+def _recheck(heff, y, base, g, qn, zb, zt, p, tops, lim, step):
+    """Residual-form argmin of one problem over its candidates scored within ``lim``."""
+    best = (np.inf, -1)
+    for off in range(0, tops.shape[0], step):
+        t = tops[off:off + step]
+        s = _complete(base, g, qn, zb, np.full(t.shape[0], p), t)
+        i, j = np.nonzero(s <= lim)
+        if i.size == 0:
             continue
-        i1, i2 = np.divmod(near, zc.shape[0])
-        words = np.concatenate([z1[i1], zc[i2]], axis=1).astype(float)
-        res = _residual_distances(h[None], y[None], words)[0]
-        j = int(np.argmin(res))
-        best = min(best, (float(res[j]), int(i1[j]) * n2_total + off + int(i2[j])))
+        words = np.concatenate([zb[j], zt[t[i]]], axis=1)
+        res = _residual_distances(heff[None], y[None], words)[0]
+        flat = j * zt.shape[0] + t[i]
+        pick = np.lexsort((flat, res))[0]
+        best = min(best, (float(res[pick]), int(flat[pick])))
     return best[1]
 
 
@@ -201,12 +313,8 @@ def ml_decode_exhaustive(problem: DecodingProblem,
     if total > cap:
         raise CodebookTooLarge(
             f"|S|^k = {total} exceeds the exhaustive-decoding cap {cap}")
-    y, h = problem.y, problem.Heff
-    syms = problem.alphabet.symbols
-    if total > _MATERIALIZE_LIMIT:
-        flat = _split_exhaustive(y, h, syms, k)
-        return grid_rows(syms, k, flat, flat + 1)[0]
-    return codebook(m, k)[exhaustive_argmin(h[None], y[None], m)][0]
+    flat = exhaustive_argmin(problem.Heff[None], problem.y[None], m)
+    return codebook_rows(flat, m, k)[0]
 
 
 def sphere_decode(problem: DecodingProblem) -> np.ndarray:
@@ -218,13 +326,14 @@ def sphere_decode(problem: DecodingProblem) -> np.ndarray:
     starts with a finite radius.  Output matches :func:`ml_decode_exhaustive`
     including lexicographic tie-breaking.
 
-    Raises RankDeficientChannel when Heff is numerically rank deficient.
+    Raises RankDeficientChannel when Heff is numerically rank deficient,
+    which it always is with fewer rows than columns.
     """
     y, h = problem.y, problem.Heff
     k = h.shape[1]
     q, r = np.linalg.qr(h)
     diag = np.diag(r)
-    if np.min(np.abs(diag)) <= _RANK_TOL * max(float(np.max(np.abs(r))), 1e-300):
+    if r.shape[0] < k or np.min(np.abs(diag)) <= _RANK_TOL * max(float(np.max(np.abs(r))), 1e-300):
         raise RankDeficientChannel("effective channel is rank deficient")
     signs = np.where(diag < 0, -1.0, 1.0)
     r = r * signs[:, None]

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import _real_expand, snr_to_sigma
-from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook,
+from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, ml_decode_exhaustive, sphere_decode)
 from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
 from .lattice import (ENUMERATION_CAP, IntegerLattice, RealLattice,
@@ -26,15 +26,6 @@ from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
 CHUNK_TRIALS = 1024
-
-#: codebook-size threshold below which the vectorized exhaustive ML decoder
-#: is used for simulation ("auto" strategy); beyond it the sphere decoder runs.
-#: Golden 4-PAM (65 536 words) would decode faster exhaustively at low SNR:
-#: on a 2-core host with 1 BLAS thread, 1024 trials took 137 and 144
-#: us/trial at 0 and 20 dB, against 410 and 65 us/trial for the sphere
-#: decoder.  But its cached features and distance blocks raise the peak RSS
-#: from 40 to 102 MB, so the limit stays below that codebook.
-EXHAUSTIVE_LIMIT = 4096
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -199,7 +190,7 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
     if strategy == "exhaustive":
-        zhat = codebook(m, k)[exhaustive_argmin(heff, y, m)]
+        zhat = codebook_rows(exhaustive_argmin(heff, y, m), m, k)
     else:
         zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
                          for i in range(n_trials)])
@@ -220,7 +211,7 @@ def _resolve_strategy(decoder: str, m: int, k: int) -> str:
                                f"cap {DEFAULT_CODEBOOK_CAP}; use the sphere decoder")
     if decoder != "auto":
         return decoder
-    return "exhaustive" if m ** k <= EXHAUSTIVE_LIMIT else "sphere"
+    return "exhaustive" if m ** k <= DEFAULT_CODEBOOK_CAP else "sphere"
 
 
 def _curve(snr_db_list, successes, trials: int) -> ECDPCurve:
@@ -241,6 +232,8 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_r < 1:
+        raise ValueError("n_r must be >= 1")
     strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
     labelers = [label_operator(code.half_sub) for code in codes]
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -323,11 +316,13 @@ def ecdp_bound_report(code: CosetCode, sigma_e_sq: float,
     """
     if exponent_mode not in _EXPONENT_MODES:
         raise ValueError(f"exponent_mode must be one of {_EXPONENT_MODES}")
-    if sigma_e_sq <= 0:
+    if not sigma_e_sq > 0:
         raise ValueError("sigma_e_sq must be positive")
+    if n_r < 1:
+        raise ValueError("n_r must be >= 1")
     fcg = float(first_coding_gain(code.map, code.sub))
     trunc = 4.0 * fcg if truncation_r_sq is None else float(truncation_r_sq)
-    if trunc <= fcg:
+    if not trunc > fcg:
         raise ValueError("truncation radius must exceed the first coding gain")
     n = code.map.n
     t_uses = code.map.T

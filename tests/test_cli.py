@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latcoset import IntegerLattice
-from latcoset.cli import main
+from latcoset.cli import _build_parser, _parse_float_list, main
 
 
 def run_cli(args, capsys):
@@ -303,6 +303,78 @@ class TestConfigFile:
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run_cli(["analyze", "--config", "/nonexistent.json"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", {"trials": "10"}),
+        ("simulate", {"seed": 1.5}),
+        ("simulate", {"workers": True}),
+        ("simulate", {"snr": [0, None]}),
+        ("simulate", {"decoder": "fast"}),
+        ("analyze", {"lattices": 5}),
+        ("analyze", {"lattices": ["L1", 2]}),
+        ("bound", {"truncation": "64"}),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"code": "alamouti", "pam": 4, "lattices": "L2",
+                                    "snr": "0", "trials": 10, "sigma_e_sq": "10",
+                                    **cfg}))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert repr(next(iter(cfg.values()))) in err
+
+    def test_config_lists_match_flags(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"code": "alamouti", "pam": 4, "lattices": ["L1", "L3"],
+                                    "snr": [0, 5.0], "trials": 40, "seed": 3}))
+        _, out_cfg, _ = run_cli(["simulate", "--config", str(path)], capsys)
+        _, out_flags, _ = run_cli(["simulate", "--code", "alamouti", "--pam", "4",
+                                   "--lattices", "L1,L3", "--snr", "0,5",
+                                   "--trials", "40", "--seed", "3"], capsys)
+        assert out_cfg == out_flags
+
+
+class TestNumericInputs:
+    SIMULATE = ["simulate", "--code", "alamouti", "--pam", "4", "--lattices", "L2",
+                "--trials", "10"]
+    BOUND = ["bound", "--code", "alamouti", "--pam", "4", "--lattices", "L2"]
+
+    @pytest.mark.parametrize("args", [
+        SIMULATE + ["--snr", "0", "--n-r", "0"],
+        BOUND + ["--sigma-e-sq", "10", "--n-r", "0"],
+        SIMULATE + ["--snr", "nan"],
+        SIMULATE + ["--snr", "0:10:inf"],
+        BOUND + ["--sigma-e-sq", "nan"],
+    ])
+    def test_bad_value_exits_2(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err
+
+    @pytest.mark.parametrize("text", ["nan", "0,inf", "-inf,5", "nan:10:5", "0:10:nan"])
+    def test_float_list_rejects_non_finite(self, text):
+        with pytest.raises(ValueError):
+            _parse_float_list(text)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_successive_calls_parse_their_own_arguments(self, capsys):
+        base = ["analyze", "--code", "alamouti", "--pam", "4", "--lattices"]
+        assert [parse_csv(run_cli(base + [name], capsys)[1])[0]["name"]
+                for name in ["L1", "L3", "L1"]] == ["L1", "L3", "L1"]
+        code, out, _ = run_cli(["bound", "--code", "alamouti", "--pam", "4",
+                                "--lattices", "L1", "--sigma-e-sq", "10",
+                                "--exponent-mode", "pow2"], capsys)
+        assert code == 0
+        assert [r["exponent_mode"] for r in parse_csv(out)] == ["pow2"]
+        _, out, _ = run_cli(["bound", "--code", "alamouti", "--pam", "4",
+                             "--lattices", "L1", "--sigma-e-sq", "10"], capsys)
+        assert [r["exponent_mode"] for r in parse_csv(out)] == ["pow2n", "pow2"]
 
 
 class TestEntryPoint:

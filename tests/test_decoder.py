@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import latcoset.wiretap as wiretap
 from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProblem,
@@ -8,7 +10,9 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
                       sphere_decode)
-from latcoset.decoder import _split_exhaustive, codebook, exhaustive_argmin
+from latcoset.decoder import (_complete, _half_codebooks, _residual_distances,
+                              _two_level_argmin, _two_level_terms, codebook,
+                              exhaustive_argmin)
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -49,14 +53,15 @@ class TestExhaustive:
             y = rng.standard_normal(8)
             direct = ml_decode_exhaustive(
                 DecodingProblem(y=y, Heff=h, alphabet=alphabet))
-            flat = _split_exhaustive(y, h, alphabet.symbols, 4)
+            flat = _two_level_argmin(h[None], y[None], 4)[0]
             grid = codebook(4, 4)
             assert np.array_equal(grid[flat], direct)
 
     def test_split_path_exact_ties_pick_the_lexicographically_first_word(self):
-        # 10-PAM, k = 8: the lifted cap runs the split path.  Heff = h I and
-        # y = 2h put every coordinate midway between the symbols 1 and 3, so
-        # the 256 words of {1,3}^8 tie exactly; the split sums round them apart.
+        # 10-PAM, k = 8: the lifted cap runs the two-level kernel.  Heff = h I
+        # and y = 2h put every coordinate midway between the symbols 1 and 3,
+        # so the 256 words of {1,3}^8 tie exactly; the kernel's sums round
+        # them apart.
         h = 2.0 ** 30 + 11
         p = DecodingProblem(y=np.full(8, 2 * h), Heff=h * np.eye(8),
                             alphabet=PAMAlphabet(10))
@@ -71,11 +76,23 @@ def residual_argmin(heff, y, m):
                      for hi, yi in zip(heff, y)])
 
 
+def exact_distances(heff, y, words):
+    """sum (y - Heff z)^2 for each row z of ``words``, in exact rationals."""
+    den = max(Fraction(float(v)).denominator for v in np.concatenate([heff.ravel(), y]))
+    hi = np.array([[int(Fraction(float(v)) * den) for v in row] for row in heff], dtype=object)
+    yi = np.array([int(Fraction(float(v)) * den) for v in y], dtype=object)
+    r = yi[None, :] - words.astype(np.int64).astype(object) @ hi.T
+    return [Fraction(int(v), den * den) for v in (r * r).sum(axis=1)]
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
            n=st.integers(1, 6), snr_db=st.sampled_from([-60.0, 0.0, 20.0]),
            integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # golden 4-PAM goes to the two-level kernel in blocks of 64 problems
+    @example(code="golden", m=4, n=130, snr_db=-60.0, integer=False, seed=11)
+    @example(code="golden", m=4, n=130, snr_db=0.0, integer=True, seed=12)
     def test_matches_residual_argmin(self, code, m, n, snr_db, integer, seed):
         # integer channels with half-integer outputs are full of exact ties
         rng = np.random.default_rng(seed)
@@ -100,6 +117,40 @@ class TestKernel:
         y = 2.0 * np.repeat(h[:, None], 2, axis=1)
         got = exhaustive_argmin(heff, y, 4)
         assert np.array_equal(codebook(4, 2)[got], np.ones((len(h), 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("snr_db", range(-60, 61, 20))
+    def test_two_level_error_bound_against_exact_distances(self, snr_db):
+        # golden rows have d = k = 8, so the kernel's scores carry no constant
+        rng = np.random.default_rng(snr_db + 100)
+        zb, zt = _half_codebooks(4, 8)
+        problems = [random_problem(rng, golden_map(), 4, sigma_sq=10 ** (-snr_db / 10))[0]
+                    for _ in range(3)]
+        heff = np.array([p.Heff for p in problems])
+        y = np.array([p.y for p in problems])
+        tscore, base, g, qn, slack = _two_level_terms(heff, y, 4, zb, zt)
+        for p in range(len(problems)):
+            for t in [int(np.argmin(tscore[p])), *rng.integers(0, zt.shape[0], 2)]:
+                words = np.concatenate([zb, np.repeat(zt[t][None], zb.shape[0], axis=0)],
+                                       axis=1)
+                exact = exact_distances(heff[p], y[p], words)
+                scores = _complete(base, g, qn, zb, np.array([p]), np.array([t]))[0]
+                residual = _residual_distances(heff[p][None], y[p][None], words)[0]
+                half = Fraction(float(slack[p])) / 2
+                for s, f, e in zip(scores, residual, exact):
+                    assert abs(Fraction(float(s)) - e) <= half
+                    assert abs(Fraction(float(f)) - e) <= half
+                    assert Fraction(float(tscore[p, t])) <= e + half
+
+    @pytest.mark.parametrize("n_r", [1, 3])
+    def test_two_level_any_row_count(self, n_r):
+        # golden rows: d = 4 < k = 8 pads R with zero rows, d = 12 > k drops ||y_perp||
+        rng = np.random.default_rng(n_r)
+        code_map = golden_map()
+        heff = np.array([realify(sample_channel(ChannelParams(n_r=n_r), rng), code_map.T)
+                         @ code_map.M for _ in range(20)])
+        z = rng.choice([-3, -1, 1, 3], (20, 8))
+        y = np.einsum("bik,bk->bi", heff, z) + rng.standard_normal(heff.shape[:2])
+        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
 
     def test_forced_exhaustive_cap_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -166,6 +217,11 @@ class TestSphere:
         base = sphere_decode(p)
         scaled = DecodingProblem(y=7.5 * p.y, Heff=7.5 * p.Heff, alphabet=p.alphabet)
         assert np.array_equal(sphere_decode(scaled), base)
+
+    def test_fewer_rows_than_coefficients_is_rank_deficient(self):
+        with pytest.raises(RankDeficientChannel):
+            sphere_decode(DecodingProblem(y=np.zeros(4), Heff=np.ones((4, 8)),
+                                          alphabet=PAMAlphabet(4)))
 
     def test_rank_deficiency_detected(self):
         heff = np.zeros((8, 4))

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
                       builtin_sublattice, design_report, ecdp_bound,
                       ecdp_bound_report, ecdp_monte_carlo, golden_map,
                       message_of, rates, wilson_interval)
+import latcoset.decoder as decoder
 from latcoset.wiretap import simulate_curves
 
 
@@ -113,6 +115,16 @@ class TestWilson:
         assert hi == pytest.approx(0.1744, abs=2e-4)
 
 
+GOLDEN_SNRS = [-10.0, 0.0, 20.0]
+
+
+@lru_cache(maxsize=None)
+def golden_sphere_curve():
+    """Golden 4-PAM L'2 through the per-trial sphere decoder, one process."""
+    return ecdp_monte_carlo(coset("golden", "L'2", 4), GOLDEN_SNRS, 1100, seed=21,
+                            decoder="sphere")
+
+
 class TestMonteCarlo:
     def test_high_snr_estimate_one(self):
         c = coset("alamouti", "L2", 4)
@@ -165,6 +177,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             ecdp_monte_carlo(coset("alamouti", "L2", 4), [0.0], 0, seed=1)
 
+    def test_receive_antennas_validated(self):
+        with pytest.raises(ValueError):
+            simulate_curves(alamouti_map(), PAMAlphabet(4), [], [0.0], 10, 1, n_r=0)
+
     def test_bob_cer_limits_and_pairing(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
         cer = bob_cer_monte_carlo(cm, alpha, [0.0, 30.0], 3000, seed=12)
@@ -188,6 +204,36 @@ class TestMonteCarlo:
         for code, curve in zip(codes, ecdps):
             assert curve.points == ecdp_monte_carlo(code, snrs, 1500, 4,
                                                     workers=workers).points
+
+    @pytest.mark.parametrize("decoder_name,workers",
+                             [("auto", 1), ("auto", 2), ("sphere", 2)])
+    def test_golden_two_level_matches_sphere(self, decoder_name, workers):
+        # 1100 trials: two chunks per point, the second of 76 trials
+        got = ecdp_monte_carlo(coset("golden", "L'2", 4), GOLDEN_SNRS, 1100, seed=21,
+                               workers=workers, decoder=decoder_name)
+        assert got == golden_sphere_curve()
+
+    def test_golden_one_receive_antenna_decodes_with_either_strategy(self):
+        # Heff has 4 rows for 8 coefficients: the sphere strategy falls back per trial
+        c = coset("golden", "L'2", 4)
+        auto = ecdp_monte_carlo(c, [0.0], 40, seed=23, n_r=1)
+        assert ecdp_monte_carlo(c, [0.0], 40, seed=23, n_r=1, decoder="sphere") == auto
+
+    def test_golden_auto_never_builds_the_full_codebook(self, monkeypatch):
+        codebook = decoder.codebook
+
+        def no_full_codebook(m, k):
+            if (m, k) == (4, 8):
+                raise AssertionError("codebook(4, 8) was built")
+            return codebook(m, k)
+
+        def no_features(m, k):
+            raise AssertionError("codebook features were built")
+
+        monkeypatch.setattr(decoder, "codebook", no_full_codebook)
+        monkeypatch.setattr(decoder, "_codebook_features", no_features)
+        curve = ecdp_monte_carlo(coset("golden", "L'2", 4), [0.0], 300, seed=22)
+        assert curve.points[0].trials == 300
 
     def test_bob_cer_ignores_sublattice(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
@@ -236,6 +282,13 @@ class TestBound:
         c = coset("alamouti", "L1", 4)
         with pytest.raises(ValueError):
             ecdp_bound(c, 10.0, truncation_r_sq=16.0)
+
+    @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"sigma_e_sq": float("nan")},
+                                        {"truncation_r_sq": float("nan")}])
+    def test_bad_numbers_rejected(self, kwargs):
+        args = {"sigma_e_sq": 10.0, "truncation_r_sq": 64.0, **kwargs}
+        with pytest.raises(ValueError):
+            ecdp_bound_report(coset("alamouti", "L2", 4), **args)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError):
