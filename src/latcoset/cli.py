@@ -60,8 +60,16 @@ def _parse_float_list(text: str) -> list[float]:
     return _finite([float(p) for p in text.split(",") if p.strip()])
 
 
+def _is_finite(value) -> bool:
+    """True for an int or float (not a bool) that is a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _finite(values: list) -> list:
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+    if not all(_is_finite(v) for v in values):
         raise ValueError(f"expected finite numbers, got {values!r}")
     return values
 
@@ -209,47 +217,43 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path")
 
 
-_CHOICES = {"code": ("alamouti", "golden"), "metric": ("ecdp", "cer"),
-            "decoder": ("auto", "sphere", "exhaustive"),
-            "exponent_mode": ("pow2n", "pow2", "both")}
-
-
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each command's flag actions by destination."""
     parser = argparse.ArgumentParser(
         prog="latcoset",
         description="Lattice coset coding: analysis, simulation, bounds, search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="design-report table per lattice")
-    pa.add_argument("--code", choices=_CHOICES["code"])
+    pa.add_argument("--code", choices=["alamouti", "golden"])
     pa.add_argument("--pam", type=int)
     pa.add_argument("--lattices", help=f"comma list of names ({', '.join(NAMES)}) "
                                        "or .json paths")
     _add_common(pa)
 
     ps = sub.add_parser("simulate", help="Monte-Carlo curves (CSV)")
-    ps.add_argument("--code", choices=_CHOICES["code"])
+    ps.add_argument("--code", choices=["alamouti", "golden"])
     ps.add_argument("--pam", type=int)
     ps.add_argument("--lattices")
     ps.add_argument("--snr", help="comma list or start:stop:step, in dB")
     ps.add_argument("--trials", type=int)
     ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int)
-    ps.add_argument("--metric", choices=_CHOICES["metric"])
-    ps.add_argument("--decoder", choices=_CHOICES["decoder"])
+    ps.add_argument("--metric", choices=["ecdp", "cer"])
+    ps.add_argument("--decoder", choices=["auto", "sphere", "exhaustive"])
     ps.add_argument("--n-r", dest="n_r", type=int)
     _add_common(ps)
 
     pb = sub.add_parser("bound", help="eavesdropper-success bound (CSV)")
-    pb.add_argument("--code", choices=_CHOICES["code"])
+    pb.add_argument("--code", choices=["alamouti", "golden"])
     pb.add_argument("--pam", type=int)
     pb.add_argument("--lattices")
     pb.add_argument("--sigma-e-sq", dest="sigma_e_sq")
     pb.add_argument("--snr")
     pb.add_argument("--truncation", type=float)
     pb.add_argument("--exponent-mode", dest="exponent_mode",
-                    choices=_CHOICES["exponent_mode"])
+                    choices=["pow2n", "pow2", "both"])
     pb.add_argument("--n-r", dest="n_r", type=int)
     _add_common(pb)
 
@@ -261,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--hill-climb", dest="hill_climb", action="store_const", const=True)
     _add_common(pq)
 
-    return parser
+    flags = {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+    return parser, flags
 
 
 _DEFAULTS = {
@@ -274,28 +279,26 @@ _DEFAULTS = {
 }
 
 
-#: (test, description) of the type a config value must have: the type its flag
-#: parses to; keys in _CHOICES must be one of the flag's choices instead
-_CONFIG_TYPES = {
-    **dict.fromkeys(("pam", "trials", "seed", "workers", "n_r", "k", "index", "budget"),
-                    (lambda v: type(v) is int, "an integer")),
-    "truncation": (lambda v: type(v) in (int, float), "a number"),
-    "hill_climb": (lambda v: type(v) is bool, "a boolean"),
-    **dict.fromkeys(("lattices", "snr", "sigma_e_sq"),
-                    (lambda v: isinstance(v, (str, list)), "a string or a list")),
-    "out": (lambda v: isinstance(v, str), "a string"),
-}
+#: string flags whose config value may also be a JSON list
+_LIST_FLAGS = ("lattices", "snr", "sigma_e_sq")
 
 
-def _config_value(key: str, value):
-    """``value`` from a config file, if it has the type the flag ``key`` parses to."""
-    if key in _CHOICES:
-        ok, what = value in _CHOICES[key], f"one of {', '.join(_CHOICES[key])}"
+def _config_value(action: argparse.Action, value):
+    """``value`` from a config file, if it has the type ``action``'s flag parses to."""
+    if action.choices is not None:
+        ok, what = value in action.choices, f"one of {', '.join(action.choices)}"
+    elif action.const is not None:  # a store_const switch
+        ok, what = type(value) is bool, "a boolean"
+    elif action.type is int:
+        ok, what = type(value) is int, "an integer"
+    elif action.type is float:
+        ok, what = _is_finite(value), "a finite number"
+    elif action.dest in _LIST_FLAGS:
+        ok, what = isinstance(value, (str, list)), "a string or a list"
     else:
-        test, what = _CONFIG_TYPES[key]
-        ok = test(value)
+        ok, what = isinstance(value, str), "a string"
     if not ok:
-        raise ValueError(f"config value {key!r} must be {what}, not {value!r}")
+        raise ValueError(f"config value {action.dest!r} must be {what}, not {value!r}")
     return value
 
 
@@ -312,10 +315,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             config.setdefault("snr", config.pop("snr_db_list"))
     merged = dict(vars(args))
     defaults = _DEFAULTS.get(args.command, {})
+    flags = _build_parser()[1][args.command]
     for key, value in merged.items():
         if value is None:
             if key in config:
-                merged[key] = _config_value(key, config[key])
+                merged[key] = _config_value(flags[key], config[key])
             elif key in defaults:
                 merged[key] = defaults[key]
     # normalize list-valued fields that may arrive as strings
@@ -364,8 +368,7 @@ _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     try:
         args = _merge_config(args)
         _validate(args)

@@ -159,18 +159,23 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _half_codebooks(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float codebooks of the bottom (first k // 2) and top coordinates of S^k."""
-    halves = (codebook(m, k // 2).astype(float), codebook(m, k - k // 2).astype(float))
-    for half in halves:
-        half.setflags(write=False)
-    return halves
+def _halves(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codebooks of the bottom (first k // 2) and top coordinates of S^k.
+
+    Bottom word i_b and top word i_t make row :func:`_flat_index` of
+    ``codebook(m, k)``.
+    """
+    return codebook(m, k // 2), codebook(m, k - k // 2)
+
+
+def _flat_index(i_b, i_t, n_top: int):
+    """Row of ``codebook(m, k)`` made of bottom word i_b and top word i_t."""
+    return i_b * n_top + i_t
 
 
 def codebook_rows(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     """Rows ``flat`` of ``codebook(m, k)``, read off the two half codebooks."""
-    bottom, top = codebook(m, k // 2), codebook(m, k - k // 2)
+    bottom, top = _halves(m, k)
     i_b, i_t = np.divmod(flat, top.shape[0])
     return np.concatenate([bottom[i_b], top[i_t]], axis=-1)
 
@@ -223,8 +228,8 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     The greedy leaf (the best top word and its best bottom word) gives a
     radius; only top words with T within the radius plus 2E survive, and
     each survivor is completed over all bottom words as
-    T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2.  The flat index
-    of (z_b, z_t) is i_b * m^(k - k // 2) + i_t, as in ``codebook(m, k)``.
+    T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2, and (z_b, z_t)
+    maps to its row of ``codebook(m, k)`` by :func:`_flat_index`.
 
     With d rows in Heff, zmax the largest symbol and
     A = ||y|| + zmax sum_a ||Heff_a|| (columns), the computed scores (plus c),
@@ -239,7 +244,7 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     ``_TWO_LEVEL_BLOCK // m^(k - k // 2)`` and survivor pairs in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.
     """
-    zb, zt = _half_codebooks(m, heff.shape[2])
+    zb, zt = (half.astype(float) for half in _halves(m, heff.shape[2]))
     out = np.empty(heff.shape[0], dtype=np.int64)
     block = max(1, _TWO_LEVEL_BLOCK // zt.shape[0])
     for off in range(0, heff.shape[0], block):
@@ -277,7 +282,7 @@ def _two_level_block(heff, y, m, zb, zt):
     within = (v1 <= lim[trial]).astype(np.int64) + (v2 <= lim[trial])
     near = np.add.reduceat(within, starts) > 1
     first = np.minimum.reduceat(np.where(v1 == lo[trial], np.arange(n_pairs), n_pairs), starts)
-    out = a1[first] * n_t + top[first]
+    out = _flat_index(a1[first], top[first], n_t)
     for p in np.flatnonzero(near):
         out[p] = _recheck(heff[p], y[p], base, g, qn, zb, zt, p, top[trial == p], lim[p], step)
     return out
@@ -294,7 +299,7 @@ def _recheck(heff, y, base, g, qn, zb, zt, p, tops, lim, step):
             continue
         words = np.concatenate([zb[j], zt[t[i]]], axis=1)
         res = _residual_distances(heff[None], y[None], words)[0]
-        flat = j * zt.shape[0] + t[i]
+        flat = _flat_index(j, t[i], zt.shape[0])
         pick = np.lexsort((flat, res))[0]
         best = min(best, (float(res[pick]), int(flat[pick])))
     return best[1]

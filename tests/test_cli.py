@@ -313,6 +313,9 @@ class TestConfigFile:
         ("analyze", {"lattices": 5}),
         ("analyze", {"lattices": ["L1", 2]}),
         ("bound", {"truncation": "64"}),
+        ("bound", {"truncation": 10 ** 400}),
+        ("simulate", {"snr": [10 ** 400]}),
+        ("search", {"hill_climb": 1}),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
                       sphere_decode)
-from latcoset.decoder import (_complete, _half_codebooks, _residual_distances,
+from latcoset.decoder import (_complete, _halves, _residual_distances,
                               _two_level_argmin, _two_level_terms, codebook,
                               exhaustive_argmin)
 
@@ -122,7 +122,7 @@ class TestKernel:
     def test_two_level_error_bound_against_exact_distances(self, snr_db):
         # golden rows have d = k = 8, so the kernel's scores carry no constant
         rng = np.random.default_rng(snr_db + 100)
-        zb, zt = _half_codebooks(4, 8)
+        zb, zt = (half.astype(float) for half in _halves(4, 8))
         problems = [random_problem(rng, golden_map(), 4, sigma_sq=10 ** (-snr_db / 10))[0]
                     for _ in range(3)]
         heff = np.array([p.Heff for p in problems])

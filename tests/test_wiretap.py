@@ -213,6 +213,15 @@ class TestMonteCarlo:
                                workers=workers, decoder=decoder_name)
         assert got == golden_sphere_curve()
 
+    @pytest.mark.parametrize("m", [10, 30])
+    def test_alamouti_two_level_matches_sphere(self, m):
+        # 10^4 and 8.1 * 10^5 words: auto decodes both with the two-level kernel
+        c = coset("alamouti", "L2", m)
+        snrs = [-10.0, 0.0, 20.0]
+        auto = simulate_curves(c.map, c.alphabet, [c], snrs, 150, seed=29)
+        assert simulate_curves(c.map, c.alphabet, [c], snrs, 150, seed=29,
+                               decoder="sphere") == auto
+
     def test_golden_one_receive_antenna_decodes_with_either_strategy(self):
         # Heff has 4 rows for 8 coefficients: the sphere strategy falls back per trial
         c = coset("golden", "L'2", 4)
