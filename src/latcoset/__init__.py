@@ -27,8 +27,8 @@ from .stcode import (Codeword, PAMAlphabet, STCodeMap, alamouti_map,
                      golden_map, min_determinant, vectorize)
 from .wiretap import (BoundReport, CosetCode, DesignReport, ECDPCurve,
                       ECDPPoint, RateReport, bob_cer_monte_carlo, design_report,
-                      ecdp_bound, ecdp_bound_report, ecdp_monte_carlo,
-                      message_of, rates, wilson_interval)
+                      ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
+                      ecdp_monte_carlo, message_of, rates, wilson_interval)
 
 __all__ = [
     "__version__",
@@ -49,8 +49,8 @@ __all__ = [
     # wiretap
     "CosetCode", "RateReport", "ECDPCurve", "ECDPPoint", "BoundReport",
     "DesignReport", "rates", "message_of", "ecdp_monte_carlo",
-    "bob_cer_monte_carlo", "ecdp_bound", "ecdp_bound_report", "design_report",
-    "wilson_interval",
+    "bob_cer_monte_carlo", "ecdp_bound", "ecdp_bound_report", "ecdp_bound_reports",
+    "design_report", "wilson_interval",
     # search
     "SearchConfig", "SearchReport", "random_sublattice_with_index",
     "search_wr_sublattice",

@@ -28,7 +28,7 @@ from .errors import (CapacityError, CodebookTooLarge, NoFeasibleCandidate,
 from .lattice import IntegerLattice
 from .search import SearchConfig, search_wr_sublattice
 from .stcode import PAMAlphabet, code_map_by_name
-from .wiretap import CosetCode, design_report, ecdp_bound_report, simulate_curves
+from .wiretap import CosetCode, design_report, ecdp_bound_reports, simulate_curves
 
 _VERSION_LINE = f"# latcoset v{__version__}"
 
@@ -176,14 +176,11 @@ def cmd_bound(args) -> int:
              "name,sigma_e_sq,exponent_mode,bound,truncation_r_sq,points_used"]
     for source in args.lattices:
         name, lat = _load_lattice(source)
-        code = _coset_code(args, name, lat)
-        for sig in sigmas:
-            for mode in modes:
-                rep = ecdp_bound_report(code, sig, truncation_r_sq=args.truncation,
-                                        n_r=args.n_r, exponent_mode=mode)
-                lines.append(",".join([name, _fmt(rep.sigma_e_sq), mode,
-                                       _fmt(rep.value), _fmt(rep.truncation_r_sq),
-                                       str(rep.points_used)]))
+        for rep in ecdp_bound_reports(_coset_code(args, name, lat), sigmas, modes,
+                                      args.truncation, args.n_r):
+            lines.append(",".join([name, _fmt(rep.sigma_e_sq), rep.exponent_mode,
+                                   _fmt(rep.value), _fmt(rep.truncation_r_sq),
+                                   str(rep.points_used)]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -332,6 +329,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         value = merged.get(key)
         if value is not None:
             merged[key] = _parse_float_list(value) if isinstance(value, str) else _finite(value)
+            if not merged[key]:
+                raise ValueError(f"--{key.replace('_', '-')} lists no value: {value!r}")
     return argparse.Namespace(**merged)
 
 
@@ -345,6 +344,8 @@ def _validate(args: argparse.Namespace):
         if cmd != "simulate" or args.metric != "cer":
             if not args.lattices:
                 raise ValueError("--lattices is required")
+    if cmd == "bound" and args.truncation is not None and not _is_finite(args.truncation):
+        raise ValueError(f"--truncation must be finite, not {args.truncation!r}")
     if cmd == "simulate":
         if args.trials is None or args.trials < 1:
             raise ValueError("--trials must be >= 1")

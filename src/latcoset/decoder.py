@@ -34,8 +34,8 @@ from .stcode import PAMAlphabet, grid_rows
 DEFAULT_CODEBOOK_CAP = 1_000_000
 
 #: codebooks up to this size are scored by one matrix product; larger ones
-#: by the two-level kernel, which never holds m^k of anything
-_GEMM_LIMIT = 4096
+#: (from alamouti 8-PAM on) by the two-level kernel, which holds no m^k array
+_GEMM_LIMIT = 2048
 
 _RANK_TOL = 1e-10
 

@@ -11,7 +11,7 @@ and uses floating point with relative tolerance ``REL_TOL``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Union
@@ -143,11 +143,12 @@ class RealLattice:
 class IntegerLattice:
     """Full-rank sublattice of Z^k given by a square integer basis matrix.
 
-    Columns of ``B`` generate the lattice.  The determinant must be nonzero;
-    this is checked exactly on construction.
+    Columns of ``B`` generate the lattice.  ``det``, the exact determinant of
+    the basis matrix, is computed on construction and must be nonzero.
     """
 
     B: np.ndarray
+    det: int = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = _as_int_rows(self.B)
@@ -156,27 +157,21 @@ class IntegerLattice:
             raise ValueError("basis must be square")
         if any(not _INT64_MIN <= v <= _INT64_MAX for r in rows for v in r):
             raise ValueError("basis entries must fit in int64, [-2^63, 2^63)")
-        if int_det(rows) == 0:
+        det = int_det(rows)
+        if det == 0:
             raise SingularMatrix("integer basis has determinant zero")
         arr = np.array(rows, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "B", arr)
+        object.__setattr__(self, "det", det)
 
     @property
     def k(self) -> int:
         return self.B.shape[0]
 
     @cached_property
-    def det(self) -> int:
-        """Exact determinant of the basis matrix."""
-        return int_det(self.B)
-
-    @cached_property
     def smith(self) -> "SmithDecomposition":
         return smith_normal_form(self.B)
-
-    def to_real(self) -> RealLattice:
-        return RealLattice(self.B.astype(float))
 
     def to_json(self) -> str:
         """Serialize as ``{"k": ..., "basis": [...]}`` with column-major basis."""

@@ -3,8 +3,10 @@
 The two built-in maps (2x2 quaternionic orthogonal design and the golden-ratio
 code) are stored exactly: integer matrices plus an integer multiple of
 theta = (1 + sqrt 5)/2, with an irrational normaliser 1/sqrt(2) or 1/sqrt(5)
-applied at evaluation time.  Both maps are orthonormal, so Euclidean geometry
-in coefficient space transfers unchanged to Frobenius geometry on codewords.
+applied at evaluation time.  Every map is orthonormal (M^T M = I, checked on
+construction), so Euclidean geometry in coefficient space transfers unchanged
+to Frobenius geometry on codewords: ||X||_F^2 = ||z||^2, exactly an integer
+for an integer coefficient vector z.
 
 Vectorization convention (fixed once here): codeword matrices are read
 column by column, each complex entry contributing an interleaved
@@ -19,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import IntegerLattice, RealLattice, successive_minima
+from .lattice import IntegerLattice, successive_minima
 
 #: golden ratio, the only irrational used by the built-in maps
 THETA = (1.0 + math.sqrt(5.0)) / 2.0
@@ -76,7 +78,8 @@ class STCodeMap:
     """Real 2nT x k generator mapping integer coefficients to codewords.
 
     The matrix is (int_part + theta_part * THETA) / sqrt(scale_denom_sq),
-    stored exactly via the two integer matrices.
+    stored exactly via the two integer matrices.  It must be orthonormal,
+    M^T M = I within ``_ORTHO_TOL``; other maps raise ValueError.
     """
 
     name: str
@@ -93,6 +96,8 @@ class STCodeMap:
                 raise ValueError(f"{field} must be (2 n T) x k")
             arr.setflags(write=False)
             object.__setattr__(self, field, arr)
+        if not np.max(np.abs(self.M.T @ self.M - np.eye(self.k))) < _ORTHO_TOL:
+            raise ValueError("code map must be orthonormal (M^T M = I)")
 
     @property
     def T(self) -> int:
@@ -104,11 +109,6 @@ class STCodeMap:
         m = (self.int_part + self.theta_part * THETA) / math.sqrt(self.scale_denom_sq)
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def is_orthonormal(self) -> bool:
-        g = self.M.T @ self.M
-        return bool(np.max(np.abs(g - np.eye(self.k))) < _ORTHO_TOL)
 
     def codeword(self, z) -> Codeword:
         zv = np.asarray(z, dtype=float)
@@ -253,14 +253,12 @@ def min_determinant(code_map: STCodeMap, region=2, codeword_scale: float = 1.0) 
     return best
 
 
-def first_coding_gain(code_map: STCodeMap, sub: IntegerLattice):
+def first_coding_gain(code_map: STCodeMap, sub: IntegerLattice) -> int:
     """Minimum squared Frobenius norm over nonzero mapped sublattice points.
 
-    Equals lambda_1^2 of the coefficient sublattice (exact integer) when the
-    map is orthonormal, since the map is then a Euclidean isometry.
+    The map is an isometry, so this is lambda_1^2 of the coefficient
+    sublattice, an exact integer.
     """
     if sub.k != code_map.k:
         raise ValueError("sublattice dimension does not match the code map")
-    if code_map.is_orthonormal:
-        return successive_minima(sub).lambda1_sq
-    return float(successive_minima(RealLattice(code_map.M @ sub.B)).lambda1_sq)
+    return successive_minima(sub).lambda1_sq

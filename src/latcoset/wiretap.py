@@ -16,11 +16,10 @@ import numpy as np
 
 from .channel import _real_expand, snr_to_sigma
 from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
-                      exhaustive_argmin, ml_decode_exhaustive, sphere_decode)
+                      exhaustive_argmin, sphere_decode)
 from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
-from .lattice import (ENUMERATION_CAP, IntegerLattice, RealLattice,
-                      coset_label, coset_labels, enumerate_shorter_than,
-                      index_in_superlattice, is_well_rounded, label_operator,
+from .lattice import (ENUMERATION_CAP, IntegerLattice, coset_label, coset_labels,
+                      enumerate_shorter_than, index_in_superlattice, label_operator,
                       successive_minima)
 from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
 
@@ -157,11 +156,12 @@ def _chunk_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
 
 
 def _decode_one(problem: DecodingProblem) -> np.ndarray:
-    """Sphere decoding, or the exhaustive ML decision on a rank-deficient channel."""
+    """Sphere decoding, or on a rank-deficient channel the exhaustive kernel (no cap)."""
     try:
         return sphere_decode(problem)
     except RankDeficientChannel:
-        return ml_decode_exhaustive(problem)
+        m, k = problem.alphabet.m, problem.Heff.shape[1]
+        return codebook_rows(exhaustive_argmin(problem.Heff[None], problem.y[None], m), m, k)[0]
 
 
 def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_sq: float,
@@ -297,45 +297,57 @@ class BoundReport:
     points_used: int
 
 
-def ecdp_bound_report(code: CosetCode, sigma_e_sq: float,
-                      truncation_r_sq: float | None = None, n_r: int = 2,
-                      exponent_mode: str = "pow2n",
-                      cap: int = ENUMERATION_CAP) -> BoundReport:
+def ecdp_bound_reports(code: CosetCode, sigmas, modes,
+                       truncation_r_sq: float | None = None, n_r: int = 2,
+                       cap: int = ENUMERATION_CAP) -> list[BoundReport]:
     """Truncated determinant-sum bound on the eavesdropper's success.
 
-    Sums det(I + gamma X X*)^-(n_r + T) over nonzero mapped sublattice
-    points with squared Frobenius norm at most ``truncation_r_sq`` (default:
-    four times the first coding gain).  ``exponent_mode`` selects
+    One report per (sigma_e^2, exponent mode) pair, sigmas outermost.  Sums
+    det(I + gamma X X*)^-(n_r + T) over the codewords X = M x of the nonzero
+    sublattice points x with ||X||_F^2 = ||x||^2 at most ``truncation_r_sq``
+    (default: four times the first coding gain).  Each mode selects
     gamma = sigma_e^(-2n) ("pow2n") or sigma_e^(-2) ("pow2").  Because
     constant factors are dropped, values are comparable across sublattices
     at fixed parameters, not in absolute terms, and only once the
     truncation holds the sum (gamma * truncation_r_sq >> 1).  At large
     sigma_e^2 and the default radius the value is a partial sum dominated
     by the number of points inside the radius, and its order across
-    sublattices can change with the radius.
+    sublattices can change with the radius.  The integer sublattice is
+    enumerated once, with an exact radius test; for 2x2 codewords (the only
+    size accepted) each term is (1 + gamma ||x||^2 + gamma^2 |det X|^2)^-(n_r + 2).
     """
-    if exponent_mode not in _EXPONENT_MODES:
+    if code.map.n != 2:
+        raise ValueError("the bound is implemented for 2x2 codewords only")
+    if any(mode not in _EXPONENT_MODES for mode in modes):
         raise ValueError(f"exponent_mode must be one of {_EXPONENT_MODES}")
-    if not sigma_e_sq > 0:
+    if not all(sigma_e_sq > 0 for sigma_e_sq in sigmas):
         raise ValueError("sigma_e_sq must be positive")
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
-    fcg = float(first_coding_gain(code.map, code.sub))
+    fcg = first_coding_gain(code.map, code.sub)
     trunc = 4.0 * fcg if truncation_r_sq is None else float(truncation_r_sq)
     if not trunc > fcg:
         raise ValueError("truncation radius must exceed the first coding gain")
-    n = code.map.n
-    t_uses = code.map.T
-    lat = RealLattice(code.map.M @ code.sub.B.astype(float))
-    pts = enumerate_shorter_than(lat, trunc, cap=cap)
-    cw = codeword_matrices(pts, n, t_uses)
-    gamma = float(sigma_e_sq) ** (-n) if exponent_mode == "pow2n" else 1.0 / float(sigma_e_sq)
-    gram = cw @ np.conj(np.transpose(cw, (0, 2, 1)))
-    dets = np.linalg.det(np.eye(n)[None, :, :] + gamma * gram).real
-    value = float(np.sum(dets ** (-(n_r + t_uses))))
-    return BoundReport(sigma_e_sq=float(sigma_e_sq), exponent_mode=exponent_mode,
-                       value=value, truncation_r_sq=trunc,
-                       points_used=int(pts.shape[0]))
+    pts = enumerate_shorter_than(code.sub, trunc, cap=cap)
+    norms = np.einsum("ij,ij->i", pts, pts).astype(float)
+    cw = codeword_matrices(pts @ code.map.M.T, 2, 2)
+    det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
+    reports = []
+    for sigma_e_sq in map(float, sigmas):
+        for mode in modes:
+            gamma = sigma_e_sq ** -2 if mode == "pow2n" else 1.0 / sigma_e_sq
+            value = float(np.sum((1.0 + gamma * norms + gamma * gamma * det_sq) ** (-(n_r + 2))))
+            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, int(pts.shape[0])))
+    return reports
+
+
+def ecdp_bound_report(code: CosetCode, sigma_e_sq: float,
+                      truncation_r_sq: float | None = None, n_r: int = 2,
+                      exponent_mode: str = "pow2n",
+                      cap: int = ENUMERATION_CAP) -> BoundReport:
+    """The one report of :func:`ecdp_bound_reports` for one sigma_e^2 and mode."""
+    return ecdp_bound_reports(code, [sigma_e_sq], [exponent_mode], truncation_r_sq,
+                              n_r, cap)[0]
 
 
 def ecdp_bound(code: CosetCode, sigma_e_sq: float,
@@ -355,15 +367,16 @@ class DesignReport:
     index: int
     wr: bool
     lambda1_sq: int
-    first_coding_gain: float
+    first_coding_gain: int
     rates: RateReport
 
 
 def design_report(code: CosetCode) -> DesignReport:
-    """One table row of diagnostics for a coset code."""
+    """One table row of diagnostics for a coset code, read off one exact
+    successive-minima call (the map is an isometry: coding gain = lambda_1^2)."""
     sm = successive_minima(code.sub)
     return DesignReport(index=code.index,
-                        wr=is_well_rounded(code.sub),
+                        wr=sm.lambda_sq[0] == sm.lambda_sq[-1],
                         lambda1_sq=sm.lambda1_sq,
-                        first_coding_gain=first_coding_gain(code.map, code.sub),
+                        first_coding_gain=sm.lambda1_sq,
                         rates=rates(code))

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import latcoset.wiretap as wiretap
 from latcoset import IntegerLattice
 from latcoset.cli import _build_parser, _parse_float_list, main
 
@@ -119,6 +120,15 @@ class TestSimulate:
         assert [r["snr_db"] for r in rows] == ["-0.0", "5.0", "10.0"] or \
                [r["snr_db"] for r in rows] == ["0.0", "5.0", "10.0"]
         assert all(0.0 <= float(r["ecdp"]) <= 1.0 for r in rows)
+
+    def test_rank_deficient_trials_past_the_exhaustive_cap(self, capsys):
+        # golden 6-PAM has 6^8 > 10^6 words, and with one receive antenna every
+        # trial's channel is rank deficient, so each falls back to the kernel
+        code, out, err = run_cli(["simulate", "--code", "golden", "--pam", "6",
+                                  "--n-r", "1", "--metric", "cer", "--trials", "2",
+                                  "--snr", "0"], capsys)
+        assert code == 0, err
+        assert [r["trials"] for r in parse_csv(out)] == ["2"]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["simulate", "--code", "alamouti", "--pam", "4", "--lattices",
@@ -249,6 +259,24 @@ class TestBound:
         assert all(float(r["truncation_r_sq"]) == 64.0 for r in rows)
         assert {r["exponent_mode"] for r in rows} == {"pow2n", "pow2"}
 
+    def test_one_enumeration_per_lattice(self, capsys, monkeypatch):
+        calls = []
+        real = wiretap.enumerate_shorter_than
+
+        def counted(lat, *args, **kwargs):
+            calls.append(lat)
+            return real(lat, *args, **kwargs)
+
+        monkeypatch.setattr(wiretap, "enumerate_shorter_than", counted)
+        code, out, _ = run_cli(["bound", "--code", "alamouti", "--pam", "4",
+                                "--lattices", "L1,L2,L3", "--sigma-e-sq", "1,10,100",
+                                "--truncation", "100"], capsys)
+        assert code == 0
+        assert [(r["name"], r["sigma_e_sq"], r["exponent_mode"]) for r in parse_csv(out)] == [
+            (name, sigma, mode) for name in ["L1", "L2", "L3"]
+            for sigma in ["1.0", "10.0", "100.0"] for mode in ["pow2n", "pow2"]]
+        assert len(calls) == 3
+
     def test_capacity_exits_4(self, capsys):
         code, _, err = run_cli(["bound", "--code", "alamouti", "--pam", "4",
                                 "--lattices", "L1", "--sigma-e-sq", "10",
@@ -316,6 +344,7 @@ class TestConfigFile:
         ("bound", {"truncation": 10 ** 400}),
         ("simulate", {"snr": [10 ** 400]}),
         ("search", {"hill_climb": 1}),
+        ("simulate", {"snr": []}),
     ])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
@@ -349,6 +378,9 @@ class TestNumericInputs:
         SIMULATE + ["--snr", "nan"],
         SIMULATE + ["--snr", "0:10:inf"],
         BOUND + ["--sigma-e-sq", "nan"],
+        SIMULATE + ["--snr", ","],
+        SIMULATE + ["--snr", "5:0:1"],
+        BOUND + ["--sigma-e-sq", "10", "--truncation", "inf"],
     ])
     def test_bad_value_exits_2(self, capsys, args):
         code, out, err = run_cli(args, capsys)

@@ -90,9 +90,12 @@ class TestKernel:
     @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
            n=st.integers(1, 6), snr_db=st.sampled_from([-60.0, 0.0, 20.0]),
            integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    # golden 4-PAM goes to the two-level kernel in blocks of 64 problems
+    # golden 4-PAM goes to the two-level kernel in blocks of 64 problems,
+    # alamouti 8-PAM (4096 words) in one block of 256
     @example(code="golden", m=4, n=130, snr_db=-60.0, integer=False, seed=11)
     @example(code="golden", m=4, n=130, snr_db=0.0, integer=True, seed=12)
+    @example(code="alamouti", m=8, n=130, snr_db=0.0, integer=False, seed=13)
+    @example(code="alamouti", m=8, n=130, snr_db=20.0, integer=True, seed=14)
     def test_matches_residual_argmin(self, code, m, n, snr_db, integer, seed):
         # integer channels with half-integer outputs are full of exact ties
         rng = np.random.default_rng(seed)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from latcoset import (IntegerLattice, PAMAlphabet, RealLattice, alamouti_map,
-                      builtin_sublattice, code_map_by_name, devectorize,
-                      first_coding_gain, golden_map, min_determinant,
-                      successive_minima, vectorize, volume)
+from latcoset import (IntegerLattice, PAMAlphabet, RealLattice, STCodeMap,
+                      alamouti_map, builtin_sublattice, code_map_by_name,
+                      devectorize, first_coding_gain, golden_map,
+                      min_determinant, successive_minima, vectorize, volume)
 
 THETA = (1 + math.sqrt(5)) / 2
 
@@ -130,6 +130,15 @@ class TestGolden:
         assert code_map_by_name("golden") is golden_map()
         with pytest.raises(ValueError):
             code_map_by_name("nosuch")
+
+
+class TestOrthonormality:
+    def test_non_orthonormal_map_rejected(self):
+        # the Alamouti layers without their 1/sqrt(2): M^T M = 2 I
+        a = alamouti_map()
+        with pytest.raises(ValueError, match="orthonormal"):
+            STCodeMap(name="unscaled", n=2, k=4, int_part=a.int_part,
+                      theta_part=a.theta_part, scale_denom_sq=1)
 
 
 class TestMapProperties:

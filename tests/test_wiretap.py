@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
-                      RankDeficientChannel, alamouti_map, bob_cer_monte_carlo,
-                      builtin_sublattice, design_report, ecdp_bound,
-                      ecdp_bound_report, ecdp_monte_carlo, golden_map,
-                      message_of, rates, wilson_interval)
+                      RankDeficientChannel, STCodeMap, alamouti_map,
+                      bob_cer_monte_carlo, builtin_sublattice, design_report,
+                      ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
+                      ecdp_monte_carlo, golden_map, message_of, rates,
+                      wilson_interval)
 import latcoset.decoder as decoder
+import latcoset.lattice as lattice
+import latcoset.stcode as stcode
+import latcoset.wiretap as wiretap
 from latcoset.wiretap import simulate_curves
 
 
@@ -318,12 +322,49 @@ class TestBound:
                     for nm in ["L'1", "L'2", "L'3"]]
             assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("family,name,shell,points", [
+        ("golden", "L'2", 64, 6712), ("alamouti", "L1", 32, 6)])
+    def test_radius_just_below_a_shell_excludes_it(self, family, name, shell, points):
+        # integer norms in (R, R(1 + 1e-9)] stay out: the radius test is exact
+        rep = ecdp_bound_report(coset(family, name, 4), 100.0,
+                                truncation_r_sq=shell * (1 - 1e-10))
+        assert rep.points_used == points
+
+    def test_reports_match_one_row_reports(self):
+        c = coset("golden", "L'3", 4)
+        sigmas, modes = [0.5, 4.0, 100.0], ["pow2n", "pow2"]
+        reps = ecdp_bound_reports(c, sigmas, modes, truncation_r_sq=40.0, n_r=3)
+        assert reps == [ecdp_bound_report(c, s, 40.0, 3, mode)
+                        for s in sigmas for mode in modes]
+
+    def test_only_2x2_codewords(self):
+        scalar = STCodeMap(name="scalar", n=1, k=2, int_part=np.eye(2),
+                           theta_part=np.zeros((2, 2)), scale_denom_sq=1)
+        c = CosetCode(map=scalar, alphabet=PAMAlphabet(4),
+                      sub=IntegerLattice(2 * np.eye(2, dtype=np.int64)))
+        with pytest.raises(ValueError, match="2x2"):
+            ecdp_bound_report(c, 10.0)
+
 
 class TestDesignReport:
     def test_alamouti_l3(self):
         rep = design_report(coset("alamouti", "L3", 4))
         assert (rep.index, rep.wr, rep.lambda1_sq) == (32, True, 32)
         assert rep.first_coding_gain == 32
+
+    def test_one_successive_minima_computation(self, monkeypatch):
+        calls = []
+        real = lattice.successive_minima
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (lattice, stcode, wiretap):
+            monkeypatch.setattr(module, "successive_minima", counted)
+        rep = design_report(coset("golden", "L'2", 4))
+        assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
+        assert len(calls) == 1
 
     def test_golden_lp3(self):
         rep = design_report(coset("golden", "L'3", 4))
