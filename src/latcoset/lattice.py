@@ -1,16 +1,20 @@
-"""Lattice primitives: Gram/volume, enumeration, successive minima,
-well-roundedness, sublattice index, Smith normal form and coset labels.
+"""Lattice primitives: Gram/volume, enumeration, the shortest shell,
+successive minima, well-roundedness, sublattice index, Smith normal form
+and coset labels.
 
-Two lattice flavours are supported.  ``IntegerLattice`` wraps a square
-nonsingular integer basis and every derived quantity (determinant, index,
-Smith form, coset labels, squared minima) is computed with exact
-arbitrary-precision integer arithmetic.  ``RealLattice`` wraps a real basis
-and uses floating point with relative tolerance ``REL_TOL``.
+``IntegerLattice`` wraps a square nonsingular integer basis, and every
+derived quantity (determinant, index, Smith form, coset labels, lambda_1^2,
+the shortest shell's rank, squared minima, well-roundedness) is computed
+with exact arbitrary-precision integer arithmetic; the minima and
+well-roundedness are defined for integer lattices only.  ``RealLattice``
+wraps a real basis and serves the Gram matrix, the volume and enumeration,
+whose radius test takes relative tolerance ``REL_TOL``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -260,19 +264,15 @@ def volume(lat: Lattice):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_coefficients(basis_f: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
-    """All integer coefficient vectors z != 0 with ||B z||^2 <= r_sq (+ slack).
+def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
+    """All integer coefficient vectors z != 0 with z^T g z <= r_sq (+ slack).
 
-    Layered Fincke-Pohst on the Cholesky factor of the Gram matrix; the
-    caller applies the exact (or toleranced) radius filter afterwards.
+    Layered Fincke-Pohst on the Cholesky factor of the float Gram matrix
+    ``g`` (np.linalg.LinAlgError when that fails); the caller applies the
+    exact (or toleranced) radius filter afterwards.
     """
-    g = basis_f.T @ basis_f
     s = g.shape[0]
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("Gram matrix is not positive definite") from exc
-    R = chol.T  # upper triangular, positive diagonal
+    R = np.linalg.cholesky(g).T  # upper triangular, positive diagonal
     slack = 1e-9 * max(r_sq, 1.0)
     bound = r_sq + slack
 
@@ -319,8 +319,10 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
 
     Both x and -x appear.  For integer lattices the radius test is exact;
     for real lattices it is taken with relative tolerance REL_TOL.  Raises
-    CapacityError when the point count would exceed ``cap``, or when an
-    integer radius reaches 2^62, past which exact int64 norms could wrap.
+    CapacityError when the point count would exceed ``cap``, and for an
+    integer lattice when the radius reaches 2^62, past which exact int64
+    norms could wrap, or when floats cannot carry its exact Gram matrix
+    through the Cholesky factorization.
     """
     if r_sq <= 0:
         raise ValueError("r_sq must be positive")
@@ -328,87 +330,85 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
         if r_sq >= _INT64_NORM_LIMIT:
             raise CapacityError(
                 f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
-        basis_f = lat.B.astype(float)
-        Z = _enumerate_coefficients(basis_f, float(r_sq), cap)
+        g = gram(lat)
+        if any(float(x) != x for x in g.flat):
+            raise CapacityError("the Gram matrix has entries that floats cannot hold exactly")
+        try:  # norms are integers: half a unit of float margin loses no shell
+            Z = _enumerate_coefficients(g.astype(float), float(r_sq) + 0.5, cap)
+        except np.linalg.LinAlgError as exc:
+            raise CapacityError(
+                "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
         pts = Z @ lat.B.T
         norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
         return pts[norms <= r_sq]
-    basis_f = lat.basis
-    Z = _enumerate_coefficients(basis_f, float(r_sq), cap)
-    pts = Z @ basis_f.T
+    try:
+        Z = _enumerate_coefficients(gram(lat), float(r_sq), cap)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("Gram matrix is not positive definite") from exc
+    pts = Z @ lat.basis.T
     norms = np.sum(pts * pts, axis=1)
     return pts[norms <= r_sq * (1.0 + REL_TOL)]
 
 
 # ---------------------------------------------------------------------------
-# successive minima / well-roundedness
+# shortest shell, successive minima, well-roundedness (integer lattices)
 # ---------------------------------------------------------------------------
 
-def _sorted_by_norm(pts: np.ndarray, exact: bool):
-    if exact:
-        norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    else:
-        norms = np.sum(pts * pts, axis=1)
-    order = np.lexsort(tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1)) + (norms,))
-    return pts[order], norms[order]
+def _minkowski_radius_sq(k: int, det: int) -> int:
+    """Squared-length bound r with lambda_1^2 <= r for a det-``det`` lattice."""
+    bound = (4.0 / math.pi) * math.gamma(k / 2.0 + 1.0) ** (2.0 / k) * float(det) ** (2.0 / k)
+    return int(math.ceil(bound))
 
 
-def _greedy_minima_float(pts, norms, s):
-    basis_rows = []
-    minima = []
-    for p, nrm in zip(pts, norms):
-        v = p.astype(float)
-        orig = float(v @ v)
-        for b in basis_rows:
-            v = v - (v @ b) * b
-        res = float(v @ v)
-        if res > (REL_TOL ** 2) * max(orig, 1e-300):
-            basis_rows.append(v / np.sqrt(res))
-            minima.append(float(nrm))
-            if len(minima) == s:
-                break
-    return minima
+def _require_integer(lat) -> None:
+    if not isinstance(lat, IntegerLattice):
+        raise TypeError(f"expected an IntegerLattice, got {type(lat).__name__}")
 
 
-def successive_minima(lat: Lattice, cap: int = ENUMERATION_CAP) -> SuccessiveMinima:
-    """Squared successive minima via enumeration with growing radius.
+def _min_column_norm(lat: IntegerLattice) -> int:
+    return min(sum(x * x for x in col) for col in lat.B.T.tolist())
+
+
+def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
+    """(lambda_1^2, rank of the lattice vectors of norm lambda_1^2), exactly.
+
+    One enumeration at the smaller of the shortest basis column's squared
+    norm and the ceiling of Minkowski's first-theorem bound, since each
+    radius holds a shortest vector.  The lattice is well-rounded exactly
+    when the rank is k.
+    """
+    _require_integer(lat)
+    k = lat.k
+    r = min(_min_column_norm(lat), _minkowski_radius_sq(k, abs(lat.det)))
+    pts = enumerate_shorter_than(lat, r, cap=cap)
+    if not len(pts):  # float rounding on an ill-conditioned Gram matrix
+        raise CapacityError("enumeration lost the shortest vectors of this basis")
+    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
+    l1 = int(norms.min())
+    return l1, len(independent_rows(pts[norms == l1], k))
+
+
+def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> SuccessiveMinima:
+    """Exact squared successive minima via enumeration with growing radius.
 
     The radius starts at the squared norm of the shortest basis column and
     doubles until the enumerated points span the full rank.
     """
-    exact = isinstance(lat, IntegerLattice)
-    if exact:
-        s = lat.k
-        cols = lat.B.astype(object)
-        r = min(int(sum(int(x) * int(x) for x in cols[:, j])) for j in range(s))
-    else:
-        if lat.s != lat.n:
-            raise ValueError("successive minima require a full-rank lattice")
-        s = lat.s
-        r = float(min(np.sum(lat.basis ** 2, axis=0)))
+    _require_integer(lat)
+    r = _min_column_norm(lat)
     while True:
         pts = enumerate_shorter_than(lat, r, cap=cap)
-        if pts.shape[0]:
-            spts, norms = _sorted_by_norm(pts, exact)
-            if exact:
-                minima = [int(norms[i]) for i in independent_rows(spts, s)]
-            else:
-                minima = _greedy_minima_float(spts, norms, s)
-            if len(minima) == s:
-                return SuccessiveMinima(tuple(minima))
+        norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
+        order = np.argsort(norms, kind="stable")
+        minima = [int(norms[order[i]]) for i in independent_rows(pts[order], lat.k)]
+        if len(minima) == lat.k:
+            return SuccessiveMinima(tuple(minima))
         r = r * 2
 
 
-def is_well_rounded(lat: Lattice, cap: int = ENUMERATION_CAP) -> bool:
-    """True iff the first and last successive minima coincide.
-
-    Exact comparison for integer lattices, relative tolerance for real ones.
-    """
-    sm = successive_minima(lat, cap=cap)
-    first, last = sm.lambda_sq[0], sm.lambda_sq[-1]
-    if isinstance(lat, IntegerLattice):
-        return first == last
-    return (last - first) <= REL_TOL * last
+def is_well_rounded(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> bool:
+    """True iff the shortest shell spans the lattice's rank (exact)."""
+    return shortest_shell(lat, cap)[1] == lat.k
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +439,6 @@ def smith_normal_form(mat) -> SmithDecomposition:
     k = len(a)
     if any(len(r) != k for r in a):
         raise ValueError("matrix must be square")
-    if int_det(a) == 0:
-        raise SingularMatrix("matrix is singular")
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     v = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
@@ -466,6 +464,8 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 for j in range(s, k):
                     if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                         best = (i, j)
+            if best is None:  # the trailing block is zero: rank < k
+                raise SingularMatrix("matrix is singular")
             bi, bj = best
             if bi != s:
                 swap_rows(a, s, bi)

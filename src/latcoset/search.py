@@ -9,13 +9,12 @@ winner does not depend on evaluation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoFeasibleCandidate
-from .lattice import IntegerLattice, enumerate_shorter_than, independent_rows
+from .lattice import IntegerLattice, shortest_shell
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -123,28 +122,6 @@ def random_sublattice_with_index(k: int, n: int, rng: np.random.Generator) -> In
     return IntegerLattice(2 * (h @ v))
 
 
-def _minkowski_radius_sq(k: int, det: int) -> int:
-    """Squared-length bound r with lambda_1^2 <= r for a det-``det`` lattice."""
-    bound = (4.0 / math.pi) * math.gamma(k / 2.0 + 1.0) ** (2.0 / k) * float(det) ** (2.0 / k)
-    return int(math.ceil(bound))
-
-
-def _evaluate(lat: IntegerLattice) -> tuple[int, int]:
-    """(lambda_1^2, rank of the shortest shell) for an integer lattice.
-
-    Enumerates inside the Minkowski first-theorem radius (guaranteed to
-    contain a shortest vector); the lattice is well-rounded exactly when
-    the shell rank equals the dimension.
-    """
-    k = lat.k
-    r = _minkowski_radius_sq(k, abs(lat.det))
-    pts = enumerate_shorter_than(lat, r)
-    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    l1 = int(norms.min())
-    shell = pts[norms == l1]
-    return l1, len(independent_rows(shell, k))
-
-
 def _candidate_key(l1: int, basis: np.ndarray) -> tuple:
     # larger shortest vector wins; ties go to the lexicographically
     # smallest flattened basis so the winner is schedule independent
@@ -175,23 +152,23 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
     k, n = cfg.k, cfg.target_index
 
-    best_wr = None   # (key, lattice)
-    best_any = None  # ((-l1, -rank, lex), lattice) for climbing and fallback
+    best_wr = None   # (key, lattice, l1, rank)
+    best_any = None  # ((-l1, -rank, lex), lattice, l1, rank) for climbing and fallback
     feasible = 0
     remaining = cfg.budget
 
     def consider(lat: IntegerLattice) -> tuple[int, int]:
         nonlocal best_wr, best_any, feasible, remaining
-        l1, rank = _evaluate(lat)
+        l1, rank = shortest_shell(lat)
         remaining -= 1
         climb_key = (-l1, -rank) + _candidate_key(l1, lat.B)[1:]
         if best_any is None or climb_key < best_any[0]:
-            best_any = (climb_key, lat, l1)
+            best_any = (climb_key, lat, l1, rank)
         if rank == k:
             feasible += 1
             key = _candidate_key(l1, lat.B)
             if best_wr is None or key < best_wr[0]:
-                best_wr = (key, lat, l1)
+                best_wr = (key, lat, l1, rank)
         return l1, rank
 
     diag = _balanced_diagonal(k, n)
@@ -203,8 +180,7 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
         consider(random_sublattice_with_index(k, n, rng))
 
     if cfg.hill_climb:
-        current = best_wr[1] if best_wr is not None else best_any[1]
-        cur_l1, cur_rank = _evaluate(current)
+        _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
         while remaining > 0:
             i, j = rng.integers(0, k, size=2)
             if i == j:
@@ -218,10 +194,10 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
                 current, cur_l1, cur_rank = trial, l1, rank
 
     if best_wr is not None:
-        _, lat, l1 = best_wr
+        _, lat, l1, _ = best_wr
         return lat, SearchReport(evaluated=cfg.budget, feasible=feasible,
                                  best_lambda1_sq=l1, best_is_wr=True)
-    _, lat, l1 = best_any
+    _, lat, l1, _ = best_any
     report = SearchReport(evaluated=cfg.budget, feasible=0,
                           best_lambda1_sq=l1, best_is_wr=False)
     raise NoFeasibleCandidate(

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import IntegerLattice, successive_minima
+from .lattice import IntegerLattice, shortest_shell
 
 #: golden ratio, the only irrational used by the built-in maps
 THETA = (1.0 + math.sqrt(5.0)) / 2.0
@@ -261,4 +261,4 @@ def first_coding_gain(code_map: STCodeMap, sub: IntegerLattice) -> int:
     """
     if sub.k != code_map.k:
         raise ValueError("sublattice dimension does not match the code map")
-    return successive_minima(sub).lambda1_sq
+    return shortest_shell(sub)[0]

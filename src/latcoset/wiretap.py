@@ -19,8 +19,7 @@ from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, sphere_decode)
 from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
 from .lattice import (ENUMERATION_CAP, IntegerLattice, coset_label, coset_labels,
-                      enumerate_shorter_than, index_in_superlattice, label_operator,
-                      successive_minima)
+                      enumerate_shorter_than, label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -63,11 +62,11 @@ class CosetCode:
     def B_half(self) -> np.ndarray:
         return self.sub.B // 2
 
-    @cached_property
+    @property
     def index(self) -> int:
-        """Number of cosets inside 2Z^k, exactly."""
-        two_zk = IntegerLattice(2 * np.eye(self.map.k, dtype=np.int64))
-        return index_in_superlattice(self.sub, two_zk)
+        """Number of cosets inside 2Z^k, exactly: |det sub| / 2^k, as the
+        even entries put sub inside 2Z^k."""
+        return abs(self.sub.det) >> self.map.k
 
 
 @dataclass(frozen=True)
@@ -373,10 +372,8 @@ class DesignReport:
 
 def design_report(code: CosetCode) -> DesignReport:
     """One table row of diagnostics for a coset code, read off one exact
-    successive-minima call (the map is an isometry: coding gain = lambda_1^2)."""
-    sm = successive_minima(code.sub)
-    return DesignReport(index=code.index,
-                        wr=sm.lambda_sq[0] == sm.lambda_sq[-1],
-                        lambda1_sq=sm.lambda1_sq,
-                        first_coding_gain=sm.lambda1_sq,
-                        rates=rates(code))
+    shortest-shell enumeration (the map is an isometry: coding gain =
+    lambda_1^2)."""
+    l1, rank = shortest_shell(code.sub)
+    return DesignReport(index=code.index, wr=rank == code.sub.k, lambda1_sq=l1,
+                        first_coding_gain=l1, rates=rates(code))

@@ -10,6 +10,8 @@ from latcoset import (CapacityError, IntegerLattice, NotASublattice, RealLattice
                       enumerate_shorter_than, gram, index_in_superlattice,
                       is_well_rounded, smith_normal_form, successive_minima,
                       volume, alamouti_map)
+from latcoset.catalog import NAMES
+from latcoset.lattice import shortest_shell
 
 TWO_Z4 = IntegerLattice(2 * np.eye(4, dtype=np.int64))
 
@@ -122,13 +124,6 @@ class TestSuccessiveMinima:
     def test_l5_well_rounded_at_80(self):
         assert successive_minima(builtin_sublattice("L5")).lambda_sq == (80, 80, 80, 80)
 
-    def test_real_matches_integer(self):
-        for name in ["L1", "L2", "L3"]:
-            lat = builtin_sublattice(name)
-            real = successive_minima(RealLattice(lat.B.astype(float)))
-            exact = successive_minima(lat)
-            assert np.allclose(real.lambda_sq, exact.lambda_sq, rtol=1e-9)
-
     def test_random_bases_against_brute_force(self):
         rng = np.random.default_rng(7)
         done = 0
@@ -152,7 +147,32 @@ class TestSuccessiveMinima:
                     rows.append(p)
                     minima.append(sum(v * v for v in p))
             assert tuple(minima) == sm.lambda_sq
+            # the shortest shell: lambda_1^2 and the rank of its vectors
+            shell = [p for p in pts if sum(v * v for v in p) == minima[0]]
+            rank = np.linalg.matrix_rank(np.array(shell, dtype=float), tol=1e-9)
+            assert shortest_shell(lat) == (minima[0], rank)
             done += 1
+
+    def test_shortest_shell_matches_minima_on_catalog(self):
+        for name in NAMES:
+            lat = builtin_sublattice(name)
+            sm = successive_minima(lat)
+            l1, rank = shortest_shell(lat)
+            assert l1 == sm.lambda1_sq
+            assert rank == sum(1 for m in sm.lambda_sq if m == l1)
+
+    def test_shell_on_the_radius_of_a_skewed_basis(self):
+        # the shortest column has norm lambda_1^2, so the shell lies on the
+        # enumeration radius; float rounding of this Gram matrix (entries up
+        # to 6.6e6, det 4096^2) used to drop (0, 0, +-2, 0) from it
+        lat = IntegerLattice(np.array([[-1536, 0, -2560, 1536], [0, -2, 0, 2],
+                                       [-2, 0, -4, 2], [0, 0, 0, 2]]))
+        assert len(enumerate_shorter_than(lat, 4)) == 6
+        assert shortest_shell(lat) == (4, 3)
+
+    def test_real_lattice_refused(self):
+        with pytest.raises(TypeError):
+            successive_minima(RealLattice(np.eye(2)))
 
     def test_minkowski_second_theorem(self):
         for name in ["L1", "L2", "L3", "L4", "L5", "L'1", "L'2", "M1"]:
@@ -175,8 +195,8 @@ class TestWellRounded:
             lat = builtin_sublattice(name)
             scaled = IntegerLattice(3 * lat.B)
             assert is_well_rounded(scaled) == is_well_rounded(lat)
-            real = RealLattice(-0.25 * lat.B.astype(float))
-            assert is_well_rounded(real) == is_well_rounded(lat)
+            with pytest.raises(TypeError):
+                is_well_rounded(RealLattice(-0.25 * lat.B.astype(float)))
 
 
 class TestIndex:
@@ -228,6 +248,8 @@ class TestSmithNormalForm:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             smith_normal_form(np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(SingularMatrix):  # rank 1, nonzero
+            smith_normal_form(np.array([[1, 2], [2, 4]]))
 
     def test_against_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -338,3 +360,23 @@ class TestInt64Edge:
     def test_radius_below_limit_is_exact(self):
         lat = IntegerLattice(np.diag([2 ** 30, 2 ** 30]))
         assert successive_minima(lat).lambda_sq == (2 ** 60, 2 ** 60)
+
+    def test_gram_beyond_float_raises_capacity_error(self):
+        # (2^27 + 1)^2 + 1 > 2^53: the float Gram matrix is not the exact
+        # one, and its Cholesky factorization fails on a nonsingular basis
+        for e in range(27, 31):
+            lat = IntegerLattice(np.array([[2 ** e, 2 ** e + 1], [0, 1]]))
+            with pytest.raises(CapacityError):
+                enumerate_shorter_than(lat, 2)
+
+    def test_failed_cholesky_raises_capacity_error(self):
+        # an exact, float-representable Gram matrix whose float Cholesky
+        # factorization fails though the basis is nonsingular
+        lat = IntegerLattice(np.array([[2 ** 20, 2 ** 20 - 1], [1, 1]]))
+        with pytest.raises(CapacityError):
+            enumerate_shorter_than(lat, 2)
+
+    def test_gram_within_float_is_exact(self):
+        lat = IntegerLattice(np.array([[2 ** 26, 2 ** 26 + 1], [0, 1]]))
+        pts = sorted(tuple(int(v) for v in p) for p in enumerate_shorter_than(lat, 2))
+        assert pts == [(-1, -1), (1, 1)]

@@ -353,15 +353,16 @@ class TestDesignReport:
         assert rep.first_coding_gain == 32
 
     def test_one_successive_minima_computation(self, monkeypatch):
+        # WR, lambda_1^2 and the coding gain come from one enumeration
         calls = []
-        real = lattice.successive_minima
+        real = lattice.enumerate_shorter_than
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (lattice, stcode, wiretap):
-            monkeypatch.setattr(module, "successive_minima", counted)
+        for module in (lattice, wiretap):
+            monkeypatch.setattr(module, "enumerate_shorter_than", counted)
         rep = design_report(coset("golden", "L'2", 4))
         assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
         assert len(calls) == 1
