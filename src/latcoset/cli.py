@@ -364,6 +364,11 @@ def _validate(args: argparse.Namespace):
             raise ValueError("--seed must be a nonnegative integer")
 
 
+#: the input to change when a command's enumeration or int64 arithmetic runs out
+_CAPACITY_HINTS = {"analyze": "analyze lattices with smaller bases (--lattices)",
+                   "bound": "lower --truncation",
+                   "search": "lower --index"}
+
 _COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate,
              "bound": cmd_bound, "search": cmd_search}
 
@@ -378,8 +383,8 @@ def main(argv=None) -> int:
         print(f"latcoset: lattice containment error: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:
-        print(f"latcoset: {exc}\nhint: lower --truncation or split the sweep",
-              file=sys.stderr)
+        hint = _CAPACITY_HINTS.get(args.command)
+        print(f"latcoset: {exc}" + (f"\nhint: {hint}" if hint else ""), file=sys.stderr)
         return 4
     except NoFeasibleCandidate as exc:
         rep = exc.report

@@ -10,13 +10,38 @@ winner does not depend on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoFeasibleCandidate
-from .lattice import IntegerLattice, shortest_shell
+from .errors import CapacityError, NoFeasibleCandidate
+from .lattice import (IntegerLattice, _minkowski_radius_sq, enumerate_shorter_than,
+                      independent_rows, shortest_shell)
 
 _PRIME_LIMIT = 10 ** 6
+
+_INT64_MAX = (1 << 63) - 1
+
+#: restart candidates drawn, then evaluated together
+_BLOCK = 256
+
+#: int64 elements in one membership product of a block, which bounds its
+#: transient memory
+_BLOCK_ELEMENTS = 1 << 16
+
+#: points (both signs) of the short-vector table of Z^k, past which a block's
+#: candidates are enumerated one by one instead
+_TABLE_CAP = 1 << 16
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) exactly, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -32,6 +57,13 @@ class SearchConfig:
             raise ValueError("dimension and index must be positive")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        # every Hermite form of det n has a diagonal entry d >= n^(1/k), and
+        # its basis holds 2d
+        n, k = int(self.target_index), int(self.k)
+        root = _iroot(n, k)
+        if 2 * (root + (root ** k < n)) > _INT64_MAX:
+            raise ValueError(f"index too large for k = {self.k}: "
+                             "no basis of that index fits in int64")
 
 
 @dataclass(frozen=True)
@@ -73,17 +105,23 @@ def _random_composition(total: int, parts: int, rng: np.random.Generator) -> lis
     return sizes
 
 
-def _random_diag(k: int, n: int, rng: np.random.Generator) -> list[int]:
+def _random_diag(k: int, factors: list[tuple[int, int]], rng: np.random.Generator) -> list[int]:
     diag = [1] * k
-    for p, e in _factorize(n):
+    for p, e in factors:
         for i, exp in enumerate(_random_composition(e, k, rng)):
             diag[i] *= p ** exp
     return diag
 
 
-def _random_hnf(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular Hermite form with det n, residues uniform mod d_row."""
-    diag = _random_diag(k, n, rng)
+def _random_hnf(k: int, factors: list[tuple[int, int]], rng: np.random.Generator) -> np.ndarray:
+    """Lower-triangular Hermite form with det the product of ``factors``
+    (as :func:`_factorize` gives them), residues uniform mod d_row.
+
+    Raises CapacityError when a basis entry 2 d_row would not fit in int64.
+    """
+    diag = _random_diag(k, factors, rng)
+    if 2 * max(diag) > _INT64_MAX:
+        raise CapacityError(f"a Hermite form diagonal entry {max(diag)} doubles past int64")
     h = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
         h[i, i] = diag[i]
@@ -93,19 +131,36 @@ def _random_hnf(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return h
 
 
-def _random_unimodular(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Product of a few elementary column operations; keeps entries small."""
-    v = np.eye(k, dtype=np.int64)
+def _random_unimodular(k: int, rng: np.random.Generator) -> tuple[list, list]:
+    """The draws of a small random unimodular V: a few elementary column
+    operations (i, j, f), v_j += f v_i, then the columns to negate.
+    :func:`_candidate_basis` applies them; entries stay small."""
+    moves = []
     for _ in range(2 * k):
         i, j = rng.integers(0, k, size=2)
         if i == j:
             continue
         f = int(rng.integers(0, 2)) * 2 - 1  # -1 or +1
-        v[:, j] += f * v[:, i]
-    for j in range(k):
-        if rng.integers(0, 2):
-            v[:, j] = -v[:, j]
-    return v
+        moves.append((int(i), int(j), f))
+    flips = [j for j in range(k) if rng.integers(0, 2)]
+    return moves, flips
+
+
+def _candidate_basis(h: np.ndarray, draws: tuple[list, list]) -> np.ndarray:
+    """The basis 2 H V, with V from :func:`_random_unimodular`'s draws.
+
+    Exact: the column operations run on Python integers, and CapacityError
+    is raised when an entry does not fit in int64.
+    """
+    moves, flips = draws
+    cols = h.T.tolist()
+    for i, j, f in moves:
+        cols[j] = [a + f * b for a, b in zip(cols[j], cols[i])]
+    for j in flips:
+        cols[j] = [-a for a in cols[j]]
+    if any(not -_INT64_MAX <= 2 * a <= _INT64_MAX for col in cols for a in col):
+        raise CapacityError("a candidate basis entry does not fit in int64")
+    return 2 * np.array(cols, dtype=np.int64).T
 
 
 def random_sublattice_with_index(k: int, n: int, rng: np.random.Generator) -> IntegerLattice:
@@ -117,24 +172,88 @@ def random_sublattice_with_index(k: int, n: int, rng: np.random.Generator) -> In
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    h = _random_hnf(k, n, rng)
-    v = _random_unimodular(k, rng)
-    return IntegerLattice(2 * (h @ v))
+    h = _random_hnf(k, _factorize(n), rng)
+    return IntegerLattice(_candidate_basis(h, _random_unimodular(k, rng)))
 
 
-def _candidate_key(l1: int, basis: np.ndarray) -> tuple:
-    # larger shortest vector wins; ties go to the lexicographically
-    # smallest flattened basis so the winner is schedule independent
-    return (-l1, tuple(int(x) for x in basis.ravel()))
+@lru_cache(maxsize=4)
+def _short_vectors(k: int, r: int) -> tuple[np.ndarray, list] | None:
+    """The vectors u of Z^k with 4||u||^2 <= r, one of each +-pair, sorted by
+    norm, and the (norm, start, stop) rows of each shell; None when 2Z^k has
+    more than ``_TABLE_CAP`` points in that ball."""
+    try:
+        pts = enumerate_shorter_than(IntegerLattice(2 * np.eye(k, dtype=np.int64)), r,
+                                     cap=_TABLE_CAP)
+    except CapacityError:
+        return None
+    u = pts // 2
+    u = u[u[np.arange(len(u)), np.argmax(u != 0, axis=1)] > 0]  # first nonzero entry > 0
+    norms = np.sum(u * u, axis=1)
+    order = np.argsort(norms, kind="stable")
+    u, norms = u[order], norms[order]
+    u.setflags(write=False)
+    levels, starts = np.unique(norms, return_index=True)
+    stops = np.append(starts[1:], len(u))
+    return u, list(zip(levels.tolist(), starts.tolist(), stops.tolist()))
+
+
+def _hnf_shells(hs: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """(lambda_1^2, shell rank) of the lattice 2H for each lower-triangular
+    Hermite form H of det n (residues 0 <= h_ij < h_ii) in the stack ``hs``,
+    exactly; the values :func:`shortest_shell` gives.
+
+    2u lies in the lattice of 2H exactly when adj(H) u = 0 (mod n), and
+    adj(H) = n H^-1 comes out of forward substitution.  The whole block is
+    tested against one table of short vectors of Z^k, a norm shell at a
+    time; a candidate leaves at its first shell with a hit, which gives
+    lambda_1^2, and the rank of its hits there is the shell rank.  The
+    table's radius is the block's largest per-candidate radius min(shortest
+    column of 2H, Minkowski ceiling), so it holds every shortest vector.
+    When the table would pass ``_TABLE_CAP``, or int64 cannot be shown to
+    hold the arithmetic, each 2H is enumerated by :func:`shortest_shell`.
+    """
+    b, k = hs.shape[:2]
+    table = None
+    # |adj(H)_ij| <= 2^(k-2) n for such H, so every sum below, and every
+    # squared column norm, stays within 2^k n^2 in magnitude
+    if n * n << k <= _INT64_MAX:
+        col = int((hs * hs).sum(axis=1).min(axis=1).max())
+        table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
+    if table is None:
+        return [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+    u, shells = table
+    adj = np.zeros_like(hs)
+    for i in range(k):  # row i of H adj(H) = n I
+        adj[:, i] = -np.einsum("bm,bmj->bj", hs[:, i, :i], adj[:, :i])
+        adj[:, i, i] += n
+        adj[:, i] //= hs[:, i, i, None]
+    adj %= n
+    out = [None] * b
+    active = np.arange(b)
+    for norm, start, stop in shells:
+        a, shell = adj[active], u[start:stop]
+        step = max(1, _BLOCK_ELEMENTS // (len(active) * k))
+        hits = np.concatenate([np.all(a @ shell[c:c + step].T % n == 0, axis=1)
+                               for c in range(0, len(shell), step)], axis=1)
+        found = hits.any(axis=1)
+        for row in np.flatnonzero(found):
+            out[active[row]] = (4 * norm, len(independent_rows(shell[hits[row]], k)))
+        active = active[~found]
+        if not len(active):
+            break
+    return out
+
+
+def _lex(basis: np.ndarray) -> tuple:
+    # ties go to the lexicographically smallest flattened basis so the
+    # winner is schedule independent
+    return tuple(int(x) for x in basis.ravel())
 
 
 def _balanced_diagonal(k: int, n: int) -> np.ndarray | None:
     """diag(d, ..., d) with d^k = n, when n is a perfect k-th power."""
-    d = round(n ** (1.0 / k))
-    for cand in (d - 1, d, d + 1):
-        if cand >= 1 and cand ** k == n:
-            return np.diag([cand] * k).astype(np.int64)
-    return None
+    d = _iroot(n, k)
+    return np.diag([d] * k).astype(np.int64) if d ** k == n else None
 
 
 def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchReport]:
@@ -142,42 +261,59 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
 
     Spends the budget on random Hermite-form restarts (seeded with the
     balanced diagonal lattice when the index is a perfect k-th power),
-    keeping the well-rounded candidate with maximal lambda_1^2.  With
-    ``hill_climb`` half the budget refines the incumbent by elementary
-    index-preserving basis moves, climbing on (lambda_1^2, shell rank).
-    Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
-    well-rounded candidate shows up; the exception carries the best
-    non-WR lattice and the report.
+    keeping the well-rounded candidate with maximal lambda_1^2.  Restarts
+    are drawn in blocks and each block's shortest shells are read off the
+    Hermite forms at once (:func:`_hnf_shells`).  With ``hill_climb`` half
+    the budget refines the incumbent by elementary index-preserving basis
+    moves, climbing on (lambda_1^2, shell rank).  Deterministic for a fixed
+    seed.  Raises NoFeasibleCandidate when no well-rounded candidate shows
+    up; the exception carries the best non-WR lattice and the report.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
-    k, n = cfg.k, cfg.target_index
+    k, n = int(cfg.k), int(cfg.target_index)
 
-    best_wr = None   # (key, lattice, l1, rank)
-    best_any = None  # ((-l1, -rank, lex), lattice, l1, rank) for climbing and fallback
+    best_wr = None   # ((-l1, lex), basis, l1, rank)
+    best_any = None  # ((-l1, -rank, lex), basis, l1, rank) for climbing and fallback
     feasible = 0
     remaining = cfg.budget
 
-    def consider(lat: IntegerLattice) -> tuple[int, int]:
+    def consider(l1: int, rank: int, basis_of) -> None:
+        """Count one candidate and keep it where it beats an incumbent.
+
+        ``basis_of()`` gives the candidate's basis.  It is called only when
+        (lambda_1^2, rank) reaches an incumbent's, where the basis breaks
+        the tie or is kept.
+        """
         nonlocal best_wr, best_any, feasible, remaining
-        l1, rank = shortest_shell(lat)
         remaining -= 1
-        climb_key = (-l1, -rank) + _candidate_key(l1, lat.B)[1:]
-        if best_any is None or climb_key < best_any[0]:
-            best_any = (climb_key, lat, l1, rank)
+        basis = lex = None
+        if best_any is None or (-l1, -rank) <= best_any[0][:2]:
+            basis = basis_of()
+            lex = _lex(basis)
+            if best_any is None or (-l1, -rank, lex) < best_any[0]:
+                best_any = ((-l1, -rank, lex), basis, l1, rank)
         if rank == k:
             feasible += 1
-            key = _candidate_key(l1, lat.B)
-            if best_wr is None or key < best_wr[0]:
-                best_wr = (key, lat, l1, rank)
-        return l1, rank
+            if best_wr is None or -l1 <= best_wr[0][0]:
+                if basis is None:
+                    basis = basis_of()
+                    lex = _lex(basis)
+                if best_wr is None or (-l1, lex) < best_wr[0]:
+                    best_wr = ((-l1, lex), basis, l1, rank)
 
     diag = _balanced_diagonal(k, n)
     if diag is not None and remaining > 0:
-        consider(IntegerLattice(2 * diag))
+        balanced = IntegerLattice(2 * diag)
+        consider(*shortest_shell(balanced), lambda: balanced.B)
 
+    factors = _factorize(n)
     restart_budget = remaining if not cfg.hill_climb else (remaining + 1) // 2
-    for _ in range(restart_budget):
-        consider(random_sublattice_with_index(k, n, rng))
+    for start in range(0, restart_budget, _BLOCK):
+        draws = [(_random_hnf(k, factors, rng), _random_unimodular(k, rng))
+                 for _ in range(min(_BLOCK, restart_budget - start))]
+        shells = _hnf_shells(np.array([h for h, _ in draws]), n)
+        for (h, v), (l1, rank) in zip(draws, shells):
+            consider(l1, rank, lambda h=h, v=v: _candidate_basis(h, v))
 
     if cfg.hill_climb:
         _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
@@ -186,20 +322,21 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
             if i == j:
                 continue
             coeff = int(rng.integers(0, 2)) * 2 - 1
-            b = current.B.copy()
+            b = current.copy()
             b[j, :] += coeff * b[i, :]  # left elementary op: same index
             trial = IntegerLattice(b)
-            l1, rank = consider(trial)
+            l1, rank = shortest_shell(trial)
+            consider(l1, rank, lambda: trial.B)
             if (l1, rank) > (cur_l1, cur_rank):
-                current, cur_l1, cur_rank = trial, l1, rank
+                current, cur_l1, cur_rank = trial.B, l1, rank
 
     if best_wr is not None:
-        _, lat, l1, _ = best_wr
-        return lat, SearchReport(evaluated=cfg.budget, feasible=feasible,
-                                 best_lambda1_sq=l1, best_is_wr=True)
-    _, lat, l1, _ = best_any
+        _, basis, l1, _ = best_wr
+        return IntegerLattice(basis), SearchReport(evaluated=cfg.budget, feasible=feasible,
+                                                   best_lambda1_sq=l1, best_is_wr=True)
+    _, basis, l1, _ = best_any
     report = SearchReport(evaluated=cfg.budget, feasible=0,
                           best_lambda1_sq=l1, best_is_wr=False)
     raise NoFeasibleCandidate(
         f"no well-rounded sublattice of index {n} found within {cfg.budget} "
-        f"candidates (best non-WR lambda_1^2 = {l1})", best=lat, report=report)
+        f"candidates (best non-WR lambda_1^2 = {l1})", best=IntegerLattice(basis), report=report)

@@ -282,7 +282,7 @@ class TestBound:
                                 "--lattices", "L1", "--sigma-e-sq", "10",
                                 "--truncation", "100000000"], capsys)
         assert code == 4
-        assert "truncation" in err
+        assert "hint: lower --truncation\n" in err
 
 
 class TestSearchCmd:
@@ -301,6 +301,20 @@ class TestSearchCmd:
         code, _, _ = run_cli(["search", "--k", "4", "--index", "0",
                               "--budget", "10", "--seed", "1"], capsys)
         assert code == 2
+
+    def test_index_past_int64_exits_2(self, capsys):
+        code, out, err = run_cli(["search", "--k", "4", "--index", str(10 ** 400),
+                                  "--budget", "10", "--seed", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "int64" in err
+
+    def test_capacity_exits_4_with_a_search_hint(self, capsys):
+        code, _, err = run_cli(["search", "--k", "4", "--index", str(2 ** 70),
+                                "--budget", "400", "--seed", "0"], capsys)
+        assert code == 4
+        assert "hint: lower --index\n" in err
+        assert "truncation" not in err
 
     def test_combined_stdout(self, capsys):
         code, out, _ = run_cli(["search", "--k", "4", "--index", "16",

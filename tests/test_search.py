@@ -1,12 +1,17 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import latcoset.search as search
 from latcoset import (IntegerLattice, NoFeasibleCandidate, SearchConfig,
                       index_in_superlattice, is_well_rounded,
                       random_sublattice_with_index, search_wr_sublattice,
                       successive_minima, volume)
+from latcoset.lattice import shortest_shell
 
 
 def two_zk(k):
@@ -99,3 +104,151 @@ class TestSearch:
             SearchConfig(k=4, target_index=0, budget=10, seed=0)
         with pytest.raises(ValueError):
             SearchConfig(k=4, target_index=32, budget=0, seed=0)
+
+
+def _outcome(cfg):
+    """(best basis, report) of a search, whether or not it found a WR lattice."""
+    try:
+        lat, rep = search_wr_sublattice(cfg)
+    except NoFeasibleCandidate as err:
+        lat, rep = err.best, err.report
+    return lat.B.tolist(), rep
+
+
+def _sequential_search(cfg):
+    """The search one candidate at a time: sample 2HV, enumerate its shortest
+    shell and keep the best key, as the block evaluation must reproduce."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    k, n = cfg.k, cfg.target_index
+    best_wr = best_any = None
+    feasible = 0
+
+    def consider(lat):
+        nonlocal best_wr, best_any, feasible
+        l1, rank = shortest_shell(lat)
+        lex = tuple(int(x) for x in lat.B.ravel())
+        if best_any is None or (-l1, -rank, lex) < best_any[0]:
+            best_any = ((-l1, -rank, lex), lat, l1)
+        if rank == k:
+            feasible += 1
+            if best_wr is None or (-l1, lex) < best_wr[0]:
+                best_wr = ((-l1, lex), lat, l1)
+        return l1, rank
+
+    remaining = cfg.budget
+    d = round(n ** (1 / k))
+    if d ** k == n:
+        consider(IntegerLattice(2 * d * np.eye(k, dtype=np.int64)))
+        remaining -= 1
+    restarts = remaining if not cfg.hill_climb else (remaining + 1) // 2
+    for _ in range(restarts):
+        consider(random_sublattice_with_index(k, n, rng))
+    remaining -= restarts
+    if cfg.hill_climb:
+        _, current, _ = best_wr if best_wr is not None else best_any
+        cur = shortest_shell(current)
+        while remaining > 0:
+            i, j = rng.integers(0, k, size=2)
+            if i == j:
+                continue
+            coeff = int(rng.integers(0, 2)) * 2 - 1
+            b = current.B.copy()
+            b[j, :] += coeff * b[i, :]
+            trial = IntegerLattice(b)
+            got = consider(trial)
+            remaining -= 1
+            if got > cur:
+                current, cur = trial, got
+    _, lat, l1 = best_wr if best_wr is not None else best_any
+    report = search.SearchReport(evaluated=cfg.budget, feasible=feasible,
+                                 best_lambda1_sq=l1, best_is_wr=best_wr is not None)
+    return lat.B.tolist(), report
+
+
+def _all_hnfs(k, n):
+    """Every lower-triangular Hermite form of det n, residues 0 <= h_ij < h_ii."""
+    out = []
+    for diag in itertools.product(range(1, n + 1), repeat=k):
+        if math.prod(diag) != n:
+            continue
+        below = [(i, j) for i in range(k) for j in range(i)]
+        for res in itertools.product(*(range(diag[i]) for i, _ in below)):
+            h = np.diag(diag).astype(np.int64)
+            for (i, j), r in zip(below, res):
+                h[i, j] = r
+            out.append(h)
+    return np.array(out)
+
+
+class TestBlockEvaluation:
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.sampled_from([1, 2, 3, 4, 6]), n=st.sampled_from([1, 31, 32, 105, 256]),
+           seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 6))
+    def test_matches_enumeration_on_random_hnfs(self, k, n, seed, size):
+        rng = np.random.default_rng(seed)
+        hs = np.array([search._random_hnf(k, search._factorize(n), rng) for _ in range(size)])
+        assert search._hnf_shells(hs, n) == [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+
+    @pytest.mark.parametrize("k,n", [(2, 25), (2, 32), (3, 16), (4, 8)])
+    def test_matches_enumeration_on_every_hnf(self, monkeypatch, k, n):
+        hs = _all_hnfs(k, n)
+        expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+        assert any(rank == k for _, rank in expected)
+        # the table path alone: no per-candidate enumeration
+        monkeypatch.setattr(search, "shortest_shell", None)
+        assert search._hnf_shells(hs, n) == expected
+
+    @pytest.mark.parametrize("hill_climb", [False, True])
+    @pytest.mark.parametrize("index", [32, 256])
+    def test_matches_sequential_search(self, index, hill_climb):
+        for seed in range(4):
+            cfg = SearchConfig(k=4, target_index=index, budget=300, seed=seed,
+                               hill_climb=hill_climb)
+            assert _outcome(cfg) == _sequential_search(cfg)
+
+    def test_restarts_make_no_per_candidate_enumeration(self, monkeypatch):
+        calls = []
+        real = search.shortest_shell
+        monkeypatch.setattr(search, "shortest_shell",
+                            lambda lat, *a: calls.append(lat) or real(lat, *a))
+        _outcome(SearchConfig(k=4, target_index=256, budget=600, seed=0))
+        assert len(calls) == 1  # the seeded diagonal
+        calls.clear()
+        _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0))
+        assert calls == []
+        _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0, hill_climb=True))
+        assert len(calls) == 300  # the hill-climb trials
+
+    @pytest.mark.parametrize("k,hill_climb,digest", [
+        (16, False, "f276b5661771a05872c09569269d1b24b17393062a4c3bf8e21853df3cd0c241"),
+        (16, True, "41220e51422ad17412cec86db9521cc45c9473c336f8ac3f82aece484c538d72"),
+        (24, False, "9c4e4ad56e45f33db3b932af58d97fa78173ec06f8bcec63cdffde28d6b672b0"),
+        (24, True, "00061c8eecf7ca2692ad8048573805cbd9b65c8f76d52085094cde6d97f4598d"),
+    ], ids=["k16", "k16-climb", "k24", "k24-climb"])
+    def test_high_dimension_index_2_unchanged(self, k, hill_climb, digest):
+        # digests of the best lattice's JSON from the per-candidate search;
+        # every index-2 sublattice the sampler reaches has lambda_1^2 = 4
+        with pytest.raises(NoFeasibleCandidate) as err:
+            search_wr_sublattice(SearchConfig(k=k, target_index=2, budget=300, seed=0,
+                                              hill_climb=hill_climb))
+        assert err.value.report == search.SearchReport(
+            evaluated=300, feasible=0, best_lambda1_sq=4, best_is_wr=False)
+        assert hashlib.sha256(err.value.best.to_json().encode()).hexdigest() == digest
+
+    def test_index_factorized_once_per_search(self, monkeypatch):
+        calls = []
+        real = search._factorize
+        monkeypatch.setattr(search, "_factorize", lambda n: calls.append(n) or real(n))
+        _outcome(SearchConfig(k=4, target_index=105, budget=300, seed=0))
+        assert calls == [105]
+
+    @pytest.mark.parametrize("k,index", [(4, 10 ** 400), (1, 2 ** 62), (2, (2 ** 62 - 1) ** 2 + 1)],
+                             ids=["k4-1e400", "k1-2^62", "k2-(2^62-1)^2+1"])
+    def test_index_past_int64_rejected(self, k, index):
+        with pytest.raises(ValueError, match="int64"):
+            SearchConfig(k=k, target_index=index, budget=10, seed=0)
+
+    @pytest.mark.parametrize("k,index", [(1, 2 ** 62 - 1), (2, (2 ** 62 - 1) ** 2), (4, 2 ** 70)],
+                             ids=["k1-2^62-1", "k2-(2^62-1)^2", "k4-2^70"])
+    def test_index_with_int64_bases_accepted(self, k, index):
+        SearchConfig(k=k, target_index=index, budget=10, seed=0)
