@@ -344,8 +344,11 @@ def _validate(args: argparse.Namespace):
         if cmd != "simulate" or args.metric != "cer":
             if not args.lattices:
                 raise ValueError("--lattices is required")
-    if cmd == "bound" and args.truncation is not None and not _is_finite(args.truncation):
-        raise ValueError(f"--truncation must be finite, not {args.truncation!r}")
+    if cmd == "bound":
+        if args.truncation is not None and not _is_finite(args.truncation):
+            raise ValueError(f"--truncation must be finite, not {args.truncation!r}")
+        if args.sigma_e_sq is not None and args.snr is not None:
+            raise ValueError("give --sigma-e-sq or --snr, not both")
     if cmd == "simulate":
         if args.trials is None or args.trials < 1:
             raise ValueError("--trials must be >= 1")

@@ -9,6 +9,10 @@ with exact arbitrary-precision integer arithmetic; the minima and
 well-roundedness are defined for integer lattices only.  ``RealLattice``
 wraps a real basis and serves the Gram matrix, the volume and enumeration,
 whose radius test takes relative tolerance ``REL_TOL``.
+
+Enumeration lists one point of each pair x, -x, and the library's own
+callers read only quantities even in x; ``enumerate_shorter_than`` appends
+the negations.  Enumeration caps count points of both signs.
 """
 
 from __future__ import annotations
@@ -265,66 +269,61 @@ def volume(lat: Lattice):
 # ---------------------------------------------------------------------------
 
 def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
-    """All integer coefficient vectors z != 0 with z^T g z <= r_sq (+ slack).
+    """One integer coefficient vector z != 0 of each +-pair with
+    z^T g z <= r_sq (+ slack): the one whose last nonzero entry is positive.
 
     Layered Fincke-Pohst on the Cholesky factor of the float Gram matrix
     ``g`` (np.linalg.LinAlgError when that fails); the caller applies the
-    exact (or toleranced) radius filter afterwards.
+    exact (or toleranced) radius filter afterwards.  The levels run from the
+    last coordinate down, so the partial vector whose coefficients are all
+    zero so far (always the first) takes z_i >= 0 only; its interval is
+    symmetric about 0.  ``cap`` counts points of both signs: a level holding
+    ``total`` candidates of the half stands for 2 total - 1 candidates of
+    the full enumeration.
     """
     s = g.shape[0]
     R = np.linalg.cholesky(g).T  # upper triangular, positive diagonal
     slack = 1e-9 * max(r_sq, 1.0)
     bound = r_sq + slack
 
-    # Z holds chosen coefficients for levels s-1 .. i (one column per level,
-    # most significant first);  q holds the accumulated squared norm.
-    Z = np.zeros((1, 0), dtype=np.int64)
+    # Z holds the coefficients chosen at levels s-1 .. i, one row per level
+    # (most significant first) and one column per partial vector;  q holds
+    # the accumulated squared norm.
+    Z = np.zeros((0, 1), dtype=np.int64)
     q = np.zeros(1)
     for i in range(s - 1, -1, -1):
-        if Z.shape[0] == 0:
-            return np.zeros((0, s), dtype=np.int64)
-        if Z.shape[1]:
-            proj = Z @ R[i, i + 1:][::-1]
-        else:
-            proj = np.zeros(Z.shape[0])
+        proj = R[i, i + 1:][::-1] @ Z
         rii = R[i, i]
         rem = np.maximum(bound - q, 0.0)
         half = np.sqrt(rem) / rii
         center = -proj / rii
         lo = np.ceil(center - half - 1e-12).astype(np.int64)
         hi = np.floor(center + half + 1e-12).astype(np.int64)
+        lo[0] = 0  # the zero partial vector: one sign of each pair
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
-        if total == 0:
-            return np.zeros((0, s), dtype=np.int64)
-        if total > cap:
+        if 2 * total - 1 > cap:
             raise CapacityError(
                 f"enumeration exceeded the cap of {cap} points; "
                 "reduce the radius or raise the cap")
-        rep = np.repeat(np.arange(Z.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        zi = lo[rep] + (np.arange(total) - starts)
+        rep = np.repeat(np.arange(len(q)), counts)
+        zi = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         t = rii * zi + proj[rep]
         qn = q[rep] + t * t
-        keep = qn <= bound
-        zi = zi[keep]
-        Z = np.column_stack([Z[rep[keep]], zi]) if Z.shape[1] else zi[:, None]
-        q = qn[keep]
-    Z = Z[:, ::-1]  # back to natural coordinate order
-    return Z[np.any(Z != 0, axis=1)]
+        keep = np.flatnonzero(qn <= bound)
+        grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
+        # the indices are in range; "raise" would copy through a buffer
+        np.take(Z, rep[keep], axis=1, out=grown[:-1], mode="clip")
+        grown[-1] = zi[keep]
+        Z, q = grown, qn[keep]
+    return Z[::-1, 1:].T  # drop the zero vector; one row per point, natural order
 
 
-def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All nonzero lattice points x with 0 < ||x||^2 <= r_sq, one row per point.
-
-    Both x and -x appear.  For integer lattices the radius test is exact;
-    for real lattices it is taken with relative tolerance REL_TOL.  Raises
-    CapacityError when the point count would exceed ``cap``, and for an
-    integer lattice when the radius reaches 2^62, past which exact int64
-    norms could wrap, or when floats cannot carry its exact Gram matrix
-    through the Cholesky factorization.
-    """
-    if r_sq <= 0:
+def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """One point of each +-pair of :func:`enumerate_shorter_than`'s points,
+    the one whose last nonzero coefficient is positive; ``cap`` still counts
+    both signs."""
+    if not r_sq > 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
         if r_sq >= _INT64_NORM_LIMIT:
@@ -339,8 +338,7 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
             raise CapacityError(
                 "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
         pts = Z @ lat.B.T
-        norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-        return pts[norms <= r_sq]
+        return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
     try:
         Z = _enumerate_coefficients(gram(lat), float(r_sq), cap)
     except np.linalg.LinAlgError as exc:
@@ -348,6 +346,22 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
     pts = Z @ lat.basis.T
     norms = np.sum(pts * pts, axis=1)
     return pts[norms <= r_sq * (1.0 + REL_TOL)]
+
+
+def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """All nonzero lattice points x with 0 < ||x||^2 <= r_sq, one row per point.
+
+    Both x and -x appear: first one point of each pair, the one whose last
+    nonzero basis coefficient is positive, then their negations in the same
+    order.  For integer lattices the radius test is exact; for real
+    lattices it is taken with relative tolerance REL_TOL.  Raises
+    CapacityError when the point count would exceed ``cap``, and for an
+    integer lattice when the radius reaches 2^62, past which exact int64
+    norms could wrap, or when floats cannot carry its exact Gram matrix
+    through the Cholesky factorization.
+    """
+    half = _half_shorter_than(lat, r_sq, cap)
+    return np.concatenate([half, -half])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +394,7 @@ def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int
     _require_integer(lat)
     k = lat.k
     r = min(_min_column_norm(lat), _minkowski_radius_sq(k, abs(lat.det)))
-    pts = enumerate_shorter_than(lat, r, cap=cap)
+    pts = _half_shorter_than(lat, r, cap)
     if not len(pts):  # float rounding on an ill-conditioned Gram matrix
         raise CapacityError("enumeration lost the shortest vectors of this basis")
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
@@ -397,7 +411,7 @@ def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> Succes
     _require_integer(lat)
     r = _min_column_norm(lat)
     while True:
-        pts = enumerate_shorter_than(lat, r, cap=cap)
+        pts = _half_shorter_than(lat, r, cap)
         norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
         order = np.argsort(norms, kind="stable")
         minima = [int(norms[order[i]]) for i in independent_rows(pts[order], lat.k)]

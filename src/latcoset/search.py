@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NoFeasibleCandidate
-from .lattice import (IntegerLattice, _minkowski_radius_sq, enumerate_shorter_than,
+from .lattice import (IntegerLattice, _half_shorter_than, _minkowski_radius_sq,
                       independent_rows, shortest_shell)
 
 _PRIME_LIMIT = 10 ** 6
@@ -182,12 +182,10 @@ def _short_vectors(k: int, r: int) -> tuple[np.ndarray, list] | None:
     norm, and the (norm, start, stop) rows of each shell; None when 2Z^k has
     more than ``_TABLE_CAP`` points in that ball."""
     try:
-        pts = enumerate_shorter_than(IntegerLattice(2 * np.eye(k, dtype=np.int64)), r,
-                                     cap=_TABLE_CAP)
+        u = _half_shorter_than(IntegerLattice(2 * np.eye(k, dtype=np.int64)), r,
+                               _TABLE_CAP) // 2
     except CapacityError:
         return None
-    u = pts // 2
-    u = u[u[np.arange(len(u)), np.argmax(u != 0, axis=1)] > 0]  # first nonzero entry > 0
     norms = np.sum(u * u, axis=1)
     order = np.argsort(norms, kind="stable")
     u, norms = u[order], norms[order]

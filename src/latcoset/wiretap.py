@@ -18,8 +18,8 @@ from .channel import _real_expand, snr_to_sigma
 from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, sphere_decode)
 from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
-from .lattice import (ENUMERATION_CAP, IntegerLattice, coset_label, coset_labels,
-                      enumerate_shorter_than, label_operator, shortest_shell)
+from .lattice import (ENUMERATION_CAP, IntegerLattice, _half_shorter_than, coset_label,
+                      coset_labels, label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -314,6 +314,8 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     sublattices can change with the radius.  The integer sublattice is
     enumerated once, with an exact radius test; for 2x2 codewords (the only
     size accepted) each term is (1 + gamma ||x||^2 + gamma^2 |det X|^2)^-(n_r + 2).
+    Each term is even in x, so one point of each +-pair is enumerated and
+    the sum doubled; ``points_used`` counts both signs.
     """
     if code.map.n != 2:
         raise ValueError("the bound is implemented for 2x2 codewords only")
@@ -327,7 +329,7 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     trunc = 4.0 * fcg if truncation_r_sq is None else float(truncation_r_sq)
     if not trunc > fcg:
         raise ValueError("truncation radius must exceed the first coding gain")
-    pts = enumerate_shorter_than(code.sub, trunc, cap=cap)
+    pts = _half_shorter_than(code.sub, trunc, cap)
     norms = np.einsum("ij,ij->i", pts, pts).astype(float)
     cw = codeword_matrices(pts @ code.map.M.T, 2, 2)
     det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
@@ -335,8 +337,9 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     for sigma_e_sq in map(float, sigmas):
         for mode in modes:
             gamma = sigma_e_sq ** -2 if mode == "pow2n" else 1.0 / sigma_e_sq
-            value = float(np.sum((1.0 + gamma * norms + gamma * gamma * det_sq) ** (-(n_r + 2))))
-            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, int(pts.shape[0])))
+            value = 2.0 * float(np.sum((1.0 + gamma * norms + gamma * gamma * det_sq)
+                                       ** (-(n_r + 2))))
+            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, 2 * len(pts)))
     return reports
 
 

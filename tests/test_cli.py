@@ -261,13 +261,13 @@ class TestBound:
 
     def test_one_enumeration_per_lattice(self, capsys, monkeypatch):
         calls = []
-        real = wiretap.enumerate_shorter_than
+        real = wiretap._half_shorter_than
 
         def counted(lat, *args, **kwargs):
             calls.append(lat)
             return real(lat, *args, **kwargs)
 
-        monkeypatch.setattr(wiretap, "enumerate_shorter_than", counted)
+        monkeypatch.setattr(wiretap, "_half_shorter_than", counted)
         code, out, _ = run_cli(["bound", "--code", "alamouti", "--pam", "4",
                                 "--lattices", "L1,L2,L3", "--sigma-e-sq", "1,10,100",
                                 "--truncation", "100"], capsys)
@@ -276,6 +276,16 @@ class TestBound:
             (name, sigma, mode) for name in ["L1", "L2", "L3"]
             for sigma in ["1.0", "10.0", "100.0"] for mode in ["pow2n", "pow2"]]
         assert len(calls) == 3
+
+    def test_sigma_and_snr_together_exit_2(self, tmp_path, capsys):
+        bound = ["bound", "--code", "alamouti", "--pam", "4", "--lattices", "L1"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"snr": "0"}))
+        for argv in (bound + ["--snr", "0", "--sigma-e-sq", "1"],
+                     bound + ["--sigma-e-sq", "1", "--config", str(path)]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert "--sigma-e-sq" in err and "--snr" in err
 
     def test_capacity_exits_4(self, capsys):
         code, _, err = run_cli(["bound", "--code", "alamouti", "--pam", "4",

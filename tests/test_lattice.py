@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latcoset import (CapacityError, IntegerLattice, NotASublattice, RealLattice,
                       SingularMatrix, builtin_sublattice, coset_label,
@@ -11,7 +12,7 @@ from latcoset import (CapacityError, IntegerLattice, NotASublattice, RealLattice
                       is_well_rounded, smith_normal_form, successive_minima,
                       volume, alamouti_map)
 from latcoset.catalog import NAMES
-from latcoset.lattice import shortest_shell
+from latcoset.lattice import _half_shorter_than, shortest_shell
 
 TWO_Z4 = IntegerLattice(2 * np.eye(4, dtype=np.int64))
 
@@ -112,6 +113,63 @@ class TestEnumeration:
         lat = RealLattice(0.5 * np.eye(3))
         pts = enumerate_shorter_than(lat, 0.25)
         assert pts.shape[0] == 6
+
+
+@st.composite
+def small_bases(draw):
+    """A nonsingular k x k integer basis, k in 1..6, entries in [-3, 3]."""
+    k = draw(st.integers(1, 6))
+    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)),
+                 dtype=np.int64).reshape(k, k)
+    assume(round(np.linalg.det(b)) != 0)
+    return b
+
+
+class TestHalfEnumeration:
+    @staticmethod
+    def _check_half(half, full):
+        rows = [tuple(p) for p in half.tolist()]
+        assert not any(all(v == 0 for v in p) for p in rows)
+        assert not set(rows) & {tuple(-v for v in p) for p in rows}
+        assert len(set(rows)) == len(rows)
+        assert sorted(rows + [tuple(-v for v in p) for p in rows]) == \
+            sorted(tuple(p) for p in full.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=small_bases(), r_sq=st.integers(1, 40))
+    def test_half_and_negation_make_the_integer_enumeration(self, b, r_sq):
+        lat = IntegerLattice(b)
+        self._check_half(_half_shorter_than(lat, r_sq), enumerate_shorter_than(lat, r_sq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=small_bases(), r_sq=st.floats(0.5, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_half_and_negation_make_the_real_enumeration(self, b, r_sq, seed):
+        try:
+            lat = RealLattice(b + 0.1 * np.random.default_rng(seed).standard_normal(b.shape))
+        except ValueError:  # nearly dependent columns
+            assume(False)
+        self._check_half(_half_shorter_than(lat, r_sq), enumerate_shorter_than(lat, r_sq))
+
+    def test_public_rows_are_the_half_then_its_negation(self):
+        lat = builtin_sublattice("L2")
+        half = _half_shorter_than(lat, 48)
+        assert np.array_equal(enumerate_shorter_than(lat, 48), np.concatenate([half, -half]))
+
+    # the smallest caps that pass when both signs are enumerated: the point
+    # count plus the zero row
+    @pytest.mark.parametrize("name,r_sq,cap", [("L'2", 128, 148761), ("L1", 1000, 9717)])
+    def test_cap_counts_both_signs(self, name, r_sq, cap):
+        lat = builtin_sublattice(name)
+        assert len(enumerate_shorter_than(lat, r_sq, cap=cap)) == cap - 1
+        assert 2 * len(_half_shorter_than(lat, r_sq, cap)) == cap - 1
+        for enumerate_ in (enumerate_shorter_than, _half_shorter_than):
+            with pytest.raises(CapacityError):
+                enumerate_(lat, r_sq, cap - 1)
+
+    @pytest.mark.parametrize("r_sq", [0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, r_sq):
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_shorter_than(TWO_Z4, r_sq)
 
 
 class TestSuccessiveMinima:

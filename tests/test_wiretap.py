@@ -337,6 +337,43 @@ class TestBound:
         assert reps == [ecdp_bound_report(c, s, 40.0, 3, mode)
                         for s in sigmas for mode in modes]
 
+    @pytest.mark.parametrize("family,name", [
+        ("alamouti", "L1"), ("alamouti", "L2"), ("alamouti", "L3"),
+        ("golden", "L'1"), ("golden", "L'2"), ("golden", "L'3")])
+    def test_half_sum_matches_full_enumeration(self, family, name):
+        # oracle: the same terms summed over every point, both signs listed
+        c = coset(family, name, 4)
+        sigmas, modes = [0.3, 4.0, 100.0], ["pow2n", "pow2"]
+        reps = ecdp_bound_reports(c, sigmas, modes)
+        pts = lattice.enumerate_shorter_than(c.sub, reps[0].truncation_r_sq)
+        norms = np.sum(pts * pts, axis=1).astype(float)
+        cw = stcode.codeword_matrices(pts @ c.map.M.T, 2, 2)
+        det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
+        for rep, (sigma, mode) in zip(reps, [(s, m) for s in sigmas for m in modes]):
+            gamma = sigma ** -2 if mode == "pow2n" else 1.0 / sigma
+            value = float(np.sum((1.0 + gamma * norms + gamma ** 2 * det_sq) ** -4))
+            assert (rep.sigma_e_sq, rep.exponent_mode) == (sigma, mode)
+            assert rep.points_used == len(pts)
+            assert rep.value == pytest.approx(value, rel=1e-12)
+
+    def test_enumerates_one_point_of_each_pair(self, monkeypatch):
+        rows = []
+        real = lattice._enumerate_coefficients
+
+        def recorded(*args):
+            z = real(*args)
+            rows.append(len(z))
+            return z
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the bound enumerated both signs")
+
+        monkeypatch.setattr(lattice, "_enumerate_coefficients", recorded)
+        monkeypatch.setattr(lattice, "enumerate_shorter_than", refused)
+        rep = ecdp_bound_report(coset("golden", "L'2", 4), 1.0, truncation_r_sq=64.0)
+        # the last enumeration is the bound's; the first finds lambda_1^2
+        assert rows[-1] == rep.points_used // 2 and rep.points_used == 10408
+
     def test_only_2x2_codewords(self):
         scalar = STCodeMap(name="scalar", n=1, k=2, int_part=np.eye(2),
                            theta_part=np.zeros((2, 2)), scale_denom_sq=1)
@@ -355,14 +392,14 @@ class TestDesignReport:
     def test_one_successive_minima_computation(self, monkeypatch):
         # WR, lambda_1^2 and the coding gain come from one enumeration
         calls = []
-        real = lattice.enumerate_shorter_than
+        real = lattice._half_shorter_than
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         for module in (lattice, wiretap):
-            monkeypatch.setattr(module, "enumerate_shorter_than", counted)
+            monkeypatch.setattr(module, "_half_shorter_than", counted)
         rep = design_report(coset("golden", "L'2", 4))
         assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
         assert len(calls) == 1
