@@ -9,6 +9,7 @@ winner does not depend on evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, NoFeasibleCandidate
 from .lattice import (IntegerLattice, _half_shorter_than, _minkowski_radius_sq,
-                      independent_rows, shortest_shell)
+                      independent_rows, label_operator, shortest_shell)
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -57,6 +58,9 @@ class SearchConfig:
             raise ValueError("dimension and index must be positive")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.hill_climb and self.k < 2:
+            # every move of a 1 x 1 basis has i == j, so none spends budget
+            raise ValueError("hill climbing needs k >= 2")
         # every Hermite form of det n has a diagonal entry d >= n^(1/k), and
         # its basis holds 2d
         n, k = int(self.target_index), int(self.k)
@@ -195,43 +199,26 @@ def _short_vectors(k: int, r: int) -> tuple[np.ndarray, list] | None:
     return u, list(zip(levels.tolist(), starts.tolist(), stops.tolist()))
 
 
-def _hnf_shells(hs: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """(lambda_1^2, shell rank) of the lattice 2H for each lower-triangular
-    Hermite form H of det n (residues 0 <= h_ij < h_ii) in the stack ``hs``,
-    exactly; the values :func:`shortest_shell` gives.
+def _shell_hits(ops: np.ndarray, mods, table: tuple[np.ndarray, list]) -> list[tuple[int, int]]:
+    """(lambda_1^2, shell rank) of each lattice of a block from its
+    membership operator: 2u lies in lattice b exactly when ops[b] u = 0
+    modulo ``mods`` row by row (``mods`` broadcasts against the products,
+    block x k x vectors).
 
-    2u lies in the lattice of 2H exactly when adj(H) u = 0 (mod n), and
-    adj(H) = n H^-1 comes out of forward substitution.  The whole block is
-    tested against one table of short vectors of Z^k, a norm shell at a
-    time; a candidate leaves at its first shell with a hit, which gives
-    lambda_1^2, and the rank of its hits there is the shell rank.  The
-    table's radius is the block's largest per-candidate radius min(shortest
-    column of 2H, Minkowski ceiling), so it holds every shortest vector.
-    When the table would pass ``_TABLE_CAP``, or int64 cannot be shown to
-    hold the arithmetic, each 2H is enumerated by :func:`shortest_shell`.
+    The block is tested against the short-vector ``table`` of
+    :func:`_short_vectors` a norm shell at a time; a lattice leaves at its
+    first shell with a hit, which gives lambda_1^2, and the rank of its hits
+    there is the shell rank.  The caller makes sure the table reaches every
+    lattice's shortest vectors and that int64 holds every product sum.
     """
-    b, k = hs.shape[:2]
-    table = None
-    # |adj(H)_ij| <= 2^(k-2) n for such H, so every sum below, and every
-    # squared column norm, stays within 2^k n^2 in magnitude
-    if n * n << k <= _INT64_MAX:
-        col = int((hs * hs).sum(axis=1).min(axis=1).max())
-        table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
-    if table is None:
-        return [shortest_shell(IntegerLattice(2 * h)) for h in hs]
     u, shells = table
-    adj = np.zeros_like(hs)
-    for i in range(k):  # row i of H adj(H) = n I
-        adj[:, i] = -np.einsum("bm,bmj->bj", hs[:, i, :i], adj[:, :i])
-        adj[:, i, i] += n
-        adj[:, i] //= hs[:, i, i, None]
-    adj %= n
+    b, k = ops.shape[:2]
     out = [None] * b
     active = np.arange(b)
     for norm, start, stop in shells:
-        a, shell = adj[active], u[start:stop]
+        a, shell = ops[active], u[start:stop]
         step = max(1, _BLOCK_ELEMENTS // (len(active) * k))
-        hits = np.concatenate([np.all(a @ shell[c:c + step].T % n == 0, axis=1)
+        hits = np.concatenate([np.all(a @ shell[c:c + step].T % mods == 0, axis=1)
                                for c in range(0, len(shell), step)], axis=1)
         found = hits.any(axis=1)
         for row in np.flatnonzero(found):
@@ -240,6 +227,95 @@ def _hnf_shells(hs: np.ndarray, n: int) -> list[tuple[int, int]]:
         if not len(active):
             break
     return out
+
+
+def _hnf_shells(hs: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """(lambda_1^2, shell rank) of the lattice 2H for each lower-triangular
+    Hermite form H of det n (residues 0 <= h_ij < h_ii) in the stack ``hs``,
+    exactly; the values :func:`shortest_shell` gives.
+
+    2u lies in the lattice of 2H exactly when adj(H) u = 0 (mod n), and
+    adj(H) = n H^-1 comes out of forward substitution; :func:`_shell_hits`
+    tests the block.  The table's radius is the block's largest
+    per-candidate radius min(shortest column of 2H, Minkowski ceiling), so
+    it holds every shortest vector.  When the table would pass
+    ``_TABLE_CAP``, or int64 cannot be shown to hold the arithmetic, each 2H
+    is enumerated by :func:`shortest_shell`.
+    """
+    k = hs.shape[1]
+    table = None
+    # |adj(H)_ij| <= 2^(k-2) n for such H, so every sum below, and every
+    # squared column norm, stays within 2^k n^2 in magnitude
+    if n * n << k <= _INT64_MAX:
+        col = int((hs * hs).sum(axis=1).min(axis=1).max())
+        table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
+    if table is None:
+        return [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+    adj = np.zeros_like(hs)
+    for i in range(k):  # row i of H adj(H) = n I
+        adj[:, i] = -np.einsum("bm,bmj->bj", hs[:, i, :i], adj[:, :i])
+        adj[:, i, i] += n
+        adj[:, i] //= hs[:, i, i, None]
+    adj %= n
+    return _shell_hits(adj, n, table)
+
+
+def _climb_moves(k: int, count: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
+    """The next ``count`` hill-climb moves (i, j, f), row j += f row i; a
+    draw with i == j is skipped and costs no budget."""
+    moves = []
+    while len(moves) < count:
+        i, j = rng.integers(0, k, size=2)
+        if i == j:
+            continue
+        moves.append((int(i), int(j), int(rng.integers(0, 2)) * 2 - 1))
+    return moves
+
+
+def _moved_basis(c: np.ndarray, move: tuple[int, int, int]) -> np.ndarray:
+    """The basis E C of a hill-climb move (i, j, f): row j of C plus f times
+    row i, a left elementary operation, so the index is kept.
+
+    Exact, as :func:`_candidate_basis`, which makes the move on the columns
+    of C^T / 2: CapacityError is raised when an entry does not fit in int64.
+    """
+    return _candidate_basis((c // 2).T, ([move], [])).T
+
+
+def _climb_shells(c: np.ndarray, op: tuple[np.ndarray, np.ndarray], n: int,
+                  moves: list) -> list[tuple[int, int]]:
+    """(lambda_1^2, shell rank) of the lattice of E C for each hill-climb
+    move E in ``moves`` (see :func:`_moved_basis`), exactly; the values
+    :func:`shortest_shell` gives.
+
+    C = 2M with M of det +-n, and ``op`` is (U mod d_k, d) of M's Smith
+    form U M V = D (:func:`label_operator`).  2u lies in the lattice of 2EM
+    exactly when (U E^-1 u)_r = 0 (mod d_r) for every row r, and U E^-1 is
+    U with column i less f times column j; :func:`_shell_hits` tests the
+    block.  The table's radius is the largest min(shortest column of 2EM,
+    Minkowski ceiling) of the moves.  When U is not int64, the table would
+    pass ``_TABLE_CAP``, or int64 cannot be shown to hold the arithmetic,
+    each E C is formed and enumerated by :func:`shortest_shell`.
+    """
+    u_op, d = op
+    k = len(d)
+    m = c // 2
+    i, j, f = (np.array(x) for x in zip(*moves))
+    table = None
+    big = int(np.abs(m).max())
+    # entries of EM are at most 2 big, so every column norm below stays
+    # within (k + 4) big^2, and no E C can pass int64
+    if u_op.dtype == np.int64 and (k + 4) * big * big <= _INT64_MAX:
+        row = m[j] + f[:, None] * m[i]  # row j of each EM
+        norms = (m * m).sum(axis=0) - m[j] * m[j] + row * row
+        r = min(4 * int(norms.min(axis=1).max()), _minkowski_radius_sq(k, n << k))
+        if k * int(d[-1]) * math.isqrt(r // 4) <= _INT64_MAX:
+            table = _short_vectors(k, r)
+    if table is None:
+        return [shortest_shell(IntegerLattice(_moved_basis(c, mv))) for mv in moves]
+    ops = np.repeat(u_op[None], len(moves), axis=0)
+    ops[np.arange(len(moves)), :, i] = (u_op[:, i] - f * u_op[:, j]).T % d[-1]
+    return _shell_hits(ops, d[:, None], table)
 
 
 def _lex(basis: np.ndarray) -> tuple:
@@ -263,9 +339,13 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     are drawn in blocks and each block's shortest shells are read off the
     Hermite forms at once (:func:`_hnf_shells`).  With ``hill_climb`` half
     the budget refines the incumbent by elementary index-preserving basis
-    moves, climbing on (lambda_1^2, shell rank).  Deterministic for a fixed
-    seed.  Raises NoFeasibleCandidate when no well-rounded candidate shows
-    up; the exception carries the best non-WR lattice and the report.
+    moves, climbing on (lambda_1^2, shell rank).  The moves are drawn a
+    block at a time and evaluated against the incumbent at once
+    (:func:`_climb_shells`); after a trial is accepted the rest of its block
+    is evaluated again, so the result is that of a move-by-move climb.
+    Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
+    well-rounded candidate shows up; the exception carries the best non-WR
+    lattice and the report.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
     k, n = int(cfg.k), int(cfg.target_index)
@@ -315,18 +395,19 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
 
     if cfg.hill_climb:
         _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
+        op = label_operator(IntegerLattice(current // 2))
         while remaining > 0:
-            i, j = rng.integers(0, k, size=2)
-            if i == j:
-                continue
-            coeff = int(rng.integers(0, 2)) * 2 - 1
-            b = current.copy()
-            b[j, :] += coeff * b[i, :]  # left elementary op: same index
-            trial = IntegerLattice(b)
-            l1, rank = shortest_shell(trial)
-            consider(l1, rank, lambda: trial.B)
-            if (l1, rank) > (cur_l1, cur_rank):
-                current, cur_l1, cur_rank = trial.B, l1, rank
+            moves = _climb_moves(k, min(_BLOCK, remaining), rng)
+            done = 0
+            while done < len(moves):  # evaluated against the current incumbent
+                for move, (l1, rank) in zip(moves[done:],
+                                            _climb_shells(current, op, n, moves[done:])):
+                    done += 1
+                    consider(l1, rank, lambda c=current, mv=move: _moved_basis(c, mv))
+                    if (l1, rank) > (cur_l1, cur_rank):  # the rest is evaluated anew
+                        current, cur_l1, cur_rank = _moved_basis(current, move), l1, rank
+                        op = label_operator(IntegerLattice(current // 2))
+                        break
 
     if best_wr is not None:
         _, basis, l1, _ = best_wr

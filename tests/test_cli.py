@@ -326,6 +326,16 @@ class TestSearchCmd:
         assert "hint: lower --index\n" in err
         assert "truncation" not in err
 
+    def test_hill_climb_in_one_dimension_exits_2(self):
+        # a subprocess with a timeout, so a climb that spends no budget fails
+        # the test instead of hanging it
+        proc = subprocess.run([sys.executable, "-m", "latcoset.cli", "search", "--k", "1",
+                               "--index", "4", "--budget", "4", "--seed", "0",
+                               "--hill-climb"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "configuration error" in proc.stderr and "k >= 2" in proc.stderr
+
     def test_combined_stdout(self, capsys):
         code, out, _ = run_cli(["search", "--k", "4", "--index", "16",
                                 "--budget", "20", "--seed", "2"], capsys)

@@ -11,7 +11,7 @@ from latcoset import (IntegerLattice, NoFeasibleCandidate, SearchConfig,
                       index_in_superlattice, is_well_rounded,
                       random_sublattice_with_index, search_wr_sublattice,
                       successive_minima, volume)
-from latcoset.lattice import shortest_shell
+from latcoset.lattice import label_operator, shortest_shell
 
 
 def two_zk(k):
@@ -104,6 +104,13 @@ class TestSearch:
             SearchConfig(k=4, target_index=0, budget=10, seed=0)
         with pytest.raises(ValueError):
             SearchConfig(k=4, target_index=32, budget=0, seed=0)
+
+    def test_hill_climb_needs_two_dimensions(self):
+        # every move of a 1 x 1 basis has i == j and spends no budget
+        with pytest.raises(ValueError, match="k >= 2"):
+            SearchConfig(k=1, target_index=4, budget=4, seed=0, hill_climb=True)
+        SearchConfig(k=1, target_index=4, budget=4, seed=0)
+        SearchConfig(k=2, target_index=4, budget=4, seed=0, hill_climb=True)
 
 
 def _outcome(cfg):
@@ -198,6 +205,35 @@ class TestBlockEvaluation:
         monkeypatch.setattr(search, "shortest_shell", None)
         assert search._hnf_shells(hs, n) == expected
 
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4, 6]), n=st.sampled_from([1, 31, 32, 105, 256]),
+           seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 8),
+           climbed=st.integers(0, 6))
+    def test_climb_matches_enumeration_on_random_moves(self, k, n, seed, size, climbed):
+        rng = np.random.default_rng(seed)
+        c = random_sublattice_with_index(k, n, rng).B
+        for mv in search._climb_moves(k, climbed, rng):  # an incumbent past a few climbs
+            c = search._moved_basis(c, mv)
+        moves = search._climb_moves(k, size, rng)
+        expected = [shortest_shell(IntegerLattice(search._moved_basis(c, mv)))
+                    for mv in moves]
+        op = label_operator(IntegerLattice(c // 2))
+        assert search._climb_shells(c, op, n, moves) == expected
+
+    @pytest.mark.parametrize("k,n", [(2, 32), (3, 105), (4, 32), (4, 256), (6, 105)])
+    def test_climb_matches_enumeration_on_every_move(self, monkeypatch, k, n):
+        rng = np.random.default_rng(k * n)
+        moves = [(i, j, f) for i in range(k) for j in range(k) if i != j for f in (-1, 1)]
+        for _ in range(3):
+            c = random_sublattice_with_index(k, n, rng).B
+            expected = [shortest_shell(IntegerLattice(search._moved_basis(c, mv)))
+                        for mv in moves]
+            op = label_operator(IntegerLattice(c // 2))
+            # the table path alone: no per-trial enumeration
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "shortest_shell", None)
+                assert search._climb_shells(c, op, n, moves) == expected
+
     @pytest.mark.parametrize("hill_climb", [False, True])
     @pytest.mark.parametrize("index", [32, 256])
     def test_matches_sequential_search(self, index, hill_climb):
@@ -205,6 +241,28 @@ class TestBlockEvaluation:
             cfg = SearchConfig(k=4, target_index=index, budget=300, seed=seed,
                                hill_climb=hill_climb)
             assert _outcome(cfg) == _sequential_search(cfg)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_long_climb_matches_sequential_search(self, monkeypatch, k):
+        # budget 1100 gives the climb 550 moves, three blocks; at k = 6 seeds
+        # 0 and 2 accept a trial mid-block, so the rest of that block is
+        # evaluated again against the new incumbent
+        evaluated = []
+        real = search._climb_shells
+        monkeypatch.setattr(search, "_climb_shells",
+                            lambda c, op, n, moves: evaluated.append(len(moves))
+                            or real(c, op, n, moves))
+        reevaluated = 0
+        for seed in range(3):
+            evaluated.clear()
+            cfg = SearchConfig(k=k, target_index=105, budget=1100, seed=seed,
+                               hill_climb=True)
+            assert _outcome(cfg) == _sequential_search(cfg)
+            blocks = math.ceil(550 / search._BLOCK)
+            assert len(evaluated) >= blocks
+            reevaluated += len(evaluated) - blocks
+        if k == 6:
+            assert reevaluated > 0
 
     def test_restarts_make_no_per_candidate_enumeration(self, monkeypatch):
         calls = []
@@ -217,7 +275,7 @@ class TestBlockEvaluation:
         _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0))
         assert calls == []
         _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0, hill_climb=True))
-        assert len(calls) == 300  # the hill-climb trials
+        assert calls == []  # the hill-climb trials are evaluated in blocks too
 
     @pytest.mark.parametrize("k,hill_climb,digest", [
         (16, False, "f276b5661771a05872c09569269d1b24b17393062a4c3bf8e21853df3cd0c241"),
