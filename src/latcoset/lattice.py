@@ -555,8 +555,11 @@ def coset_label(t, sub: IntegerLattice) -> tuple:
     """Residue label of t modulo the sublattice: (U t) mod diag(D).
 
     Two vectors get the same label iff their difference lies in ``sub``;
-    the number of distinct labels equals |det sub.B|.
+    the number of distinct labels equals |det sub.B|.  Raises ValueError
+    for a non-integer coordinate.
     """
+    if any(x % 1 for x in t):
+        raise ValueError("coset labels need integer coordinates")
     tv = [int(x) for x in t]
     if len(tv) != sub.k:
         raise ValueError("vector length does not match the lattice dimension")

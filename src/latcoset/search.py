@@ -1,15 +1,16 @@
 """Randomized search for well-rounded sublattices of 2Z^k with a given index.
 
 Candidates are sampled in Hermite normal form (lower triangular, diagonal
-product equal to the target index, residues reduced), which reaches every
-sublattice of that index.  Feasible means well-rounded; candidates are
-ranked by their shortest-vector norm with a lexicographic tie-break so the
-winner does not depend on evaluation order.
+product equal to the target index, residues reduced).  That reaches every
+sublattice of the index when the index factors fully below ``_PRIME_LIMIT``;
+a cofactor left composite past it is never split across the diagonal, so
+the sublattices that split it are never drawn.  Feasible means
+well-rounded; candidates are ranked by their shortest-vector norm with a
+lexicographic tie-break so the winner does not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, NoFeasibleCandidate
 from .lattice import (IntegerLattice, _half_shorter_than, _minkowski_radius_sq,
-                      independent_rows, label_operator, shortest_shell)
+                      independent_rows, shortest_shell)
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -172,7 +173,9 @@ def random_sublattice_with_index(k: int, n: int, rng: np.random.Generator) -> In
 
     Sampled as 2 H V with H a random Hermite-form matrix of determinant n
     and V a small random unimodular matrix.  Sampling is not uniform over
-    sublattices, only a heuristic that reaches all of them.
+    sublattices, only a heuristic that reaches all of them, except where
+    n keeps a composite cofactor past ``_PRIME_LIMIT`` after trial division:
+    that cofactor always lands whole on one diagonal entry.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -199,11 +202,10 @@ def _short_vectors(k: int, r: int) -> tuple[np.ndarray, list] | None:
     return u, list(zip(levels.tolist(), starts.tolist(), stops.tolist()))
 
 
-def _shell_hits(ops: np.ndarray, mods, table: tuple[np.ndarray, list]) -> list[tuple[int, int]]:
+def _shell_hits(ops: np.ndarray, n: int, table: tuple[np.ndarray, list]) -> list[tuple[int, int]]:
     """(lambda_1^2, shell rank) of each lattice of a block from its
     membership operator: 2u lies in lattice b exactly when ops[b] u = 0
-    modulo ``mods`` row by row (``mods`` broadcasts against the products,
-    block x k x vectors).
+    (mod n).
 
     The block is tested against the short-vector ``table`` of
     :func:`_short_vectors` a norm shell at a time; a lattice leaves at its
@@ -218,7 +220,7 @@ def _shell_hits(ops: np.ndarray, mods, table: tuple[np.ndarray, list]) -> list[t
     for norm, start, stop in shells:
         a, shell = ops[active], u[start:stop]
         step = max(1, _BLOCK_ELEMENTS // (len(active) * k))
-        hits = np.concatenate([np.all(a @ shell[c:c + step].T % mods == 0, axis=1)
+        hits = np.concatenate([np.all(a @ shell[c:c + step].T % n == 0, axis=1)
                                for c in range(0, len(shell), step)], axis=1)
         found = hits.any(axis=1)
         for row in np.flatnonzero(found):
@@ -229,35 +231,54 @@ def _shell_hits(ops: np.ndarray, mods, table: tuple[np.ndarray, list]) -> list[t
     return out
 
 
-def _hnf_shells(hs: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """(lambda_1^2, shell rank) of the lattice 2H for each lower-triangular
-    Hermite form H of det n (residues 0 <= h_ij < h_ii) in the stack ``hs``,
-    exactly; the values :func:`shortest_shell` gives.
+def _adjugates(ms: np.ndarray) -> np.ndarray:
+    """+-adj(M) for each nonsingular M of the stack: fraction-free
+    Gauss-Jordan elimination of [M | I] with row pivoting (Bareiss 1968).
+    Entries stay minors of the row-permuted [M | I] and products within the
+    square of the largest, which the caller bounds; the sign is that of the
+    row permutation."""
+    b, k = ms.shape[:2]
+    a = np.concatenate([ms, np.broadcast_to(np.eye(k, dtype=np.int64), ms.shape)], axis=2)
+    prev = np.ones((b, 1, 1), dtype=np.int64)
+    for s in range(k):
+        pivot = s + np.argmax(a[:, s:, s] != 0, axis=1)
+        moved = np.flatnonzero(pivot != s)
+        if len(moved):
+            a[moved, s], a[moved, pivot[moved]] = a[moved, pivot[moved]], a[moved, s]
+        row = a[:, s, s:].copy()
+        p = row[:, :1, None]
+        a[:, :, s:] = (p * a[:, :, s:] - a[:, :, s, None] * row[:, None]) // prev
+        a[:, s, s:] = row
+        prev = p
+    return a[:, :, k:]
 
-    2u lies in the lattice of 2H exactly when adj(H) u = 0 (mod n), and
-    adj(H) = n H^-1 comes out of forward substitution; :func:`_shell_hits`
-    tests the block.  The table's radius is the block's largest
-    per-candidate radius min(shortest column of 2H, Minkowski ceiling), so
-    it holds every shortest vector.  When the table would pass
-    ``_TABLE_CAP``, or int64 cannot be shown to hold the arithmetic, each 2H
-    is enumerated by :func:`shortest_shell`.
+
+def _block_shells(ms: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """(lambda_1^2, shell rank) of the lattice 2M for each integer basis M
+    of |det M| = n in the stack ``ms``, exactly; the values
+    :func:`shortest_shell` gives.
+
+    2u lies in the lattice of 2M exactly when adj(M) u = 0 (mod n)
+    (:func:`_adjugates`, :func:`_shell_hits`).  The table's radius is the
+    block's largest min(shortest column of 2M, Minkowski ceiling), so it
+    holds every shortest vector.  Each 2M is enumerated by
+    :func:`shortest_shell` instead when the table would pass ``_TABLE_CAP``
+    or int64 cannot be shown to hold the arithmetic.
     """
-    k = hs.shape[1]
+    k = ms.shape[1]
+    sq = ms.astype(float) ** 2
+    # Hadamard: h^2, the smaller product of M's squared row or column norms,
+    # bounds every squared minor of [M | I], so elimination stays within h^2,
+    # column norms within k h^2 and membership sums within k^1.5 h^2 (table
+    # vectors are no longer than a column); float error is far below 2x
+    h_sq = np.minimum(sq.sum(axis=2).prod(axis=1), sq.sum(axis=1).prod(axis=1)).max()
     table = None
-    # |adj(H)_ij| <= 2^(k-2) n for such H, so every sum below, and every
-    # squared column norm, stays within 2^k n^2 in magnitude
-    if n * n << k <= _INT64_MAX:
-        col = int((hs * hs).sum(axis=1).min(axis=1).max())
+    if k * k * h_sq < 2.0 ** 62:
+        col = int((ms * ms).sum(axis=1).min(axis=1).max())
         table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
     if table is None:
-        return [shortest_shell(IntegerLattice(2 * h)) for h in hs]
-    adj = np.zeros_like(hs)
-    for i in range(k):  # row i of H adj(H) = n I
-        adj[:, i] = -np.einsum("bm,bmj->bj", hs[:, i, :i], adj[:, :i])
-        adj[:, i, i] += n
-        adj[:, i] //= hs[:, i, i, None]
-    adj %= n
-    return _shell_hits(adj, n, table)
+        return [shortest_shell(IntegerLattice(2 * m)) for m in ms]
+    return _shell_hits(_adjugates(ms) % n, n, table)
 
 
 def _climb_moves(k: int, count: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
@@ -272,50 +293,18 @@ def _climb_moves(k: int, count: int, rng: np.random.Generator) -> list[tuple[int
     return moves
 
 
-def _moved_basis(c: np.ndarray, move: tuple[int, int, int]) -> np.ndarray:
-    """The basis E C of a hill-climb move (i, j, f): row j of C plus f times
-    row i, a left elementary operation, so the index is kept.
-
-    Exact, as :func:`_candidate_basis`, which makes the move on the columns
-    of C^T / 2: CapacityError is raised when an entry does not fit in int64.
-    """
-    return _candidate_basis((c // 2).T, ([move], [])).T
-
-
-def _climb_shells(c: np.ndarray, op: tuple[np.ndarray, np.ndarray], n: int,
-                  moves: list) -> list[tuple[int, int]]:
-    """(lambda_1^2, shell rank) of the lattice of E C for each hill-climb
-    move E in ``moves`` (see :func:`_moved_basis`), exactly; the values
-    :func:`shortest_shell` gives.
-
-    C = 2M with M of det +-n, and ``op`` is (U mod d_k, d) of M's Smith
-    form U M V = D (:func:`label_operator`).  2u lies in the lattice of 2EM
-    exactly when (U E^-1 u)_r = 0 (mod d_r) for every row r, and U E^-1 is
-    U with column i less f times column j; :func:`_shell_hits` tests the
-    block.  The table's radius is the largest min(shortest column of 2EM,
-    Minkowski ceiling) of the moves.  When U is not int64, the table would
-    pass ``_TABLE_CAP``, or int64 cannot be shown to hold the arithmetic,
-    each E C is formed and enumerated by :func:`shortest_shell`.
-    """
-    u_op, d = op
-    k = len(d)
-    m = c // 2
+def _climb_trials(m: np.ndarray, moves: list) -> np.ndarray:
+    """The stack of E M for the hill-climb moves E = (i, j, f) of the
+    incumbent 2M, row j += f row i, which keeps the index.  The entries of
+    2M fit in int64, so no row sum wraps; CapacityError is raised when an
+    entry of some 2EM does not fit."""
     i, j, f = (np.array(x) for x in zip(*moves))
-    table = None
-    big = int(np.abs(m).max())
-    # entries of EM are at most 2 big, so every column norm below stays
-    # within (k + 4) big^2, and no E C can pass int64
-    if u_op.dtype == np.int64 and (k + 4) * big * big <= _INT64_MAX:
-        row = m[j] + f[:, None] * m[i]  # row j of each EM
-        norms = (m * m).sum(axis=0) - m[j] * m[j] + row * row
-        r = min(4 * int(norms.min(axis=1).max()), _minkowski_radius_sq(k, n << k))
-        if k * int(d[-1]) * math.isqrt(r // 4) <= _INT64_MAX:
-            table = _short_vectors(k, r)
-    if table is None:
-        return [shortest_shell(IntegerLattice(_moved_basis(c, mv))) for mv in moves]
-    ops = np.repeat(u_op[None], len(moves), axis=0)
-    ops[np.arange(len(moves)), :, i] = (u_op[:, i] - f * u_op[:, j]).T % d[-1]
-    return _shell_hits(ops, d[:, None], table)
+    rows = m[j] + f[:, None] * m[i]
+    if np.abs(rows).max() > _INT64_MAX // 2:
+        raise CapacityError("a candidate basis entry does not fit in int64")
+    trials = np.repeat(m[None], len(moves), axis=0)
+    trials[np.arange(len(moves)), j] = rows
+    return trials
 
 
 def _lex(basis: np.ndarray) -> tuple:
@@ -335,14 +324,14 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
 
     Spends the budget on random Hermite-form restarts (seeded with the
     balanced diagonal lattice when the index is a perfect k-th power),
-    keeping the well-rounded candidate with maximal lambda_1^2.  Restarts
-    are drawn in blocks and each block's shortest shells are read off the
-    Hermite forms at once (:func:`_hnf_shells`).  With ``hill_climb`` half
-    the budget refines the incumbent by elementary index-preserving basis
-    moves, climbing on (lambda_1^2, shell rank).  The moves are drawn a
-    block at a time and evaluated against the incumbent at once
-    (:func:`_climb_shells`); after a trial is accepted the rest of its block
-    is evaluated again, so the result is that of a move-by-move climb.
+    keeping the well-rounded candidate with maximal lambda_1^2.  With
+    ``hill_climb`` half the budget refines the incumbent by elementary
+    index-preserving basis moves, climbing on (lambda_1^2, shell rank).
+    Restarts and moves are drawn a block at a time and each block's
+    shortest shells are found at once (:func:`_block_shells`), restarts on
+    their Hermite forms and moves on the trial bases; after a trial is
+    accepted the rest of its block is evaluated again, so the result is
+    that of a move-by-move climb.
     Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
     well-rounded candidate shows up; the exception carries the best non-WR
     lattice and the report.
@@ -389,24 +378,23 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     for start in range(0, restart_budget, _BLOCK):
         draws = [(_random_hnf(k, factors, rng), _random_unimodular(k, rng))
                  for _ in range(min(_BLOCK, restart_budget - start))]
-        shells = _hnf_shells(np.array([h for h, _ in draws]), n)
+        shells = _block_shells(np.array([h for h, _ in draws]), n)
         for (h, v), (l1, rank) in zip(draws, shells):
             consider(l1, rank, lambda h=h, v=v: _candidate_basis(h, v))
 
     if cfg.hill_climb:
         _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
-        op = label_operator(IntegerLattice(current // 2))
+        m = current // 2
         while remaining > 0:
             moves = _climb_moves(k, min(_BLOCK, remaining), rng)
             done = 0
             while done < len(moves):  # evaluated against the current incumbent
-                for move, (l1, rank) in zip(moves[done:],
-                                            _climb_shells(current, op, n, moves[done:])):
+                trials = _climb_trials(m, moves[done:])
+                for trial, (l1, rank) in zip(trials, _block_shells(trials, n)):
                     done += 1
-                    consider(l1, rank, lambda c=current, mv=move: _moved_basis(c, mv))
+                    consider(l1, rank, lambda trial=trial: 2 * trial)
                     if (l1, rank) > (cur_l1, cur_rank):  # the rest is evaluated anew
-                        current, cur_l1, cur_rank = _moved_basis(current, move), l1, rank
-                        op = label_operator(IntegerLattice(current // 2))
+                        m, cur_l1, cur_rank = trial, l1, rank
                         break
 
     if best_wr is not None:

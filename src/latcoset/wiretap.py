@@ -98,12 +98,12 @@ def rates(code: CosetCode) -> RateReport:
 def message_of(code: CosetCode, z) -> tuple:
     """Coset label of a signaling word; equal labels mean equal messages.
 
-    z must lie on the alphabet grid.  Labels of z and z' coincide exactly
-    when z - z' is a sublattice vector.
+    z must lie on the alphabet grid (odd integers, ValueError otherwise).
+    Labels of z and z' coincide exactly when z - z' is a sublattice vector.
     """
     zv = np.asarray(z)
     syms = code.alphabet.symbols
-    if zv.shape != (code.map.k,) or np.any(np.abs(zv) > syms[-1]) or np.any(zv % 2 == 0):
+    if zv.shape != (code.map.k,) or np.any(np.abs(zv) > syms[-1]) or np.any(zv % 2 != 1):
         raise ValueError("invalid symbol vector for this alphabet")
     t = (zv.astype(np.int64) - 1) // 2
     return coset_label(t, code.half_sub)
@@ -117,6 +117,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if (isinstance(successes, bool) or not isinstance(successes, (int, np.integer))
+            or not 0 <= successes <= trials):
+        raise ValueError("successes must be an integer in [0, trials]")
     z2 = _WILSON_Z * _WILSON_Z
     p = successes / trials
     denom = 1.0 + z2 / trials

@@ -335,6 +335,13 @@ class TestCosetLabel:
         sub = IntegerLattice(np.diag([4, 2, 2, 2]))
         assert coset_label([4, 0, 0, 0], sub) == coset_label([0, 0, 0, 0], sub)
 
+    def test_non_integer_coordinates_rejected(self):
+        sub = IntegerLattice(np.diag([4, 2, 2, 2]))
+        for t in ([1.7, 0, 0, 0], [0, 0, 0, -0.5], [np.inf, 0, 0, 0], [np.nan, 0, 0, 0]):
+            with pytest.raises(ValueError, match="integer"):
+                coset_label(t, sub)
+        assert coset_label(np.array([5.0, 0, 0, 0]), sub) == coset_label([5, 0, 0, 0], sub)
+
     def test_inner_l2_box_partition(self):
         sub = IntegerLattice(builtin_sublattice("L2").B // 2)
         from collections import Counter

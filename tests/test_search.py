@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latcoset.search as search
-from latcoset import (IntegerLattice, NoFeasibleCandidate, SearchConfig,
+from latcoset import (CapacityError, IntegerLattice, NoFeasibleCandidate, SearchConfig,
                       index_in_superlattice, is_well_rounded,
                       random_sublattice_with_index, search_wr_sublattice,
                       successive_minima, volume)
-from latcoset.lattice import label_operator, shortest_shell
+from latcoset.cli import main as cli_main
+from latcoset.lattice import shortest_shell
 
 
 def two_zk(k):
@@ -194,7 +196,7 @@ class TestBlockEvaluation:
     def test_matches_enumeration_on_random_hnfs(self, k, n, seed, size):
         rng = np.random.default_rng(seed)
         hs = np.array([search._random_hnf(k, search._factorize(n), rng) for _ in range(size)])
-        assert search._hnf_shells(hs, n) == [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+        assert search._block_shells(hs, n) == [shortest_shell(IntegerLattice(2 * h)) for h in hs]
 
     @pytest.mark.parametrize("k,n", [(2, 25), (2, 32), (3, 16), (4, 8)])
     def test_matches_enumeration_on_every_hnf(self, monkeypatch, k, n):
@@ -203,7 +205,7 @@ class TestBlockEvaluation:
         assert any(rank == k for _, rank in expected)
         # the table path alone: no per-candidate enumeration
         monkeypatch.setattr(search, "shortest_shell", None)
-        assert search._hnf_shells(hs, n) == expected
+        assert search._block_shells(hs, n) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(k=st.sampled_from([2, 3, 4, 6]), n=st.sampled_from([1, 31, 32, 105, 256]),
@@ -211,28 +213,71 @@ class TestBlockEvaluation:
            climbed=st.integers(0, 6))
     def test_climb_matches_enumeration_on_random_moves(self, k, n, seed, size, climbed):
         rng = np.random.default_rng(seed)
-        c = random_sublattice_with_index(k, n, rng).B
+        m = random_sublattice_with_index(k, n, rng).B // 2
         for mv in search._climb_moves(k, climbed, rng):  # an incumbent past a few climbs
-            c = search._moved_basis(c, mv)
-        moves = search._climb_moves(k, size, rng)
-        expected = [shortest_shell(IntegerLattice(search._moved_basis(c, mv)))
-                    for mv in moves]
-        op = label_operator(IntegerLattice(c // 2))
-        assert search._climb_shells(c, op, n, moves) == expected
+            m = search._climb_trials(m, [mv])[0]
+        trials = search._climb_trials(m, search._climb_moves(k, size, rng))
+        expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
+        assert search._block_shells(trials, n) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 32), (3, 105), (4, 32), (4, 256), (6, 105)])
     def test_climb_matches_enumeration_on_every_move(self, monkeypatch, k, n):
         rng = np.random.default_rng(k * n)
         moves = [(i, j, f) for i in range(k) for j in range(k) if i != j for f in (-1, 1)]
         for _ in range(3):
-            c = random_sublattice_with_index(k, n, rng).B
-            expected = [shortest_shell(IntegerLattice(search._moved_basis(c, mv)))
-                        for mv in moves]
-            op = label_operator(IntegerLattice(c // 2))
+            trials = search._climb_trials(random_sublattice_with_index(k, n, rng).B // 2, moves)
+            expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
             # the table path alone: no per-trial enumeration
             with monkeypatch.context() as patch:
                 patch.setattr(search, "shortest_shell", None)
-                assert search._climb_shells(c, op, n, moves) == expected
+                assert search._block_shells(trials, n) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_matches_enumeration_on_non_hermite_stacks(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        for n in [1, 32, 105, 256]:
+            ms = [random_sublattice_with_index(k, n, rng).B // 2 for _ in range(20)]  # 2HV / 2
+            for _ in range(5 if k > 1 else 0):
+                h = search._random_hnf(k, search._factorize(n), rng)
+                h[-1, 0] = 0
+                ms.append(h[::-1])  # a zero leading entry, so rows are pivoted
+            ms = np.array(ms)
+            expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
+            assert search._block_shells(ms, n) == expected
+            with monkeypatch.context() as patch:  # the table path alone
+                patch.setattr(search, "shortest_shell", None)
+                assert search._block_shells(ms, n) == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_past_hadamard_bound_falls_back(self, monkeypatch, k):
+        def hadamard_sq(m):
+            return min(math.prod(sum(x * x for x in r) for r in m.tolist()),
+                       math.prod(sum(x * x for x in c) for c in m.T.tolist()))
+
+        for n in [32, 105, 256]:
+            # grow a Hermite form by index-preserving row moves until k^2 h^2
+            # first reaches 2^62
+            under = search._random_hnf(k, search._factorize(n), np.random.default_rng(k))
+            s = 0
+            while k * k * hadamard_sq(past := search._climb_trials(
+                    under, [(s % k, (s + 1) % k, 1)])[0]) < 1 << 62:
+                under, s = past, s + 1
+            expected = [shortest_shell(IntegerLattice(2 * m)) for m in (under, past)]
+            calls = []
+            real = search.shortest_shell
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "shortest_shell",
+                              lambda lat: calls.append(lat) or real(lat))
+                assert search._block_shells(under[None], n) == expected[:1]
+                assert calls == []
+                assert search._block_shells(past[None], n) == expected[1:]
+                assert len(calls) == 1
+
+    def test_climb_trial_past_int64_raises(self):
+        m = np.array([[2 ** 61, 0], [2 ** 61, 1]], dtype=np.int64)
+        assert search._climb_trials(m, [(1, 0, -1)])[0].tolist() == [[0, -1], [2 ** 61, 1]]
+        with pytest.raises(CapacityError, match="int64"):
+            search._climb_trials(m, [(1, 0, -1), (0, 1, 1)])
 
     @pytest.mark.parametrize("hill_climb", [False, True])
     @pytest.mark.parametrize("index", [32, 256])
@@ -248,10 +293,9 @@ class TestBlockEvaluation:
         # 0 and 2 accept a trial mid-block, so the rest of that block is
         # evaluated again against the new incumbent
         evaluated = []
-        real = search._climb_shells
-        monkeypatch.setattr(search, "_climb_shells",
-                            lambda c, op, n, moves: evaluated.append(len(moves))
-                            or real(c, op, n, moves))
+        real = search._climb_trials
+        monkeypatch.setattr(search, "_climb_trials",
+                            lambda m, moves: evaluated.append(len(moves)) or real(m, moves))
         reevaluated = 0
         for seed in range(3):
             evaluated.clear()
@@ -292,6 +336,26 @@ class TestBlockEvaluation:
         assert err.value.report == search.SearchReport(
             evaluated=300, feasible=0, best_lambda1_sq=4, best_is_wr=False)
         assert hashlib.sha256(err.value.best.to_json().encode()).hexdigest() == digest
+
+    def test_cli_outputs_pinned(self, capsys):
+        # the table path (exits 0 and 1), the table-cap fallback (k = 3 at
+        # 10^5), the int64 fallback (k = 3 at 10^9; both at k = 2 past 10^6)
+        # and exit 4; the digest was taken before the block kernel replaced
+        # the Hermite-only and Smith-form evaluators
+        runs = []
+        for k, index, budget, climb in [(4, 32, 400, False), (4, 32, 400, True),
+                                        (4, 105, 400, True), (6, 8, 400, True),
+                                        (3, 10 ** 5, 300, True), (3, 10 ** 9, 300, True),
+                                        (2, 1000003, 300, True), (2, 2 ** 31 - 1, 300, False),
+                                        (4, 999983000003, 300, False)]:
+            argv = ["search", "--k", str(k), "--index", str(index), "--budget", str(budget),
+                    "--seed", "0"] + ["--hill-climb"] * climb
+            code = cli_main(argv)
+            out = capsys.readouterr()
+            runs.append([argv, code, out.out, out.err])
+        assert [code for _, code, _, _ in runs] == [0, 0, 1, 1, 1, 0, 1, 4, 4]
+        assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == (
+            "0b1ba8421f283e3fdad5e7b160efd9194ee5340e600003206f60c719108f4f8f")
 
     def test_index_factorized_once_per_search(self, monkeypatch):
         calls = []

@@ -98,6 +98,10 @@ class TestMessageOf:
             message_of(c, np.array([2, 1, 1, 1]))  # even
         with pytest.raises(ValueError):
             message_of(c, np.array([5, 1, 1, 1]))  # out of range
+        for z in ([1.5, 1, 1, 1], [1, 1, 1, 3.25], [np.nan, 1, 1, 1]):  # off the grid
+            with pytest.raises(ValueError):
+                message_of(c, np.array(z))
+        assert message_of(c, np.array([3.0, 1, 1, -1])) == message_of(c, np.array([3, 1, 1, -1]))
 
 
 class TestWilson:
@@ -113,7 +117,14 @@ class TestWilson:
         lo, hi = wilson_interval(1024, 1024)
         assert lo <= 1.0 <= hi
 
+    @pytest.mark.parametrize("successes,trials", [(5, 3), (-1, 10), (2.5, 10), (True, 10),
+                                                  (np.float64(3), 10)])
+    def test_invalid_successes_rejected(self, successes, trials):
+        with pytest.raises(ValueError, match="successes"):
+            wilson_interval(successes, trials)
+
     def test_known_value(self):
+        assert wilson_interval(np.int64(10), 100) == wilson_interval(10, 100)
         lo, hi = wilson_interval(10, 100)
         assert lo == pytest.approx(0.0552, abs=2e-4)
         assert hi == pytest.approx(0.1744, abs=2e-4)
