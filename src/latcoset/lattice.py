@@ -109,6 +109,68 @@ def independent_rows(rows, limit: int | None = None) -> list[int]:
     return kept
 
 
+def _integral_lll(vectors: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """LLL-reduce (delta = 3/4) independent integer vectors exactly, on
+    Python integers: de Weger's integral LLL (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Algorithm 2.6.7).
+
+    Returns the reduced vectors, which span the same lattice, and d with
+    d[i] the Gram determinant of the first i of them, so the i-th
+    Gram-Schmidt vector has squared norm d[i] / d[i - 1].
+    """
+    b = [None] + [list(v) for v in vectors]  # 1-based, as in Cohen
+    n = len(vectors)
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]  # lam[k][j] = d[j] mu_kj
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])  # nearest integer
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        new = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k]
+        d[k - 1] = new
+
+    if n:
+        d[1] = dot(b[1], b[1])
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:  # Gram-Schmidt data of the next vector
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:  # Lovasz fails
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return b[1:], d
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -319,6 +381,47 @@ def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
     return Z[::-1, 1:].T  # drop the zero vector; one row per point, natural order
 
 
+def _reduced_head(lat: IntegerLattice, r_sq: int) -> np.ndarray:
+    """Columns spanning every point of ``lat`` of norm <= r_sq: the head of
+    its exactly LLL-reduced basis (:func:`_integral_lll`).
+
+    A point's last nonzero coefficient in the reduced basis picks a
+    Gram-Schmidt vector no longer than the point, so trailing vectors whose
+    Gram-Schmidt norm exceeds r_sq take coefficient 0 and are dropped.
+    CapacityError is raised when a head column's norm reaches 2^62.
+    """
+    b, d = _integral_lll(lat.B.T.tolist())
+    j = len(b)
+    while j and d[j] > r_sq * d[j - 1]:
+        j -= 1
+    if any(sum(x * x for x in v) >= _INT64_NORM_LIMIT for v in b[:j]):
+        raise CapacityError("a reduced basis vector is beyond exact int64 norms (2^62)")
+    return np.array(b[:j], dtype=np.int64).reshape(j, lat.k).T
+
+
+class _GramPastFloats(CapacityError):
+    """The exact Gram matrix of a basis has entries that floats cannot hold."""
+
+
+def _integer_half(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
+    """The points of norm <= r_sq of the integer lattice spanned by the
+    independent columns of ``basis``, one of each +-pair: the one whose last
+    nonzero coefficient is positive.  The radius test is exact."""
+    if r_sq >= _INT64_NORM_LIMIT:
+        raise CapacityError(f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
+    b = basis.astype(object)
+    g = b.T @ b
+    if any(float(x) != x for x in g.flat):
+        raise _GramPastFloats("the Gram matrix has entries that floats cannot hold exactly")
+    try:  # norms are integers: half a unit of float margin loses no shell
+        Z = _enumerate_coefficients(g.astype(float), float(r_sq) + 0.5, cap)
+    except np.linalg.LinAlgError as exc:
+        raise CapacityError(
+            "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
+    pts = Z @ basis.T
+    return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
+
+
 def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """One point of each +-pair of :func:`enumerate_shorter_than`'s points,
     the one whose last nonzero coefficient is positive; ``cap`` still counts
@@ -326,19 +429,7 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     if not r_sq > 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
-        if r_sq >= _INT64_NORM_LIMIT:
-            raise CapacityError(
-                f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
-        g = gram(lat)
-        if any(float(x) != x for x in g.flat):
-            raise CapacityError("the Gram matrix has entries that floats cannot hold exactly")
-        try:  # norms are integers: half a unit of float margin loses no shell
-            Z = _enumerate_coefficients(g.astype(float), float(r_sq) + 0.5, cap)
-        except np.linalg.LinAlgError as exc:
-            raise CapacityError(
-                "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
-        pts = Z @ lat.B.T
-        return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
+        return _integer_half(lat.B, r_sq, cap)
     try:
         Z = _enumerate_coefficients(gram(lat), float(r_sq), cap)
     except np.linalg.LinAlgError as exc:
@@ -379,8 +470,8 @@ def _require_integer(lat) -> None:
         raise TypeError(f"expected an IntegerLattice, got {type(lat).__name__}")
 
 
-def _min_column_norm(lat: IntegerLattice) -> int:
-    return min(sum(x * x for x in col) for col in lat.B.T.tolist())
+def _min_column_norm(basis: np.ndarray) -> int:
+    return min(sum(x * x for x in col) for col in basis.T.tolist())
 
 
 def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
@@ -388,13 +479,19 @@ def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int
 
     One enumeration at the smaller of the shortest basis column's squared
     norm and the ceiling of Minkowski's first-theorem bound, since each
-    radius holds a shortest vector.  The lattice is well-rounded exactly
-    when the rank is k.
+    radius holds a shortest vector.  A basis whose Gram matrix floats cannot
+    hold is reduced exactly first, and the head of the reduced basis
+    (:func:`_reduced_head`) is enumerated up to its shortest column.  The
+    lattice is well-rounded exactly when the rank is k.
     """
     _require_integer(lat)
     k = lat.k
-    r = min(_min_column_norm(lat), _minkowski_radius_sq(k, abs(lat.det)))
-    pts = _half_shorter_than(lat, r, cap)
+    r = min(_min_column_norm(lat.B), _minkowski_radius_sq(k, abs(lat.det)))
+    try:
+        pts = _half_shorter_than(lat, r, cap)
+    except _GramPastFloats:
+        head = _reduced_head(lat, r)
+        pts = _integer_half(head, min(r, _min_column_norm(head)), cap)
     if not len(pts):  # float rounding on an ill-conditioned Gram matrix
         raise CapacityError("enumeration lost the shortest vectors of this basis")
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
@@ -409,7 +506,7 @@ def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> Succes
     doubles until the enumerated points span the full rank.
     """
     _require_integer(lat)
-    r = _min_column_norm(lat)
+    r = _min_column_norm(lat.B)
     while True:
         pts = _half_shorter_than(lat, r, cap)
         norms = np.sum(pts.astype(np.int64) ** 2, axis=1)

@@ -1,16 +1,22 @@
 """Randomized search for well-rounded sublattices of 2Z^k with a given index.
 
-Candidates are sampled in Hermite normal form (lower triangular, diagonal
-product equal to the target index, residues reduced).  That reaches every
-sublattice of the index when the index factors fully below ``_PRIME_LIMIT``;
-a cofactor left composite past it is never split across the diagonal, so
-the sublattices that split it are never drawn.  Feasible means
-well-rounded; candidates are ranked by their shortest-vector norm with a
-lexicographic tie-break so the winner does not depend on evaluation order.
+Restart candidates come in two stages, a block of draws at a time.  The
+shell stage draws k vectors of one norm shell of Z^k, from Hermite's
+ceiling on lambda_1^2 down, and keeps the draws of index n: each has k
+independent vectors of that norm, so it is well-rounded exactly when the
+lattice holds no shorter vector.  Hermite restarts then draw lower
+triangular Hermite forms (diagonal product equal to the index, residues
+reduced).  That reaches every sublattice of the index when the index
+factors fully below ``_PRIME_LIMIT``; a cofactor left composite past it is
+never split across the diagonal, so the sublattices that split it are never
+drawn.  Feasible means well-rounded; candidates are ranked by their
+shortest-vector norm with a lexicographic tie-break so the winner does not
+depend on evaluation order.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +61,14 @@ class SearchConfig:
     hill_climb: bool = False
 
     def __post_init__(self):
+        for name in ("k", "target_index", "budget", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.hill_climb, (bool, np.bool_)):
+            raise ValueError(f"hill_climb must be a bool, not {self.hill_climb!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.k < 1 or self.target_index < 1:
             raise ValueError("dimension and index must be positive")
         if self.budget < 1:
@@ -95,92 +109,61 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _random_composition(total: int, parts: int, rng: np.random.Generator) -> list[int]:
-    """Uniform composition of ``total`` into ``parts`` nonnegative parts."""
-    if total == 0:
-        return [0] * parts
-    bars = rng.choice(total + parts - 1, size=parts - 1, replace=False) if parts > 1 else []
-    bars = sorted(int(b) for b in bars)
-    prev = -1
-    sizes = []
-    for b in bars:
-        sizes.append(b - prev - 1)
-        prev = b
-    sizes.append(total + parts - 2 - prev)
-    return sizes
+def _hermite_forms(k: int, factors: list[tuple[int, int]], count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``count`` lower-triangular Hermite forms with det the product of
+    ``factors`` (as :func:`_factorize` gives them): each prime's exponents a
+    uniform composition over the diagonal, residues uniform mod d_row.
 
-
-def _random_diag(k: int, factors: list[tuple[int, int]], rng: np.random.Generator) -> list[int]:
-    diag = [1] * k
+    The diagonal is formed on Python integers; CapacityError is raised when
+    a basis entry 2 d_row would not fit in int64.
+    """
+    diag = np.ones((count, k), dtype=object)
     for p, e in factors:
-        for i, exp in enumerate(_random_composition(e, k, rng)):
-            diag[i] *= p ** exp
-    return diag
-
-
-def _random_hnf(k: int, factors: list[tuple[int, int]], rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular Hermite form with det the product of ``factors``
-    (as :func:`_factorize` gives them), residues uniform mod d_row.
-
-    Raises CapacityError when a basis entry 2 d_row would not fit in int64.
-    """
-    diag = _random_diag(k, factors, rng)
-    if 2 * max(diag) > _INT64_MAX:
-        raise CapacityError(f"a Hermite form diagonal entry {max(diag)} doubles past int64")
-    h = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        h[i, i] = diag[i]
-        for j in range(i):
-            if diag[i] > 1:
-                h[i, j] = rng.integers(0, diag[i])
-    return h
-
-
-def _random_unimodular(k: int, rng: np.random.Generator) -> tuple[list, list]:
-    """The draws of a small random unimodular V: a few elementary column
-    operations (i, j, f), v_j += f v_i, then the columns to negate.
-    :func:`_candidate_basis` applies them; entries stay small."""
-    moves = []
-    for _ in range(2 * k):
-        i, j = rng.integers(0, k, size=2)
-        if i == j:
-            continue
-        f = int(rng.integers(0, 2)) * 2 - 1  # -1 or +1
-        moves.append((int(i), int(j), f))
-    flips = [j for j in range(k) if rng.integers(0, 2)]
-    return moves, flips
-
-
-def _candidate_basis(h: np.ndarray, draws: tuple[list, list]) -> np.ndarray:
-    """The basis 2 H V, with V from :func:`_random_unimodular`'s draws.
-
-    Exact: the column operations run on Python integers, and CapacityError
-    is raised when an entry does not fit in int64.
-    """
-    moves, flips = draws
-    cols = h.T.tolist()
-    for i, j, f in moves:
-        cols[j] = [a + f * b for a, b in zip(cols[j], cols[i])]
-    for j in flips:
-        cols[j] = [-a for a in cols[j]]
-    if any(not -_INT64_MAX <= 2 * a <= _INT64_MAX for col in cols for a in col):
-        raise CapacityError("a candidate basis entry does not fit in int64")
-    return 2 * np.array(cols, dtype=np.int64).T
+        # stars and bars: the first k - 1 of e + k - 1 shuffled slots are the bars
+        bars = np.sort(np.argsort(rng.random((count, e + k - 1)), axis=1)[:, :k - 1], axis=1)
+        exps = np.diff(bars, axis=1, prepend=-1, append=e + k - 1) - 1
+        diag *= np.array([p ** j for j in range(e + 1)], dtype=object)[exps]
+    top = diag.max()
+    if 2 * top > _INT64_MAX:
+        raise CapacityError(f"a Hermite form diagonal entry {top} doubles past int64")
+    diag = diag.astype(np.int64)
+    residues = rng.integers(0, diag[:, :, None], size=(count, k, k))
+    return np.tril(residues, -1) + diag[:, :, None] * np.eye(k, dtype=np.int64)
 
 
 def random_sublattice_with_index(k: int, n: int, rng: np.random.Generator) -> IntegerLattice:
     """A random sublattice of 2Z^k with index exactly n.
 
-    Sampled as 2 H V with H a random Hermite-form matrix of determinant n
-    and V a small random unimodular matrix.  Sampling is not uniform over
-    sublattices, only a heuristic that reaches all of them, except where
-    n keeps a composite cofactor past ``_PRIME_LIMIT`` after trial division:
-    that cofactor always lands whole on one diagonal entry.
+    Returned as 2H with H a random Hermite form of determinant n, drawn as
+    the search's Hermite restarts are (:func:`_hermite_forms`).  Sampling is
+    not uniform over sublattices, only a heuristic that reaches all of them,
+    except where n keeps a composite cofactor past ``_PRIME_LIMIT`` after
+    trial division: that cofactor always lands whole on one diagonal entry.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    h = _random_hnf(k, _factorize(n), rng)
-    return IntegerLattice(_candidate_basis(h, _random_unimodular(k, rng)))
+    return IntegerLattice(2 * _hermite_forms(k, _factorize(n), 1, rng)[0])
+
+
+#: gamma_k^k = a / b, Hermite's constant to the k-th power, exact for k <= 8
+#: (Conway & Sloane, SPLAG, ch. 1)
+_HERMITE_POWER = {1: (1, 1), 2: (4, 3), 3: (2, 1), 4: (4, 1), 5: (8, 1), 6: (64, 3),
+                  7: (64, 1), 8: (256, 1)}
+
+
+def _hermite_ceiling(k: int, n: int) -> int:
+    """The largest multiple of 4 that Hermite's bound allows as lambda_1^2 of
+    an index-n sublattice of 2Z^k (det 2^k n).
+
+    lambda_1^(2k) <= gamma_k^k 4^k n^2, so L = 4m with b m^k <= a n^2; exact,
+    in integers, for k <= 8.  Past k = 8, Minkowski's radius rounded down to
+    a multiple of 4.
+    """
+    if k not in _HERMITE_POWER:
+        return _minkowski_radius_sq(k, n << k) // 4 * 4
+    a, b = _HERMITE_POWER[k]
+    return 4 * _iroot(a * n * n // b, k)
 
 
 @lru_cache(maxsize=4)
@@ -223,47 +206,60 @@ def _shell_hits(ops: np.ndarray, n: int, table: tuple[np.ndarray, list]) -> list
         hits = np.concatenate([np.all(a @ shell[c:c + step].T % n == 0, axis=1)
                                for c in range(0, len(shell), step)], axis=1)
         found = hits.any(axis=1)
+        ranks = {}  # by hit pattern: a block repeats few of them
         for row in np.flatnonzero(found):
-            out[active[row]] = (4 * norm, len(independent_rows(shell[hits[row]], k)))
+            key = hits[row].tobytes()
+            if key not in ranks:
+                ranks[key] = len(independent_rows(shell[hits[row]], k))
+            out[active[row]] = (4 * norm, ranks[key])
         active = active[~found]
         if not len(active):
             break
     return out
 
 
-def _adjugates(ms: np.ndarray) -> np.ndarray:
-    """+-adj(M) for each nonsingular M of the stack: fraction-free
+def _adjugates(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(+-adj(M), |det M|) for each M of the stack: fraction-free
     Gauss-Jordan elimination of [M | I] with row pivoting (Bareiss 1968).
     Entries stay minors of the row-permuted [M | I] and products within the
     square of the largest, which the caller bounds; the sign is that of the
-    row permutation."""
+    row permutation, and the last pivot is +-det M.  A singular M reads det 0
+    and is cleared, so its adjugate reads 0 too."""
     b, k = ms.shape[:2]
     a = np.concatenate([ms, np.broadcast_to(np.eye(k, dtype=np.int64), ms.shape)], axis=2)
     prev = np.ones((b, 1, 1), dtype=np.int64)
+    singular = np.zeros(b, dtype=bool)
     for s in range(k):
         pivot = s + np.argmax(a[:, s:, s] != 0, axis=1)
         moved = np.flatnonzero(pivot != s)
         if len(moved):
             a[moved, s], a[moved, pivot[moved]] = a[moved, pivot[moved]], a[moved, s]
+        zero = a[:, s, s] == 0
+        if zero.any():  # no pivot left in column s: clear M, go on with pivot 1
+            singular |= zero
+            a[singular] = 0
+            a[singular, s, s] = 1
         row = a[:, s, s:].copy()
         p = row[:, :1, None]
         a[:, :, s:] = (p * a[:, :, s:] - a[:, :, s, None] * row[:, None]) // prev
         a[:, s, s:] = row
         prev = p
-    return a[:, :, k:]
+    return a[:, :, k:], np.where(singular, 0, np.abs(prev[:, 0, 0]))
 
 
-def _block_shells(ms: np.ndarray, n: int) -> list[tuple[int, int]]:
+def _block_shells(ms: np.ndarray, n: int,
+                  table: tuple[np.ndarray, list] | None = None) -> list[tuple[int, int]]:
     """(lambda_1^2, shell rank) of the lattice 2M for each integer basis M
     of |det M| = n in the stack ``ms``, exactly; the values
     :func:`shortest_shell` gives.
 
     2u lies in the lattice of 2M exactly when adj(M) u = 0 (mod n)
-    (:func:`_adjugates`, :func:`_shell_hits`).  The table's radius is the
-    block's largest min(shortest column of 2M, Minkowski ceiling), so it
-    holds every shortest vector.  Each 2M is enumerated by
-    :func:`shortest_shell` instead when the table would pass ``_TABLE_CAP``
-    or int64 cannot be shown to hold the arithmetic.
+    (:func:`_adjugates`, :func:`_shell_hits`), tested against ``table``,
+    which must hold every shortest vector (the search passes the table of
+    :func:`_hermite_ceiling`).  Without one, the table's radius is the
+    block's largest min(shortest column of 2M, Minkowski ceiling).  Each 2M is
+    enumerated by :func:`shortest_shell` instead when the table would pass
+    ``_TABLE_CAP`` or int64 cannot be shown to hold the arithmetic.
     """
     k = ms.shape[1]
     sq = ms.astype(float) ** 2
@@ -272,13 +268,24 @@ def _block_shells(ms: np.ndarray, n: int) -> list[tuple[int, int]]:
     # column norms within k h^2 and membership sums within k^1.5 h^2 (table
     # vectors are no longer than a column); float error is far below 2x
     h_sq = np.minimum(sq.sum(axis=2).prod(axis=1), sq.sum(axis=1).prod(axis=1)).max()
-    table = None
-    if k * k * h_sq < 2.0 ** 62:
+    if k * k * h_sq >= 2.0 ** 62:
+        table = None
+    elif table is None:
         col = int((ms * ms).sum(axis=1).min(axis=1).max())
         table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
     if table is None:
         return [shortest_shell(IntegerLattice(2 * m)) for m in ms]
-    return _shell_hits(_adjugates(ms) % n, n, table)
+    return _shell_hits(_adjugates(ms)[0] % n, n, table)
+
+
+def _shell_bases(shell: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The bases M of ``_BLOCK`` draws of k vectors of one norm shell of Z^k
+    (one of each +-pair, with replacement) as columns, kept in draw order
+    where |det M| = n.  Negating a column leaves the lattice as it is, so no
+    sign is drawn.  The caller makes sure int64 holds the elimination."""
+    k = shell.shape[1]
+    ms = shell[rng.integers(0, len(shell), size=(_BLOCK, k))].transpose(0, 2, 1)
+    return ms[_adjugates(ms)[1] == n]
 
 
 def _climb_moves(k: int, count: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
@@ -322,15 +329,17 @@ def _balanced_diagonal(k: int, n: int) -> np.ndarray | None:
 def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchReport]:
     """Randomized search for a well-rounded sublattice of 2Z^k.
 
-    Spends the budget on random Hermite-form restarts (seeded with the
-    balanced diagonal lattice when the index is a perfect k-th power),
-    keeping the well-rounded candidate with maximal lambda_1^2.  With
-    ``hill_climb`` half the budget refines the incumbent by elementary
-    index-preserving basis moves, climbing on (lambda_1^2, shell rank).
-    Restarts and moves are drawn a block at a time and each block's
-    shortest shells are found at once (:func:`_block_shells`), restarts on
-    their Hermite forms and moves on the trial bases; after a trial is
-    accepted the rest of its block is evaluated again, so the result is
+    Spends the budget on random restarts (seeded with the balanced diagonal
+    lattice when the index is a perfect k-th power), keeping the
+    well-rounded candidate with maximal lambda_1^2.  The shell stage spends
+    at most half the restarts: one block of :func:`_shell_bases` draws per
+    norm shell of the :func:`_hermite_ceiling` table, from the top down,
+    until a shell gives a well-rounded lattice of its own norm.  Hermite
+    restarts (:func:`_hermite_forms`) spend the rest.  With ``hill_climb``
+    half the budget refines the incumbent by elementary index-preserving
+    basis moves, climbing on (lambda_1^2, shell rank).  Each block's
+    shortest shells are found at once (:func:`_block_shells`); after a trial
+    is accepted the rest of its block is evaluated again, so the result is
     that of a move-by-move climb.
     Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
     well-rounded candidate shows up; the exception carries the best non-WR
@@ -373,14 +382,39 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
         balanced = IntegerLattice(2 * diag)
         consider(*shortest_shell(balanced), lambda: balanced.B)
 
+    # Hermite's ceiling bounds lambda_1^2 of every index-n lattice, so its
+    # table serves every block; the axis points alone pass the table cap
+    # when 2k n^(1/k) does
+    table = None
+    if 2 * k * _iroot(n, k) <= _TABLE_CAP:
+        table = _short_vectors(k, _hermite_ceiling(k, n))
+
+    # the shell stage: k vectors of one norm shell of Z^k, from the ceiling
+    # down, on at most half the restarts; a draw of another index is no
+    # candidate and costs nothing
+    restarts = remaining if not cfg.hill_climb else (remaining + 1) // 2
+    share = restarts // 2
+    for norm, start, stop in reversed(table[1] if table is not None else []):
+        if share == 0 or norm ** k < n * n:  # Hadamard: |det M| <= norm^(k/2)
+            break
+        if k * k * norm ** k >= 1 << 62:  # _block_shells' int64 bound, for _shell_bases
+            continue
+        ms = _shell_bases(table[0][start:stop], n, rng)[:share]
+        if not len(ms):
+            continue
+        share -= len(ms)
+        restarts -= len(ms)
+        shells = _block_shells(ms, n, table)
+        for m, (l1, rank) in zip(ms, shells):
+            consider(l1, rank, lambda m=m: 2 * m)
+        if (4 * norm, k) in shells:  # well-rounded at the shell's own norm
+            break
+
     factors = _factorize(n)
-    restart_budget = remaining if not cfg.hill_climb else (remaining + 1) // 2
-    for start in range(0, restart_budget, _BLOCK):
-        draws = [(_random_hnf(k, factors, rng), _random_unimodular(k, rng))
-                 for _ in range(min(_BLOCK, restart_budget - start))]
-        shells = _block_shells(np.array([h for h, _ in draws]), n)
-        for (h, v), (l1, rank) in zip(draws, shells):
-            consider(l1, rank, lambda h=h, v=v: _candidate_basis(h, v))
+    for start in range(0, restarts, _BLOCK):
+        hs = _hermite_forms(k, factors, min(_BLOCK, restarts - start), rng)
+        for h, (l1, rank) in zip(hs, _block_shells(hs, n, table)):
+            consider(l1, rank, lambda h=h: 2 * h)
 
     if cfg.hill_climb:
         _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
@@ -390,7 +424,7 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
             done = 0
             while done < len(moves):  # evaluated against the current incumbent
                 trials = _climb_trials(m, moves[done:])
-                for trial, (l1, rank) in zip(trials, _block_shells(trials, n)):
+                for trial, (l1, rank) in zip(trials, _block_shells(trials, n, table)):
                     done += 1
                     consider(l1, rank, lambda trial=trial: 2 * trial)
                     if (l1, rank) > (cur_l1, cur_rank):  # the rest is evaluated anew

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from latcoset import (CapacityError, IntegerLattice, NotASublattice, RealLattice
                       is_well_rounded, smith_normal_form, successive_minima,
                       volume, alamouti_map)
 from latcoset.catalog import NAMES
-from latcoset.lattice import _half_shorter_than, shortest_shell
+from latcoset.lattice import _half_shorter_than, _integral_lll, int_det, shortest_shell
 
 TWO_Z4 = IntegerLattice(2 * np.eye(4, dtype=np.int64))
 
@@ -445,3 +447,75 @@ class TestInt64Edge:
         lat = IntegerLattice(np.array([[2 ** 26, 2 ** 26 + 1], [0, 1]]))
         pts = sorted(tuple(int(v) for v in p) for p in enumerate_shorter_than(lat, 2))
         assert pts == [(-1, -1), (1, 1)]
+
+
+def _skew(b, rng, until_float_gram=False):
+    """B U for a unimodular U of random column moves c_j += f c_i,
+    |f| <= 2^12: 3k moves, or, with ``until_float_gram``, moves until the
+    Gram matrix of B U first leaves the floats."""
+    b, k = b.astype(object), len(b)
+    for _ in itertools.count() if until_float_gram else range(3 * k if k > 1 else 0):
+        if until_float_gram and any(float(x) != x for x in (b.T @ b).flat):
+            return b
+        i, j = rng.choice(k, size=2, replace=False)
+        b[:, j] += int(rng.integers(-(1 << 12), (1 << 12) + 1)) * b[:, i]
+    return b
+
+
+class TestExactReduction:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_integral_lll_is_reduced_and_spans_the_lattice(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            small = rng.integers(-9, 10, size=(k, k))
+            if int_det(small) == 0:
+                continue
+            b, d = _integral_lll(_skew(small, rng).T.tolist())
+            # the same lattice: a unimodular change of basis
+            assert abs(int_det(np.array(b, dtype=object))) == abs(int_det(small))
+            assert index_in_superlattice(IntegerLattice(np.array(b, dtype=np.int64).T),
+                                         IntegerLattice(small)) == 1
+            # exact Gram-Schmidt: size-reduced, Lovasz with delta = 3/4, and
+            # d[i] the Gram determinant of the first i vectors
+            star, norms = [], []
+            for i, v in enumerate(b):
+                mus = [Fraction(sum(x * y for x, y in zip(v, w)), nw) for w, nw in zip(star, norms)]
+                assert all(abs(mu) <= Fraction(1, 2) for mu in mus)
+                w = [Fraction(x) - sum(mu * s_[t] for mu, s_ in zip(mus, star))
+                     for t, x in enumerate(v)]
+                star.append(w)
+                norms.append(sum(x * x for x in w))
+                if i:
+                    assert Fraction(3, 4) * norms[i - 1] <= norms[i] + mus[-1] ** 2 * norms[i - 1]
+                gram_i = np.array([[sum(x * y for x, y in zip(u_, v_)) for v_ in b[:i + 1]]
+                                   for u_ in b[:i + 1]], dtype=object)
+                assert d[i + 1] == int_det(gram_i)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_shortest_shell_past_float_gram_matches_a_reduced_basis(self, k):
+        # the same lattice on a skewed basis whose Gram matrix floats cannot
+        # hold: its shortest shell used to raise CapacityError
+        rng = np.random.default_rng(10 + k)
+        for _ in range(15):
+            small = 2 * rng.integers(-3, 4, size=(k, k))
+            if int_det(small) == 0:
+                continue
+            lat = IntegerLattice(_skew(small, rng, until_float_gram=True).astype(np.int64))
+            with pytest.raises(CapacityError, match="floats"):
+                enumerate_shorter_than(lat, 4)
+            assert shortest_shell(lat) == shortest_shell(IntegerLattice(small))
+
+    def test_huge_last_minimum_is_cut(self):
+        # diag(2, 2, 2 (2^40 + 1)): the reduced basis keeps its long last
+        # vector, whose Gram-Schmidt norm exceeds the radius, so it is dropped
+        lat = IntegerLattice(np.diag([2, 2, 2 * (2 ** 40 + 1)]))
+        assert shortest_shell(lat) == (4, 2)
+        # a Hermite form of a large index: its short vectors 2 (a, b, -5a - 7b)
+        # lie in one plane, and anything off it is longer than n
+        n = 999983000003
+        lat = IntegerLattice(2 * np.array([[1, 0, 0], [0, 1, 0], [n - 5, n - 7, n]]))
+        norms = collections.Counter(4 * (a * a + b * b + (5 * a + 7 * b) ** 2)
+                                    for a in range(-30, 31) for b in range(-30, 31) if a or b)
+        l1 = min(norms)
+        assert (l1, norms[l1]) == (24, 2)  # +-(1, -1, 2)
+        assert shortest_shell(lat) == (24, 1)

@@ -1,7 +1,8 @@
+import collections
 import hashlib
-import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from latcoset import (CapacityError, IntegerLattice, NoFeasibleCandidate, Search
                       index_in_superlattice, is_well_rounded,
                       random_sublattice_with_index, search_wr_sublattice,
                       successive_minima, volume)
+from latcoset.catalog import builtin_sublattice
 from latcoset.cli import main as cli_main
-from latcoset.lattice import shortest_shell
+from latcoset.lattice import _minkowski_radius_sq, enumerate_shorter_than, int_det, shortest_shell
 
 
 def two_zk(k):
@@ -66,7 +68,11 @@ class TestSearch:
         assert np.array_equal(a.B, b.B) and ra == rb
 
     def test_infeasible_run_deterministic(self):
-        cfg = SearchConfig(k=4, target_index=32, budget=3, seed=0)
+        # index 3 in 2Z^2 has four sublattices and none is well-rounded, so
+        # every budget and seed ends infeasible
+        census = sorted(shortest_shell(IntegerLattice(2 * h)) for h in _all_hnfs(2, 3))
+        assert census == [(4, 1), (4, 1), (8, 1), (8, 1)]
+        cfg = SearchConfig(k=2, target_index=3, budget=40, seed=0)
         reports = []
         for _ in range(2):
             with pytest.raises(NoFeasibleCandidate) as err:
@@ -107,6 +113,29 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(k=4, target_index=32, budget=0, seed=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("target_index", 32.5), ("k", 4.7), ("budget", True), ("k", True), ("seed", 1.0),
+        ("target_index", "32"), ("seed", -1), ("hill_climb", "false"), ("hill_climb", 1)])
+    def test_config_rejects_non_integers_and_negative_seed(self, field, value):
+        # 32.5 used to search index 32, 4.7 dimension 4, and budget True to
+        # report "within True candidates"; seed -1 died in numpy, and
+        # hill_climb "false" climbed
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{"k": 4, "target_index": 32, "budget": 10, "seed": 0, field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SearchConfig(k=np.int64(2), target_index=np.int32(3), budget=np.uint8(5),
+                           seed=np.int16(1), hill_climb=np.bool_(False))
+        with pytest.raises(NoFeasibleCandidate):
+            search_wr_sublattice(cfg)
+
+    def test_index_32_solved_at_its_ceiling_on_every_seed(self):
+        # the shell stage's first level holds the one lambda_1^2 = 32 lattice
+        for seed in range(50):
+            _, rep = search_wr_sublattice(SearchConfig(k=4, target_index=32, budget=400,
+                                                       seed=seed))
+            assert rep.best_is_wr and rep.best_lambda1_sq == 32, seed
+
     def test_hill_climb_needs_two_dimensions(self):
         # every move of a 1 x 1 basis has i == j and spends no budget
         with pytest.raises(ValueError, match="k >= 2"):
@@ -125,8 +154,10 @@ def _outcome(cfg):
 
 
 def _sequential_search(cfg):
-    """The search one candidate at a time: sample 2HV, enumerate its shortest
-    shell and keep the best key, as the block evaluation must reproduce."""
+    """The search one candidate at a time: the search's own block draws
+    (shell stage, Hermite restarts, climb moves), but each candidate's
+    shortest shell enumerated on its own and the best key kept, as the block
+    evaluation must reproduce."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     k, n = cfg.k, cfg.target_index
     best_wr = best_any = None
@@ -150,9 +181,22 @@ def _sequential_search(cfg):
         consider(IntegerLattice(2 * d * np.eye(k, dtype=np.int64)))
         remaining -= 1
     restarts = remaining if not cfg.hill_climb else (remaining + 1) // 2
-    for _ in range(restarts):
-        consider(random_sublattice_with_index(k, n, rng))
     remaining -= restarts
+    share = restarts // 2
+    u, shells = search._short_vectors(k, search._hermite_ceiling(k, n))
+    for norm, start, stop in reversed(shells):
+        if share == 0 or norm ** k < n * n:
+            break
+        got = [consider(IntegerLattice(2 * m))
+               for m in search._shell_bases(u[start:stop], n, rng)[:share]]
+        share -= len(got)
+        restarts -= len(got)
+        if (4 * norm, k) in got:
+            break
+    for start in range(0, restarts, search._BLOCK):
+        for h in search._hermite_forms(k, search._factorize(n),
+                                       min(search._BLOCK, restarts - start), rng):
+            consider(IntegerLattice(2 * h))
     if cfg.hill_climb:
         _, current, _ = best_wr if best_wr is not None else best_any
         cur = shortest_shell(current)
@@ -174,19 +218,35 @@ def _sequential_search(cfg):
     return lat.B.tolist(), report
 
 
+def _diagonals(k, n):
+    """Every k-tuple of positive integers with product n."""
+    if k == 1:
+        return [(n,)]
+    return [(d,) + rest for d in range(1, n + 1) if n % d == 0
+            for rest in _diagonals(k - 1, n // d)]
+
+
 def _all_hnfs(k, n):
     """Every lower-triangular Hermite form of det n, residues 0 <= h_ij < h_ii."""
+    rows, cols = np.tril_indices(k, -1)
     out = []
-    for diag in itertools.product(range(1, n + 1), repeat=k):
-        if math.prod(diag) != n:
-            continue
-        below = [(i, j) for i in range(k) for j in range(i)]
-        for res in itertools.product(*(range(diag[i]) for i, _ in below)):
-            h = np.diag(diag).astype(np.int64)
-            for (i, j), r in zip(below, res):
-                h[i, j] = r
-            out.append(h)
-    return np.array(out)
+    for diag in _diagonals(k, n):
+        residues = np.indices([diag[i] for i in rows]).reshape(len(rows), -1).T
+        h = np.zeros((len(residues), k, k), dtype=np.int64)
+        h[:, range(k), range(k)] = diag
+        h[:, rows, cols] = residues
+        out.append(h)
+    return np.concatenate(out)
+
+
+def _unimodular_mix(m, rng, moves=8):
+    """M V for a few random elementary column moves V: the same lattice, on
+    a basis that is no Hermite form."""
+    m, k = m.copy(), len(m)
+    for _ in range(moves if k > 1 else 0):
+        i, j = rng.choice(k, size=2, replace=False)
+        m[:, j] += (2 * int(rng.integers(0, 2)) - 1) * m[:, i]
+    return m
 
 
 class TestBlockEvaluation:
@@ -195,7 +255,7 @@ class TestBlockEvaluation:
            seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 6))
     def test_matches_enumeration_on_random_hnfs(self, k, n, seed, size):
         rng = np.random.default_rng(seed)
-        hs = np.array([search._random_hnf(k, search._factorize(n), rng) for _ in range(size)])
+        hs = search._hermite_forms(k, search._factorize(n), size, rng)
         assert search._block_shells(hs, n) == [shortest_shell(IntegerLattice(2 * h)) for h in hs]
 
     @pytest.mark.parametrize("k,n", [(2, 25), (2, 32), (3, 16), (4, 8)])
@@ -236,9 +296,9 @@ class TestBlockEvaluation:
     def test_matches_enumeration_on_non_hermite_stacks(self, monkeypatch, k):
         rng = np.random.default_rng(k)
         for n in [1, 32, 105, 256]:
-            ms = [random_sublattice_with_index(k, n, rng).B // 2 for _ in range(20)]  # 2HV / 2
-            for _ in range(5 if k > 1 else 0):
-                h = search._random_hnf(k, search._factorize(n), rng)
+            hs = search._hermite_forms(k, search._factorize(n), 25, rng)
+            ms = [_unimodular_mix(h, rng) for h in hs[:20]]
+            for h in hs[20:] if k > 1 else []:
                 h[-1, 0] = 0
                 ms.append(h[::-1])  # a zero leading entry, so rows are pivoted
             ms = np.array(ms)
@@ -257,7 +317,7 @@ class TestBlockEvaluation:
         for n in [32, 105, 256]:
             # grow a Hermite form by index-preserving row moves until k^2 h^2
             # first reaches 2^62
-            under = search._random_hnf(k, search._factorize(n), np.random.default_rng(k))
+            under = search._hermite_forms(k, search._factorize(n), 1, np.random.default_rng(k))[0]
             s = 0
             while k * k * hadamard_sq(past := search._climb_trials(
                     under, [(s % k, (s + 1) % k, 1)])[0]) < 1 << 62:
@@ -322,14 +382,15 @@ class TestBlockEvaluation:
         assert calls == []  # the hill-climb trials are evaluated in blocks too
 
     @pytest.mark.parametrize("k,hill_climb,digest", [
-        (16, False, "f276b5661771a05872c09569269d1b24b17393062a4c3bf8e21853df3cd0c241"),
-        (16, True, "41220e51422ad17412cec86db9521cc45c9473c336f8ac3f82aece484c538d72"),
-        (24, False, "9c4e4ad56e45f33db3b932af58d97fa78173ec06f8bcec63cdffde28d6b672b0"),
-        (24, True, "00061c8eecf7ca2692ad8048573805cbd9b65c8f76d52085094cde6d97f4598d"),
+        (16, False, "efcd8ee50ac01598bed4a12142655ca7e7c8d2cd2ae020a1b6464dc06f8c7a46"),
+        (16, True, "5baeda38071f71a7daf02ff6eb29ff3b98fdc58260d15550d3e74571ac40983b"),
+        (24, False, "f60284e7ef2729138aa67ede6735c67264b8cf52cc2aee9fcbd5e8934812219f"),
+        (24, True, "4169f120496d429b9af53b2721a093a206f6b5741c74d757406dd5d3a1de9453"),
     ], ids=["k16", "k16-climb", "k24", "k24-climb"])
     def test_high_dimension_index_2_unchanged(self, k, hill_climb, digest):
-        # digests of the best lattice's JSON from the per-candidate search;
-        # every index-2 sublattice the sampler reaches has lambda_1^2 = 4
+        # digests of the best lattice's JSON, taken when the shell stage and
+        # block Hermite draws replaced the sampler of 2HV; every index-2
+        # sublattice has lambda_1^2 = 4
         with pytest.raises(NoFeasibleCandidate) as err:
             search_wr_sublattice(SearchConfig(k=k, target_index=2, budget=300, seed=0,
                                               hill_climb=hill_climb))
@@ -339,23 +400,25 @@ class TestBlockEvaluation:
 
     def test_cli_outputs_pinned(self, capsys):
         # the table path (exits 0 and 1), the table-cap fallback (k = 3 at
-        # 10^5), the int64 fallback (k = 3 at 10^9; both at k = 2 past 10^6)
-        # and exit 4; the digest was taken before the block kernel replaced
-        # the Hermite-only and Smith-form evaluators
+        # 10^5), the int64 fallback (k = 3 at 10^9; both at k = 2 past 10^6),
+        # the exact reduction of bases whose Gram matrix floats cannot hold
+        # (k = 3 at 10^9 and the large primes) and exit 4 (k = 4 at 2^70); the
+        # digest was taken when the shell stage and block Hermite draws
+        # replaced the sampler of 2HV
         runs = []
         for k, index, budget, climb in [(4, 32, 400, False), (4, 32, 400, True),
                                         (4, 105, 400, True), (6, 8, 400, True),
                                         (3, 10 ** 5, 300, True), (3, 10 ** 9, 300, True),
                                         (2, 1000003, 300, True), (2, 2 ** 31 - 1, 300, False),
-                                        (4, 999983000003, 300, False)]:
+                                        (4, 999983000003, 300, False), (4, 2 ** 70, 400, False)]:
             argv = ["search", "--k", str(k), "--index", str(index), "--budget", str(budget),
                     "--seed", "0"] + ["--hill-climb"] * climb
             code = cli_main(argv)
             out = capsys.readouterr()
             runs.append([argv, code, out.out, out.err])
-        assert [code for _, code, _, _ in runs] == [0, 0, 1, 1, 1, 0, 1, 4, 4]
+        assert [code for _, code, _, _ in runs] == [0, 0, 1, 1, 1, 0, 1, 1, 1, 4]
         assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == (
-            "0b1ba8421f283e3fdad5e7b160efd9194ee5340e600003206f60c719108f4f8f")
+            "92369353d3783529479f1e21a82833231deffdf4b642c79a1c20ed4d4a2eb87f")
 
     def test_index_factorized_once_per_search(self, monkeypatch):
         calls = []
@@ -374,3 +437,110 @@ class TestBlockEvaluation:
                              ids=["k1-2^62-1", "k2-(2^62-1)^2", "k4-2^70"])
     def test_index_with_int64_bases_accepted(self, k, index):
         SearchConfig(k=k, target_index=index, budget=10, seed=0)
+
+
+#: gamma_k^k for k <= 8 (Conway & Sloane, SPLAG, ch. 1)
+_GAMMA_POWER = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4),
+                5: Fraction(8), 6: Fraction(64, 3), 7: Fraction(64), 8: Fraction(256)}
+
+
+class TestHermiteCeiling:
+    def test_equality_case_and_index_256(self):
+        # 32^4 = 4 * 512^2: at (4, 32) Hermite's bound holds with equality
+        assert search._hermite_ceiling(4, 32) == 32
+        assert search._hermite_ceiling(4, 256) == 88
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_fraction_reference(self, k):
+        for n in list(range(1, 200)) + [2 ** 40 + 1, 3 ** 30, 10 ** 15, 999983000003]:
+            bound = _GAMMA_POWER[k] * (2 ** k * n) ** 2  # lambda_1^(2k) <= gamma_k^k det^2
+            lo, hi = 0, 1  # bisect the largest m with (4m)^k <= bound
+            while (4 * hi) ** k <= bound:
+                hi *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if (4 * mid) ** k <= bound else (lo, mid)
+            assert search._hermite_ceiling(k, n) == 4 * lo, (k, n)
+
+    @pytest.mark.parametrize("k,n", [(9, 1), (9, 7), (12, 2), (16, 2), (24, 5)])
+    def test_minkowski_past_dimension_8(self, k, n):
+        assert search._hermite_ceiling(k, n) == _minkowski_radius_sq(k, n << k) // 4 * 4
+
+
+class TestRestartDraws:
+    def test_adjugates_give_exact_determinants(self):
+        rng = np.random.default_rng(4)
+        for k in [1, 2, 3, 4, 6]:
+            ms = rng.integers(-3, 4, size=(300, k, k))
+            ms[::3, :, -1] = ms[::3, :, 0]  # singular: two equal columns
+            ms[1::7] = 0
+            adj, det = search._adjugates(ms)
+            assert det.tolist() == [abs(int_det(m)) for m in ms]
+            for m, a, d in zip(ms, adj, det):
+                if d:
+                    assert abs(a @ m).tolist() == (d * np.eye(k, dtype=np.int64)).tolist()
+                else:
+                    assert not a.any()
+
+    @pytest.mark.parametrize("k,n", [(4, 32), (4, 256), (3, 8), (2, 32), (4, 8), (6, 8)])
+    def test_candidates_have_the_index_and_its_shells(self, monkeypatch, k, n):
+        rng = np.random.default_rng(k * n)
+        table = search._short_vectors(k, search._hermite_ceiling(k, n))
+        u, shells = table
+        drawn = [search._shell_bases(u[start:stop], n, rng)
+                 for norm, start, stop in shells if norm ** k >= n * n]
+        shell_ms = np.concatenate(drawn)
+        hermite_ms = search._hermite_forms(k, search._factorize(n), 64, rng)
+        assert len(shell_ms) > 0
+        for ms in (shell_ms, hermite_ms):
+            two = two_zk(k)
+            assert all(index_in_superlattice(IntegerLattice(2 * m), two) == n for m in ms)
+            expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
+            assert search._block_shells(ms, n, table) == expected
+            with monkeypatch.context() as patch:  # the table path alone
+                patch.setattr(search, "shortest_shell", None)
+                # the search's ceiling table, and the block's own radius
+                assert search._block_shells(ms, n, table) == expected
+                assert search._block_shells(ms, n) == expected
+        # a shell draw has k independent columns of its shell's norm
+        for norm, start, stop in shells:
+            for m in search._shell_bases(u[start:stop], n, rng):
+                assert (m * m).sum(axis=0).tolist() == [norm] * k
+
+    def test_hermite_draws_reach_every_diagonal_uniformly(self):
+        rng = np.random.default_rng(5)
+        hs = np.concatenate([search._hermite_forms(4, search._factorize(32), 256, rng)
+                             for _ in range(80)])
+        assert all(int_det(h) == 32 for h in hs[:500])
+        assert not np.triu(hs, 1).any()
+        assert np.all((0 <= np.tril(hs, -1)) & (np.tril(hs, -1) < hs.diagonal(axis1=1, axis2=2)[:, :, None]))
+        diagonals = collections.Counter(map(tuple, hs.diagonal(axis1=1, axis2=2).tolist()))
+        assert set(diagonals) == set(_diagonals(4, 32)) and len(diagonals) == 56
+        # each prime's exponents are a uniform composition: 1/56 of the draws each
+        mean = len(hs) / 56
+        assert all(abs(c - mean) < 5 * math.sqrt(mean) for c in diagonals.values())
+
+    def test_hermite_diagonal_past_int64_raises(self):
+        rng = np.random.default_rng(0)
+        h = search._hermite_forms(1, [(2, 61)], 1, rng)
+        assert h.tolist() == [[[2 ** 61]]]
+        with pytest.raises(CapacityError, match=f"{2 ** 62} doubles past int64"):
+            search._hermite_forms(1, [(2, 62)], 1, rng)
+        with pytest.raises(CapacityError, match="doubles past int64"):
+            search._hermite_forms(4, search._factorize(2 ** 70), 256, rng)
+
+    def test_index_32_census(self, monkeypatch):
+        # all 97 155 Hermite forms of index 32 in 2Z^4 (the Gaussian binomial
+        # [8 choose 3] at q = 2): 333 are well-rounded, one of them at
+        # lambda_1^2 = 32, Hermite's ceiling, with L3's 24 minimal vectors
+        hs = _all_hnfs(4, 32)
+        assert len(hs) == 97155
+        monkeypatch.setattr(search, "shortest_shell", None)
+        shells = [s for c in range(0, len(hs), 8192) for s in search._block_shells(hs[c:c + 8192], 32)]
+        wr = collections.Counter(l1 for l1, rank in shells if rank == 4)
+        assert wr == {24: 324, 28: 8, 32: 1}
+        (top,) = [h for h, (l1, rank) in zip(hs, shells) if l1 == 32]
+        minimal = enumerate_shorter_than(IntegerLattice(2 * top), 32)
+        assert len(minimal) == 24
+        assert len(enumerate_shorter_than(builtin_sublattice("L3"), 32)) == 24
+        assert search._hermite_ceiling(4, 32) == 32
