@@ -330,18 +330,66 @@ def volume(lat: Lattice):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
-    """One integer coefficient vector z != 0 of each +-pair with
-    z^T g z <= r_sq (+ slack): the one whose last nonzero entry is positive.
+@dataclass(frozen=True, eq=False)
+class _Runs:
+    """A layered Fincke-Pohst enumeration stopped at its last level
+    (coordinate 0): the partial vectors z_p = (z_1, ..., z_{s-1}) that
+    survive levels s-1 .. 1, and the run lo, lo + 1, ..., lo + count - 1
+    of z_0 values each allows by the float radius test's interval.
 
-    Layered Fincke-Pohst on the Cholesky factor of the float Gram matrix
-    ``g`` (np.linalg.LinAlgError when that fails); the caller applies the
-    exact (or toleranced) radius filter afterwards.  The levels run from the
-    last coordinate down, so the partial vector whose coefficients are all
-    zero so far (always the first) takes z_i >= 0 only; its interval is
-    symmetric about 0.  ``cap`` counts points of both signs: a level holding
-    ``total`` candidates of the half stands for 2 total - 1 candidates of
-    the full enumeration.
+    ``Z`` holds one partial vector per column, z_{s-1} in row 0; column 0
+    is the zero partial vector, whose run starts at z_0 = 0.  ``q`` and
+    ``proj`` are the float partial norms and level-0 offsets, and ``norms``
+    the exact partial norms ||B z_p||^2 when the enumeration carried them.
+    """
+
+    Z: np.ndarray
+    lo: np.ndarray
+    counts: np.ndarray
+    q: np.ndarray
+    proj: np.ndarray
+    r00: float
+    bound: float
+    norms: np.ndarray | None = None
+
+    def coefficients(self) -> np.ndarray:
+        """The level-0 expansion: one coefficient row per point that passes
+        the float radius test, in natural order, the zero vector dropped."""
+        Z = _grow(self.Z, self.q, self.proj, self.r00, self.lo, self.counts, self.bound)[0]
+        return Z[::-1, 1:].T
+
+
+def _grow(Z, q, proj, rii, lo, counts, bound):
+    """Extend every partial vector by each value of its run that passes the
+    float radius test: (grown Z, its partial norms, parent column and new
+    coefficient of each grown column)."""
+    rep = np.repeat(np.arange(len(q)), counts)
+    zi = np.arange(len(rep)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    t = rii * zi + proj[rep]
+    qn = q[rep] + t * t
+    keep = np.flatnonzero(qn <= bound)
+    rep, zi = rep[keep], zi[keep]
+    grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
+    # the indices are in range; "raise" would copy through a buffer
+    np.take(Z, rep, axis=1, out=grown[:-1], mode="clip")
+    grown[-1] = zi
+    return grown, qn[keep], rep, zi
+
+
+def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None) -> _Runs:
+    """Levels s-1 .. 1 of :func:`_enumerate_coefficients`'s enumeration,
+    and the z_0 run each surviving partial vector allows at level 0.  The
+    cap is checked at every level, the runs included: they hold ``total``
+    candidates of the half, 2 total - 1 of the full enumeration.
+
+    Given ``gram``, B^T B of an integer basis B computed in int64, the exact
+    norm of each partial vector x is carried as ``proj`` is:
+    ||x + z_i b_i||^2 = ||x||^2 + z_i (2 <x, b_i> + z_i ||b_i||^2), with one
+    int64 row product for <x, b_i> per level.  int64 sums and products wrap
+    modulo 2^64, which commutes with both, so every carried norm, and every
+    norm built from them, is exact modulo 2^64 however far its terms pass
+    int64 on the way (as they do for long basis columns), and exact outright
+    when below 2^63.
     """
     s = g.shape[0]
     R = np.linalg.cholesky(g).T  # upper triangular, positive diagonal
@@ -353,6 +401,7 @@ def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
     # the accumulated squared norm.
     Z = np.zeros((0, 1), dtype=np.int64)
     q = np.zeros(1)
+    norms = None if gram is None else np.zeros(1, dtype=np.int64)
     for i in range(s - 1, -1, -1):
         proj = R[i, i + 1:][::-1] @ Z
         rii = R[i, i]
@@ -363,22 +412,32 @@ def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
         hi = np.floor(center + half + 1e-12).astype(np.int64)
         lo[0] = 0  # the zero partial vector: one sign of each pair
         counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if 2 * total - 1 > cap:
+        if 2 * int(counts.sum()) - 1 > cap:
             raise CapacityError(
                 f"enumeration exceeded the cap of {cap} points; "
                 "reduce the radius or raise the cap")
-        rep = np.repeat(np.arange(len(q)), counts)
-        zi = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        t = rii * zi + proj[rep]
-        qn = q[rep] + t * t
-        keep = np.flatnonzero(qn <= bound)
-        grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
-        # the indices are in range; "raise" would copy through a buffer
-        np.take(Z, rep[keep], axis=1, out=grown[:-1], mode="clip")
-        grown[-1] = zi[keep]
-        Z, q = grown, qn[keep]
-    return Z[::-1, 1:].T  # drop the zero vector; one row per point, natural order
+        if i == 0:
+            return _Runs(Z, lo, counts, q, proj, rii, bound, norms)
+        grown, q, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound)
+        if norms is not None:
+            inner = gram[i, i + 1:][::-1] @ Z
+            norms = norms[rep] + zi * (2 * inner[rep] + gram[i, i] * zi)
+        Z = grown
+
+
+def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
+    """One integer coefficient vector z != 0 of each +-pair with
+    z^T g z <= r_sq (+ slack): the one whose last nonzero entry is positive.
+
+    Layered Fincke-Pohst on the Cholesky factor of the float Gram matrix
+    ``g`` (np.linalg.LinAlgError when that fails); the caller applies the
+    exact (or toleranced) radius filter afterwards.  The levels run from the
+    last coordinate down (:func:`_fincke_pohst_runs`), so the partial vector
+    whose coefficients are all zero so far (always the first) takes
+    z_i >= 0 only; its interval is symmetric about 0.  ``cap`` counts points
+    of both signs.
+    """
+    return _fincke_pohst_runs(g, r_sq, cap).coefficients()
 
 
 def _reduced_head(lat: IntegerLattice, r_sq: int) -> np.ndarray:
@@ -403,22 +462,29 @@ class _GramPastFloats(CapacityError):
     """The exact Gram matrix of a basis has entries that floats cannot hold."""
 
 
-def _integer_half(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
-    """The points of norm <= r_sq of the integer lattice spanned by the
-    independent columns of ``basis``, one of each +-pair: the one whose last
-    nonzero coefficient is positive.  The radius test is exact."""
+def _integer_runs(basis: np.ndarray, r_sq, cap: int, gram=None) -> _Runs:
+    """:func:`_fincke_pohst_runs` of the integer lattice spanned by the
+    independent columns of ``basis``, to squared radius r_sq (+ 1/2: norms
+    are integers, so half a unit of float margin loses no shell), carrying
+    exact norms when given ``gram``."""
     if r_sq >= _INT64_NORM_LIMIT:
         raise CapacityError(f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
     b = basis.astype(object)
     g = b.T @ b
     if any(float(x) != x for x in g.flat):
         raise _GramPastFloats("the Gram matrix has entries that floats cannot hold exactly")
-    try:  # norms are integers: half a unit of float margin loses no shell
-        Z = _enumerate_coefficients(g.astype(float), float(r_sq) + 0.5, cap)
+    try:
+        return _fincke_pohst_runs(g.astype(float), float(r_sq) + 0.5, cap, gram)
     except np.linalg.LinAlgError as exc:
         raise CapacityError(
             "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
-    pts = Z @ basis.T
+
+
+def _integer_half(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
+    """The points of norm <= r_sq of the integer lattice spanned by the
+    independent columns of ``basis``, one of each +-pair: the one whose last
+    nonzero coefficient is positive.  The radius test is exact."""
+    pts = _integer_runs(basis, r_sq, cap).coefficients() @ basis.T
     return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
 
 

@@ -17,10 +17,10 @@ import numpy as np
 from .channel import _real_expand, snr_to_sigma
 from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, sphere_decode)
-from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
-from .lattice import (ENUMERATION_CAP, IntegerLattice, _half_shorter_than, coset_label,
+from .errors import CapacityError, CodebookTooLarge, NotASublattice, RankDeficientChannel
+from .lattice import (ENUMERATION_CAP, IntegerLattice, _integer_runs, coset_label,
                       coset_labels, label_operator, shortest_shell)
-from .stcode import PAMAlphabet, STCodeMap, codeword_matrices, first_coding_gain
+from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
 CHUNK_TRIALS = 1024
@@ -205,6 +205,11 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_
     return tuple(counts)
 
 
+def _check_n_r(n_r) -> None:
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 1:
+        raise ValueError("n_r must be an integer >= 1")
+
+
 def _resolve_strategy(decoder: str, m: int, k: int) -> str:
     if decoder not in ("auto", "sphere", "exhaustive"):
         raise ValueError("decoder must be one of auto|sphere|exhaustive")
@@ -234,8 +239,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    _check_n_r(n_r)
     strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
     labelers = [label_operator(code.half_sub) for code in codes]
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -299,6 +303,66 @@ class BoundReport:
     points_used: int
 
 
+def _det_form(u, v):
+    """(Re, Im) of u00 v11 - u01 v10 for 2x2 codewords vectorized along
+    axis 0 (column-major, Re/Im interleaved), in real arithmetic: det X(u)
+    at v = u, and det X(u + v) - det X(u) - det X(v) is the sum of both
+    orders."""
+    return (u[0] * v[6] - u[1] * v[7] - u[4] * v[2] + u[5] * v[3],
+            u[0] * v[7] + u[1] * v[6] - u[4] * v[3] - u[5] * v[2])
+
+
+def _bound_terms(code: CosetCode, trunc: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(||x||^2 as int64, |det X|^2) of one point x of each +-pair of the
+    sublattice with 0 < ||x||^2 <= trunc, read off the enumeration's
+    level-0 runs without forming their points or codewords.
+
+    A run's points are x = x_c + u b_0, with b_0 the first basis column and
+    x_c the point at the run's rounded center (z_0 = c), so
+    ||x||^2 = ||x_c||^2 + u (2 <x_c, b_0> + u ||b_0||^2) and
+    det X = alpha + beta u + det0 u^2, where alpha = det X_c, det0 is the
+    determinant of b_0's codeword and beta the mixed term.  Centering keeps
+    alpha and beta near the size of the run's own determinants, which
+    limits float cancellation.  The codewords X_c come from one float
+    product of M B on the coefficients.  The norms are exact: int64 modulo
+    2^64, as :func:`_fincke_pohst_runs` carries the partial norms, and a
+    point within the radius has a norm below 2^62.
+    """
+    basis = code.sub.B
+    gram = basis.T @ basis  # int64: exact modulo 2^64
+    b00 = gram[0, 0]
+    runs = _integer_runs(basis, trunc, cap, gram)
+    counts = runs.counts
+    c = np.rint(-runs.proj / runs.r00).astype(np.int64)
+    inner_p = gram[0, 1:][::-1] @ runs.Z  # <x_p, b_0> of the partial vectors x_p
+    inner_c = inner_p + b00 * c
+    norm_c = runs.norms + c * (inner_p + inner_c)
+
+    mb = code.map.M @ basis
+    y0 = mb[:, 0]
+    eye = np.eye(len(y0))
+    lin = np.add(_det_form(eye, y0[:, None]), _det_form(y0[:, None], eye))  # beta = lin @ X_c
+    w = mb[:, ::-1]  # columns k-1 .. 0, matching the rows of [runs.Z; c]
+    y = np.vstack([w, lin @ w]) @ np.vstack([runs.Z, c])
+    alpha, det0 = _det_form(y, y), _det_form(y0, y0)
+
+    starts = np.cumsum(counts) - counts
+    u = np.arange(counts.sum()) + np.repeat(runs.lo - c - starts, counts)
+    norms = np.repeat(norm_c, counts) + u * (np.repeat(2 * inner_c, counts) + b00 * u)
+    keep = norms <= math.floor(trunc)
+    keep[0] = False  # x = 0: the zero partial vector's run starts at z_0 = c = 0
+    uf = u.astype(float)
+    re, im = (np.repeat(a, counts) + uf * (np.repeat(b, counts) + d * uf)
+              for a, b, d in zip(alpha, y[-2:], det0))
+    return norms[keep], (re * re + im * im)[keep]
+
+
+def _gamma(sigma_e_sq: float, mode: str) -> float:
+    """sigma_e^-2n (pow2n, n = 2) or sigma_e^-2 (pow2); inf past the float range."""
+    power = sigma_e_sq * sigma_e_sq if mode == "pow2n" else sigma_e_sq
+    return 1.0 / power if power else math.inf
+
+
 def ecdp_bound_reports(code: CosetCode, sigmas, modes,
                        truncation_r_sq: float | None = None, n_r: int = 2,
                        cap: int = ENUMERATION_CAP) -> list[BoundReport]:
@@ -308,7 +372,8 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     det(I + gamma X X*)^-(n_r + T) over the codewords X = M x of the nonzero
     sublattice points x with ||X||_F^2 = ||x||^2 at most ``truncation_r_sq``
     (default: four times the first coding gain).  Each mode selects
-    gamma = sigma_e^(-2n) ("pow2n") or sigma_e^(-2) ("pow2").  Because
+    gamma = sigma_e^(-2n) ("pow2n") or sigma_e^(-2) ("pow2"); past the float
+    range gamma is infinite and every term its limit 0.  Because
     constant factors are dropped, values are comparable across sublattices
     at fixed parameters, not in absolute terms, and only once the
     truncation holds the sum (gamma * truncation_r_sq >> 1).  At large
@@ -316,33 +381,47 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     by the number of points inside the radius, and its order across
     sublattices can change with the radius.  The integer sublattice is
     enumerated once, with an exact radius test; for 2x2 codewords (the only
-    size accepted) each term is (1 + gamma ||x||^2 + gamma^2 |det X|^2)^-(n_r + 2).
-    Each term is even in x, so one point of each +-pair is enumerated and
-    the sum doubled; ``points_used`` counts both signs.
+    size accepted) each term is (1 + gamma ||x||^2 + gamma^2 |det X|^2)^-(n_r + 2),
+    with ||x||^2 and |det X|^2 read off the enumeration's last level in
+    closed form (:func:`_bound_terms`).  Each term is even in x, so one point of each
+    +-pair is enumerated and the sum doubled; ``points_used`` counts both
+    signs.
     """
     if code.map.n != 2:
         raise ValueError("the bound is implemented for 2x2 codewords only")
     if any(mode not in _EXPONENT_MODES for mode in modes):
         raise ValueError(f"exponent_mode must be one of {_EXPONENT_MODES}")
-    if not all(sigma_e_sq > 0 for sigma_e_sq in sigmas):
-        raise ValueError("sigma_e_sq must be positive")
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    fcg = first_coding_gain(code.map, code.sub)
-    trunc = 4.0 * fcg if truncation_r_sq is None else float(truncation_r_sq)
-    if not trunc > fcg:
-        raise ValueError("truncation radius must exceed the first coding gain")
-    pts = _half_shorter_than(code.sub, trunc, cap)
-    norms = np.einsum("ij,ij->i", pts, pts).astype(float)
-    cw = codeword_matrices(pts @ code.map.M.T, 2, 2)
-    det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
+    if not all(0 < sigma_e_sq < math.inf for sigma_e_sq in sigmas):
+        raise ValueError("sigma_e_sq must be positive and finite")
+    _check_n_r(n_r)
+    too_short = "truncation radius must exceed the first coding gain"
+    if truncation_r_sq is None:
+        trunc = 4.0 * first_coding_gain(code.map, code.sub)
+    else:
+        trunc = float(truncation_r_sq)
+        if not trunc > 0:
+            raise ValueError(too_short)
+    try:
+        norms, det_sq = _bound_terms(code, trunc, cap)
+    except CapacityError:
+        # a truncation <= lambda_1^2 is reported as such even where its own
+        # enumeration cannot run
+        if truncation_r_sq is not None and not trunc > first_coding_gain(code.map, code.sub):
+            raise ValueError(too_short) from None
+        raise
+    # trunc > lambda_1^2 exactly when a point shorter than trunc was enumerated
+    if not len(norms) or not int(norms.min()) < trunc:
+        raise ValueError(too_short)
+    points_used = 2 * len(norms)
+    norms = norms.astype(float)
     reports = []
     for sigma_e_sq in map(float, sigmas):
         for mode in modes:
-            gamma = sigma_e_sq ** -2 if mode == "pow2n" else 1.0 / sigma_e_sq
-            value = 2.0 * float(np.sum((1.0 + gamma * norms + gamma * gamma * det_sq)
-                                       ** (-(n_r + 2))))
-            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, 2 * len(pts)))
+            gamma = _gamma(sigma_e_sq, mode)
+            with np.errstate(over="ignore"):  # a term past floats is its limit 0
+                value = 0.0 if gamma == math.inf else 2.0 * float(
+                    np.sum((1.0 + gamma * (norms + gamma * det_sq)) ** (-(n_r + 2))))
+            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, points_used))
     return reports
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-import latcoset.wiretap as wiretap
+import latcoset.lattice as lattice
 from latcoset import IntegerLattice
 from latcoset.cli import _build_parser, _parse_float_list, main
 
@@ -261,13 +261,13 @@ class TestBound:
 
     def test_one_enumeration_per_lattice(self, capsys, monkeypatch):
         calls = []
-        real = wiretap._half_shorter_than
+        real = lattice._fincke_pohst_runs
 
-        def counted(lat, *args, **kwargs):
-            calls.append(lat)
-            return real(lat, *args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(wiretap, "_half_shorter_than", counted)
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", counted)
         code, out, _ = run_cli(["bound", "--code", "alamouti", "--pam", "4",
                                 "--lattices", "L1,L2,L3", "--sigma-e-sq", "1,10,100",
                                 "--truncation", "100"], capsys)
@@ -275,7 +275,29 @@ class TestBound:
         assert [(r["name"], r["sigma_e_sq"], r["exponent_mode"]) for r in parse_csv(out)] == [
             (name, sigma, mode) for name in ["L1", "L2", "L3"]
             for sigma in ["1.0", "10.0", "100.0"] for mode in ["pow2n", "pow2"]]
+        # the bound's own enumeration only: no shortest shell at a given truncation
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-320"])
+    def test_sigma_past_floats_gives_the_zero_limit(self, sigma, capsys):
+        code, out, err = run_cli(["bound", "--code", "golden", "--lattices", "L'2",
+                                  "--sigma-e-sq", sigma, "--truncation", "20"], capsys)
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert [(r["exponent_mode"], r["bound"]) for r in rows] == [
+            ("pow2n", "0.0"), ("pow2", "0.0")]
+        assert {r["points_used"] for r in rows} == {"120"}
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize("n_r", [0, 2.5, True])
+    def test_bad_receive_antennas_exit_2(self, command, n_r, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_r": n_r}))
+        argv = [command, "--code", "alamouti", "--lattices", "L1", "--config", str(path)]
+        argv += ["--sigma-e-sq", "10"] if command == "bound" else ["--trials", "10"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "configuration error" in err and "n_r" in err
 
     def test_sigma_and_snr_together_exit_2(self, tmp_path, capsys):
         bound = ["bound", "--code", "alamouti", "--pam", "4", "--lattices", "L1"]

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
                       RankDeficientChannel, STCodeMap, alamouti_map,
@@ -15,7 +16,18 @@ import latcoset.decoder as decoder
 import latcoset.lattice as lattice
 import latcoset.stcode as stcode
 import latcoset.wiretap as wiretap
+from latcoset.search import random_sublattice_with_index
 from latcoset.wiretap import simulate_curves
+
+
+def brute_force_bound(code, trunc, sigma, mode, n_r):
+    """The bound summed over every point within ``trunc``, both signs."""
+    pts = lattice.enumerate_shorter_than(code.sub, trunc)
+    norms = np.sum(pts * pts, axis=1).astype(float)
+    cw = stcode.codeword_matrices(pts @ code.map.M.T, 2, 2)
+    det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
+    gamma = sigma ** -2 if mode == "pow2n" else 1.0 / sigma
+    return float(np.sum((1.0 + gamma * norms + gamma ** 2 * det_sq) ** -(n_r + 2)))
 
 
 def coset(map_name, lattice_name, m):
@@ -196,6 +208,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             simulate_curves(alamouti_map(), PAMAlphabet(4), [], [0.0], 10, 1, n_r=0)
 
+    @pytest.mark.parametrize("n_r", [2.5, True, 2.0])
+    def test_receive_antennas_must_be_integers(self, n_r):
+        with pytest.raises(ValueError, match="n_r must be an integer >= 1"):
+            simulate_curves(alamouti_map(), PAMAlphabet(4), [], [0.0], 10, 1, n_r=n_r)
+        with pytest.raises(ValueError, match="n_r must be an integer >= 1"):
+            ecdp_monte_carlo(coset("alamouti", "L2", 4), [0.0], 10, seed=1, n_r=n_r)
+
     def test_bob_cer_limits_and_pairing(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
         cer = bob_cer_monte_carlo(cm, alpha, [0.0, 30.0], 3000, seed=12)
@@ -307,7 +326,9 @@ class TestBound:
         with pytest.raises(ValueError):
             ecdp_bound(c, 10.0, truncation_r_sq=16.0)
 
-    @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"sigma_e_sq": float("nan")},
+    @pytest.mark.parametrize("kwargs", [{"n_r": 0}, {"n_r": 2.5}, {"n_r": True},
+                                        {"sigma_e_sq": float("nan")},
+                                        {"sigma_e_sq": float("inf")},
                                         {"truncation_r_sq": float("nan")}])
     def test_bad_numbers_rejected(self, kwargs):
         args = {"sigma_e_sq": 10.0, "truncation_r_sq": 64.0, **kwargs}
@@ -367,23 +388,100 @@ class TestBound:
             assert rep.points_used == len(pts)
             assert rep.value == pytest.approx(value, rel=1e-12)
 
-    def test_enumerates_one_point_of_each_pair(self, monkeypatch):
-        rows = []
-        real = lattice._enumerate_coefficients
+    @pytest.mark.parametrize("family,name", [("alamouti", "L1"), ("golden", "L'2")])
+    def test_gamma_past_floats_is_the_zero_limit(self, family, name):
+        # sigma_e^-4 overflows at 1e-200 and sigma_e^-2 at 1e-320; each term's
+        # limit as gamma -> inf is 0
+        reps = ecdp_bound_reports(coset(family, name, 4), [1e-200, 1e-320, 1e-100],
+                                  ["pow2n", "pow2"], truncation_r_sq=40.0)
+        assert [rep.value for rep in reps] == [0.0] * 6
+        assert len({rep.points_used for rep in reps}) == 1
+
+    def test_truncation_at_or_below_coding_gain_rejected_without_a_shell(self, monkeypatch):
+        # the truncation's own enumeration decides it; no shortest shell runs
+        monkeypatch.setattr(wiretap, "first_coding_gain", None)
+        c = coset("golden", "L'2", 4)
+        for trunc in (12.0, 11.5, 1e-3, -4.0):
+            with pytest.raises(ValueError, match="must exceed the first coding gain"):
+                ecdp_bound_report(c, 1.0, truncation_r_sq=trunc)
+        assert ecdp_bound_report(c, 1.0, truncation_r_sq=12.5).points_used > 0
+
+    def test_capacity_error_keeps_the_coding_gain_check_first(self):
+        # a Gram matrix past floats: the enumeration fails, but a truncation
+        # below lambda_1^2 is still a configuration error, as the check came first
+        big = 2 ** 40
+        sub = IntegerLattice(np.array([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 2 * big + 2],
+                                       [0, 0, 0, 2 * big]], dtype=np.int64))
+        c = CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4), sub=sub)
+        with pytest.raises(ValueError, match="must exceed the first coding gain"):
+            ecdp_bound_report(c, 1.0, truncation_r_sq=3.0)
+        with pytest.raises(lattice.CapacityError):
+            ecdp_bound_report(c, 1.0, truncation_r_sq=5.0)
+
+    def test_only_the_zero_partial_vectors_run(self, monkeypatch):
+        # at R = 20 the ball of diag(2, 6, 6, 6) holds 2 e_0 and 4 e_0 only
+        widths = []
+        real = lattice._fincke_pohst_runs
 
         def recorded(*args):
-            z = real(*args)
-            rows.append(len(z))
-            return z
+            runs = real(*args)
+            widths.append(runs.Z.shape[1])
+            return runs
+
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
+        c = CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4),
+                      sub=IntegerLattice(np.diag([2, 6, 6, 6])))
+        reps = ecdp_bound_reports(c, [0.5, 3.0], ["pow2n", "pow2"], 20.0, 3)
+        assert widths == [1]
+        for rep in reps:
+            assert rep.points_used == 4
+            assert rep.value == pytest.approx(
+                brute_force_bound(c, 20.0, rep.sigma_e_sq, rep.exponent_mode, 3), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["alamouti", "golden"]),
+           extra=st.integers(1, 24), frac=st.sampled_from([0.0, 0.25, 0.5]),
+           n_r=st.integers(1, 3))
+    def test_matches_brute_force_sum(self, data, family, extra, frac, n_r):
+        # oracle: every point of enumerate_shorter_than, with its codeword and
+        # determinant formed directly
+        k = 4 if family == "alamouti" else 8
+        names = ["L1", "L2", "L3", "L4", "L5"] if k == 4 else ["L'1", "L'2", "L'3", "M1"]
+        source = data.draw(st.sampled_from(names + ["random"]))
+        if source == "random":
+            seed, index = data.draw(st.integers(0, 2 ** 32 - 1)), data.draw(st.integers(1, 64))
+            sub = random_sublattice_with_index(k, index, np.random.default_rng(seed))
+        else:
+            sub = builtin_sublattice(source)
+        c = CosetCode(map=alamouti_map() if k == 4 else golden_map(),
+                      alphabet=PAMAlphabet(4), sub=sub)
+        trunc = lattice.shortest_shell(sub)[0] + extra - frac
+        sigmas, modes = [0.1, 0.7, 5.0], ["pow2n", "pow2"]
+        reps = ecdp_bound_reports(c, sigmas, modes, trunc, n_r)
+        points = len(lattice.enumerate_shorter_than(sub, trunc))
+        for rep in reps:
+            assert rep.points_used == points
+            assert rep.value == pytest.approx(
+                brute_force_bound(c, trunc, rep.sigma_e_sq, rep.exponent_mode, n_r), rel=1e-12)
+
+    def test_enumerates_one_point_of_each_pair(self, monkeypatch):
+        totals = []
+        real = lattice._fincke_pohst_runs
+
+        def recorded(*args):
+            runs = real(*args)
+            totals.append(int(runs.counts.sum()))
+            return runs
 
         def refused(*args, **kwargs):
             raise AssertionError("the bound enumerated both signs")
 
-        monkeypatch.setattr(lattice, "_enumerate_coefficients", recorded)
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
         monkeypatch.setattr(lattice, "enumerate_shorter_than", refused)
         rep = ecdp_bound_report(coset("golden", "L'2", 4), 1.0, truncation_r_sq=64.0)
-        # the last enumeration is the bound's; the first finds lambda_1^2
-        assert rows[-1] == rep.points_used // 2 and rep.points_used == 10408
+        # one enumeration, no shortest shell: the truncation is given; its
+        # runs hold z = 0 and one point of each pair
+        assert totals == [rep.points_used // 2 + 1] and rep.points_used == 10408
 
     def test_only_2x2_codewords(self):
         scalar = STCodeMap(name="scalar", n=1, k=2, int_part=np.eye(2),
@@ -409,8 +507,7 @@ class TestDesignReport:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (lattice, wiretap):
-            monkeypatch.setattr(module, "_half_shorter_than", counted)
+        monkeypatch.setattr(lattice, "_half_shorter_than", counted)
         rep = design_report(coset("golden", "L'2", 4))
         assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
         assert len(calls) == 1
