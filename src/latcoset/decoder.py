@@ -11,7 +11,8 @@ one matrix product, using the expansion
 ||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
 (Agrell, Eriksson, Vardy & Zeger, "Closest point search in lattices",
 IEEE Trans. IT 2002): the codebook side is cached per (m, k), the problem
-side is k(k+1)/2 + k numbers per problem.  Beyond it a two-level search
+side is k(k+1)/2 + k numbers per problem, each a sum over the rows of
+products of two columns of [Heff | y].  Beyond it a two-level search
 takes a QR of [Heff | y], prunes the top half of the coordinates against
 the radius of the greedy leaf and completes each surviving top word over
 the bottom half, holding only the two half codebooks.  In both, problems
@@ -80,10 +81,11 @@ def _codebook_features(m: int, k: int):
 
     Returns the float codebook (N, k); the features (n_f, N), n_f =
     k(k+1)/2 + k, rows w * vech(z z^T) (upper triangle, row-major, w = 1 on
-    the diagonal and 2 off it) and then -2 z, all exact in float; the index
-    pair that reads [vech(G), c] off the Gram matrix of [Heff | y], where
-    G = Heff^T Heff and c = Heff^T y; and the weights (zmax, ..., zmax, 1)
-    that turn |[Heff | y]| into the rows of the error scale S.
+    the diagonal and 2 off it) and then -2 z, all exact in float; the column
+    pairs of [Heff | y] whose products, summed over the rows, give
+    [vech(G), c], where G = Heff^T Heff and c = Heff^T y; and the weights
+    (zmax, ..., zmax, 1) that turn |[Heff | y]| into the rows of the error
+    scale S.
     """
     zf = codebook(m, k).astype(float)
     iu, ju = np.triu_indices(k)
@@ -113,11 +115,34 @@ def _residual_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndar
     return out
 
 
+def _gemm_terms(heff: np.ndarray, y: np.ndarray, m: int):
+    """Problem side of :func:`exhaustive_argmin` for a batch of problems.
+
+    Returns lhs (b, n_f), rows [vech(G), c] with G = Heff^T Heff and
+    c = Heff^T y in the order of the features of :func:`_codebook_features`,
+    so that lhs @ features is ||y - Heff z||^2 - ||y||^2 for every word; and
+    the error bound E of :func:`exhaustive_argmin` per problem.  Each entry
+    of lhs is the sum over the d rows of the products of two columns of
+    [Heff | y], formed for the whole batch with the problems along the last
+    axis.
+    """
+    n, d, k = heff.shape
+    _, feats, (rows, cols), scale_weights = _codebook_features(m, k)
+    hy = np.empty((d, k + 1, n))
+    hy[:, :k] = heff.transpose(1, 2, 0)
+    hy[:, k] = y.T
+    terms = hy[:, rows]
+    terms *= hy[:, cols]
+    bound = scale_weights @ np.abs(hy)
+    scale = np.einsum("in,in->n", bound, bound)
+    return terms.sum(axis=0).T, (2 * (d + k) + feats.shape[0] + 8) * _EPS * scale
+
+
 def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     """Flat codebook index of the ML decision for each problem of a batch.
 
     ``heff`` is (b, d, k), ``y`` is (b, d) and the codebook is
-    ``codebook(m, k)``.  The Gram matrix of [Heff | y] gives each problem's
+    ``codebook(m, k)``.  :func:`_gemm_terms` gives each problem's
     [vech(Heff^T Heff), Heff^T y], and one product of those rows with the
     cached features of :func:`_codebook_features` gives
     ||y - Heff z||^2 - ||y||^2 for a block of problems and every word.
@@ -128,32 +153,36 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     where one candidate is clearly best.  With d rows in Heff, n_f features,
     zmax the largest symbol and S = sum_i (|y_i| + zmax sum_a |Heff_ia|)^2,
     the product and the residual form sum (y - Heff z)^2 (less ||y||^2)
-    differ by at most E = (2(d + k) + n_f + 8) eps S, over twice the
-    textbook bounds of their dot products and sums.  A row with a second
-    candidate within 2E of its minimum is re-decided by the residual form,
-    so every decision is the residual form's, bit for bit.
+    each lie within E / 2 of their exact values, E = (2(d + k) + n_f + 8) eps S,
+    over twice the textbook bounds of their dot products and sums.  A Gram
+    entry sum_i a_i b_i enters with the dot-product bound gamma_d sum_i |a_i b_i|,
+    which holds for the d products summed in any order, so E covers the row
+    sums of :func:`_gemm_terms` as it covers any other order.  A problem is
+    near a tie when the minimum of its scores without its best one (set to
+    inf) lies within 2E of the best, the same predicate as a second score
+    within 2E; such problems are re-decided by the residual form, so every
+    decision is the residual form's, bit for bit.
 
     Codebooks of more than ``_GEMM_LIMIT`` words go to
     :func:`_two_level_argmin`, which returns the same decisions.
     """
-    n, d, k = heff.shape
+    n, _, k = heff.shape
     if k > 1 and m ** k > _GEMM_LIMIT:
         return _two_level_argmin(heff, y, m)
-    zf, feats, (rows, cols), scale_weights = _codebook_features(m, k)
-    hy = np.concatenate([heff, y[:, :, None]], axis=2)
-    lhs = (hy.transpose(0, 2, 1) @ hy)[:, rows, cols]
-    bound = np.abs(hy) @ scale_weights
-    scale = np.einsum("bi,bi->b", bound, bound)
-    slack = 2 * (2 * (d + k) + feats.shape[0] + 8) * _EPS * scale
+    zf, feats = _codebook_features(m, k)[:2]
+    lhs, slack = _gemm_terms(heff, y, m)
     block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
     out = np.empty(n, dtype=np.int64)
     near = np.empty(n, dtype=bool)
     for off in range(0, n, block):
         dist = lhs[off:off + block] @ feats
         best = np.argmin(dist, axis=1)
-        lim = dist[np.arange(best.shape[0]), best] + slack[off:off + block]
+        pick = (np.arange(best.shape[0]), best)
+        lim = dist[pick] + 2 * slack[off:off + block]
+        dist[pick] = np.inf
         out[off:off + block] = best
-        near[off:off + block] = (dist <= lim[:, None]).sum(axis=1) > 1
+        # initial=inf: the same minimum by numpy's faster reduction loop
+        near[off:off + block] = dist.min(axis=1, initial=np.inf) <= lim
     if near.any():
         out[near] = _residual_argmin(heff[near], y[near], zf)
     return out

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, sphere_decode)
 from .errors import CapacityError, CodebookTooLarge, NotASublattice, RankDeficientChannel
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _integer_runs, coset_label,
-                      coset_labels, label_operator, shortest_shell)
+                      label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -166,14 +167,92 @@ def _decode_one(problem: DecodingProblem) -> np.ndarray:
         return codebook_rows(exhaustive_argmin(problem.Heff[None], problem.y[None], m), m, k)[0]
 
 
-def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_sq: float,
+class _CosetTests(NamedTuple):
+    """The message tests of a job's codes; see :func:`_coset_tests`."""
+
+    u: np.ndarray | None  # stacked rows (r, k), float; None without stacked codes
+    d: np.ndarray | None  # their moduli (r,), float
+    group: np.ndarray | None  # (r, stacked codes), 1 where the code owns the row
+    stacked: list  # positions of the codes in the stacked product
+    wide: list  # (position, u, d) of each code kept on Python integers
+
+
+def _coset_tests(labelers, m: int) -> _CosetTests:
+    """The message tests of :func:`_simulate_chunk`, prepared once per job.
+
+    ``labelers`` holds one :func:`label_operator` (U, d) per code.  With
+    t = (z - 1)/2 the labels (U t) mod d of z_hat and z agree exactly when
+    U D = 0 mod d for D = t_hat - t = (z_hat - z)/2, that is when D lies in
+    the half sublattice.  Rows with d_i = 1 hold for every D and are
+    dropped.  As |D_i| <= m - 1 and 0 <= U_ij < d_k, each entry of U D is
+    an integer of magnitude at most k (m - 1)(d_k - 1).  Operators with
+    int64 entries and that bound below 2^53 stack their rows into one
+    float64 product, exact in any summation order; the others (object
+    dtype, or past the bound) keep Python integers, one at a time.
+    """
+    rows, mods, owner, stacked, wide = [], [], [], [], []
+    for pos, (u, d) in enumerate(labelers):
+        if u.dtype != np.int64 or u.shape[1] * (m - 1) * (int(d[-1]) - 1) >= 1 << 53:
+            wide.append((pos, u, d))
+            continue
+        keep = d > 1
+        rows.append(u[keep])
+        mods.append(d[keep])
+        owner += [len(stacked)] * int(keep.sum())
+        stacked.append(pos)
+    if not stacked:
+        return _CosetTests(None, None, None, stacked, wide)
+    group = (np.array(owner)[:, None] == np.arange(len(stacked))).astype(float)
+    return _CosetTests(np.concatenate(rows).astype(float), np.concatenate(mods).astype(float),
+                       group, stacked, wide)
+
+
+def _message_successes(tests: _CosetTests, half_diff: np.ndarray) -> list[int]:
+    """Trials whose (z_hat - z)/2 (int64, trials x k) lies in each code's half
+    sublattice.  A stacked code fails where one of its rows leaves a nonzero
+    remainder, so where the sum of its |remainders| is nonzero."""
+    n = half_diff.shape[0]
+    counts = [0] * (len(tests.stacked) + len(tests.wide))
+    if tests.stacked:
+        rem = np.abs(np.fmod(half_diff.astype(float) @ tests.u.T, tests.d))
+        for pos, fails in zip(tests.stacked, np.count_nonzero(rem @ tests.group, axis=0)):
+            counts[pos] = n - int(fails)
+    for pos, u, d in tests.wide:
+        rem = (half_diff.astype(object) @ u.T) % d
+        counts[pos] = n - int(np.count_nonzero(np.any(rem != 0, axis=1)))
+    return counts
+
+
+@lru_cache(maxsize=8)
+def _channel_map(code_map: STCodeMap) -> np.ndarray:
+    """W (2 n_t, 2 T k) that takes a trial's channel draws to its Heff in one product.
+
+    Heff stacks H_b M_t over the T column blocks M_t of the code map, H_b the
+    real expansion of the complex channel.  That is linear in the draws
+    (Re h_ij, Im h_ij), so row (j, q) of W is the real expansion of a
+    one-row channel whose only entry h_j is 1 (q = 0) or i (q = 1), times the
+    blocks laid side by side: columns (p, t, a) give row p of the 2-row
+    expansion applied to column a of M_t.  For alamouti every column of M_t,
+    and so of W, has one nonzero entry, and Heff is bit for bit the
+    expansion times M_t.
+    """
+    n_t, t_uses, k = code_map.n, code_map.T, code_map.k
+    blocks = code_map.M.reshape(t_uses, 2 * n_t, k).transpose(1, 0, 2).reshape(2 * n_t, -1)
+    unit = np.eye(2 * n_t).reshape(2 * n_t, 1, n_t, 2)
+    return (_real_expand(unit[..., 0] + 1j * unit[..., 1]) @ blocks).reshape(2 * n_t, -1)
+
+
+def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq: float,
                     n_r: int, seed: int, point_idx: int, chunk_idx: int, n_trials: int,
                     strategy: str) -> tuple[int, ...]:
     """Run one chunk of trials; returns (word successes, *message successes).
 
-    Draw order is fixed: symbol indices, channel block, noise block.
-    ``labelers`` holds one half sublattice's :func:`label_operator` per
-    message count.
+    Draw order is fixed: symbol indices, channel block, noise block.  Heff
+    is one product of the channel draws with :func:`_channel_map`.  Both
+    success tests read D = (z_hat - z)/2: the word is right when D = 0, the
+    message when D lies in the code's half sublattice, the same predicate
+    as equal coset labels (:func:`_message_successes`; ``tests`` comes from
+    :func:`_coset_tests`).
     """
     rng = _chunk_rng(seed, point_idx, chunk_idx)
     m = alphabet.m
@@ -186,9 +265,8 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_
     noise = rng.standard_normal((n_trials, 2 * n_r * t_uses)) * math.sqrt(sigma_sq / 2.0)
 
     z = alphabet.symbols[sym_idx]
-    mb = code_map.M.reshape(t_uses, 2 * n_t, k)
-    r4 = _real_expand(hblock[..., 0] + 1j * hblock[..., 1])
-    heff = np.einsum("bij,tjk->btik", r4, mb).reshape(n_trials, 2 * n_r * t_uses, k)
+    heff = (hblock.reshape(-1, 2 * n_t) @ _channel_map(code_map)).reshape(
+        n_trials, n_r, 2, t_uses, k).transpose(0, 3, 1, 2, 4).reshape(n_trials, -1, k)
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
     if strategy == "exhaustive":
@@ -196,18 +274,14 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, labelers, sigma_
     else:
         zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
                          for i in range(n_trials)])
-    counts = [int(np.count_nonzero(np.all(zhat == z, axis=1)))]
-    t = (np.concatenate([zhat, z]) - 1) // 2
-    for labeler in labelers:
-        labels = coset_labels(t, *labeler)
-        same = np.all(labels[:n_trials] == labels[n_trials:], axis=1)
-        counts.append(int(np.count_nonzero(same)))
-    return tuple(counts)
+    half_diff = (zhat - z) >> 1
+    word = n_trials - int(np.count_nonzero(half_diff.any(axis=1)))
+    return (word, *_message_successes(tests, half_diff))
 
 
-def _check_n_r(n_r) -> None:
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 1:
-        raise ValueError("n_r must be an integer >= 1")
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _resolve_strategy(decoder: str, m: int, k: int) -> str:
@@ -235,20 +309,28 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     Every code in ``codes`` must use ``code_map`` and ``alphabet``.  The
     draws and ML decisions of a trial depend on the code map, the alphabet,
     the SNR point and the seed only; each code's sublattice enters at the
-    coset label of the decoded and sent words.
+    message test, whether (z_hat - z)/2 lies in its half sublattice.
+    Raises ValueError before any draw when a code's map or alphabet differs
+    from the run's, an SNR is not finite, or ``trials`` or ``workers`` is
+    not an integer >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_n_r(n_r)
+    _check_count("trials", trials)
+    _check_count("workers", workers)
+    _check_count("n_r", n_r)
+    for code in codes:
+        if code.alphabet.m != alphabet.m or not np.array_equal(code.map.M, code_map.M):
+            raise ValueError("every code must use the run's code map and alphabet")
+    if not all(math.isfinite(snr_db) for snr_db in snr_db_list):
+        raise ValueError("SNR values must be finite")
     strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
-    labelers = [label_operator(code.half_sub) for code in codes]
+    tests = _coset_tests([label_operator(code.half_sub) for code in codes], alphabet.m)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = []
     for point_idx, snr_db in enumerate(snr_db_list):
         sigma_sq = snr_to_sigma(snr_db, code_map, alphabet).sigma_sq
         for chunk_idx in range(n_chunks):
             n = min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS)
-            tasks.append((code_map, alphabet, labelers, sigma_sq, n_r, seed,
+            tasks.append((code_map, alphabet, tests, sigma_sq, n_r, seed,
                           point_idx, chunk_idx, n, strategy))
     if workers > 1:
         # imported here: multiprocessing adds ~1.5 MB of RSS that serial runs never use
@@ -393,7 +475,7 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
         raise ValueError(f"exponent_mode must be one of {_EXPONENT_MODES}")
     if not all(0 < sigma_e_sq < math.inf for sigma_e_sq in sigmas):
         raise ValueError("sigma_e_sq must be positive and finite")
-    _check_n_r(n_r)
+    _check_count("n_r", n_r)
     too_short = "truncation radius must exceed the first coding gain"
     if truncation_r_sq is None:
         trunc = 4.0 * first_coding_gain(code.map, code.sub)

@@ -10,9 +10,9 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
                       sphere_decode)
-from latcoset.decoder import (_complete, _halves, _residual_distances,
-                              _two_level_argmin, _two_level_terms, codebook,
-                              exhaustive_argmin)
+from latcoset.decoder import (_codebook_features, _complete, _gemm_terms, _halves,
+                              _residual_distances, _two_level_argmin, _two_level_terms,
+                              codebook, exhaustive_argmin)
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -120,6 +120,29 @@ class TestKernel:
         y = 2.0 * np.repeat(h[:, None], 2, axis=1)
         got = exhaustive_argmin(heff, y, 4)
         assert np.array_equal(codebook(4, 2)[got], np.ones((len(h), 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("code,m", [("alamouti", 4), ("golden", 2)])
+    @pytest.mark.parametrize("snr_db", range(-60, 61, 20))
+    def test_gemm_error_bound_against_exact_distances(self, code, m, snr_db):
+        # the product's scores drop ||y||^2; both lie within E/2 of the exact values
+        rng = np.random.default_rng(snr_db + 200)
+        code_map = alamouti_map() if code == "alamouti" else golden_map()
+        problems = [random_problem(rng, code_map, m, sigma_sq=10 ** (-snr_db / 10))[0]
+                    for _ in range(3)]
+        heff = np.array([p.Heff for p in problems])
+        y = np.array([p.y for p in problems])
+        zf, feats = _codebook_features(m, code_map.k)[:2]
+        lhs, slack = _gemm_terms(heff, y, m)
+        scores = lhs @ feats
+        residual = _residual_distances(heff, y, zf)
+        words = codebook(m, code_map.k)
+        for p in range(len(problems)):
+            exact = exact_distances(heff[p], y[p], words)
+            y_sq = sum(Fraction(float(v)) ** 2 for v in y[p])
+            half = Fraction(float(slack[p])) / 2
+            for s, f, e in zip(scores[p], residual[p], exact):
+                assert abs(Fraction(float(s)) - (e - y_sq)) <= half
+                assert abs(Fraction(float(f)) - e) <= half
 
     @pytest.mark.parametrize("snr_db", range(-60, 61, 20))
     def test_two_level_error_bound_against_exact_distances(self, snr_db):

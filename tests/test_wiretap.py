@@ -1,12 +1,13 @@
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
+from latcoset import (CosetCode, DecodingProblem, IntegerLattice, NotASublattice, PAMAlphabet,
                       RankDeficientChannel, STCodeMap, alamouti_map,
                       bob_cer_monte_carlo, builtin_sublattice, design_report,
                       ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
@@ -16,6 +17,7 @@ import latcoset.decoder as decoder
 import latcoset.lattice as lattice
 import latcoset.stcode as stcode
 import latcoset.wiretap as wiretap
+from latcoset.channel import _real_expand, snr_to_sigma
 from latcoset.search import random_sublattice_with_index
 from latcoset.wiretap import simulate_curves
 
@@ -283,6 +285,144 @@ class TestMonteCarlo:
         a = bob_cer_monte_carlo(cm, alpha, [5.0], 2000, seed=2)
         b = bob_cer_monte_carlo(cm, alpha, [5.0], 2000, seed=2)
         assert a == b
+
+
+def no_draw(*args):
+    raise AssertionError("a chunk was drawn")
+
+
+class TestSimulateInputs:
+    """simulate_curves (and the two curves built on it) refuse bad inputs before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def _no_draws(self, monkeypatch):
+        monkeypatch.setattr(wiretap, "_chunk_rng", no_draw)
+
+    @pytest.mark.parametrize("name,value", [("trials", 64.5), ("trials", True), ("trials", 0),
+                                            ("trials", "64"), ("workers", 0),
+                                            ("workers", 2.0), ("workers", False)])
+    def test_counts_must_be_integers_of_at_least_one(self, name, value):
+        kwargs = {"trials": 64, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            simulate_curves(alamouti_map(), PAMAlphabet(4), [], [0.0], kwargs["trials"], 1,
+                            workers=kwargs["workers"])
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            ecdp_monte_carlo(coset("alamouti", "L2", 4), [0.0], kwargs["trials"], 1,
+                             workers=kwargs["workers"])
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    def test_snr_must_be_finite(self, snr):
+        with pytest.raises(ValueError, match="SNR values must be finite"):
+            ecdp_monte_carlo(coset("alamouti", "L2", 4), [0.0, snr], 64, 1)
+        with pytest.raises(ValueError, match="SNR values must be finite"):
+            bob_cer_monte_carlo(alamouti_map(), PAMAlphabet(4), [snr], 64, 1)
+
+    def test_code_alphabet_must_be_the_runs(self):
+        with pytest.raises(ValueError, match="code map and alphabet"):
+            simulate_curves(alamouti_map(), PAMAlphabet(4), [coset("alamouti", "L2", 8)],
+                            [0.0], 64, 1)
+
+    def test_code_map_must_be_the_runs(self):
+        with pytest.raises(ValueError, match="code map and alphabet"):
+            simulate_curves(alamouti_map(), PAMAlphabet(4), [coset("golden", "L'2", 4)],
+                            [0.0], 64, 1)
+
+
+def test_numpy_integer_counts_accepted():
+    cm, alpha = alamouti_map(), PAMAlphabet(4)
+    codes = [coset("alamouti", "L2", 4)]
+    assert (simulate_curves(cm, alpha, codes, [0.0], np.int64(300), 1, workers=np.int32(1))
+            == simulate_curves(cm, alpha, codes, [0.0], 300, 1))
+
+
+def old_chunk_counts(code_map, alphabet, labelers, sigma_sq, n_r, seed, point_idx, chunk_idx,
+                     n_trials, strategy):
+    """A chunk's counts by the earlier path: Heff by einsum over the real
+    expansion, and coset labels of the decoded and sent words compared."""
+    rng = wiretap._chunk_rng(seed, point_idx, chunk_idx)
+    m, k, n_t, t_uses = alphabet.m, code_map.k, code_map.n, code_map.T
+    sym_idx = rng.integers(0, m, size=(n_trials, k))
+    hblock = rng.standard_normal((n_trials, n_r, n_t, 2))
+    noise = rng.standard_normal((n_trials, 2 * n_r * t_uses)) * math.sqrt(sigma_sq / 2.0)
+    z = alphabet.symbols[sym_idx]
+    r4 = _real_expand(hblock[..., 0] + 1j * hblock[..., 1])
+    heff = np.einsum("bij,tjk->btik", r4, code_map.M.reshape(t_uses, 2 * n_t, k)).reshape(
+        n_trials, 2 * n_r * t_uses, k)
+    y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
+    if strategy == "exhaustive":
+        zhat = decoder.codebook_rows(decoder.exhaustive_argmin(heff, y, m), m, k)
+    else:
+        zhat = np.array([wiretap._decode_one(DecodingProblem(y=y[i], Heff=heff[i],
+                                                             alphabet=alphabet))
+                         for i in range(n_trials)])
+    counts = [int(np.count_nonzero(np.all(zhat == z, axis=1)))]
+    t = (np.concatenate([zhat, z]) - 1) // 2
+    for labeler in labelers:
+        labels = lattice.coset_labels(t, *labeler)
+        counts.append(int(np.count_nonzero(np.all(labels[:n_trials] == labels[n_trials:],
+                                                  axis=1))))
+    return tuple(counts)
+
+
+@st.composite
+def half_sublattices(draw, k):
+    """Half bases: a catalog lattice's, a random triangular one, or one whose
+    label operator needs Python integers (last invariant 2^31 or more)."""
+    kind = draw(st.sampled_from(["catalog", "triangular", "wide"]))
+    if kind == "catalog":
+        names = (["L1", "L2", "L3", "L4", "L5"] if k == 4
+                 else ["L'1", "L'2", "L'3", "M1", "M2", "M3"])
+        return builtin_sublattice(draw(st.sampled_from(names))).B // 2
+    b = np.diag(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))).astype(np.int64)
+    for i, j in zip(*np.tril_indices(k, -1)):
+        b[i, j] = draw(st.integers(-5, 5))
+    if kind == "wide":
+        b[k - 1, k - 1] = 2 ** draw(st.integers(31, 40))
+    return b
+
+
+@st.composite
+def chunk_jobs(draw):
+    code = draw(st.sampled_from(["alamouti", "golden"]))
+    code_map = alamouti_map() if code == "alamouti" else golden_map()
+    m = draw(st.sampled_from([2, 4, 8] if code == "alamouti" else [2, 4]))
+    strategy = draw(st.sampled_from(["exhaustive", "sphere"]))
+    # the per-trial sphere decoder takes milliseconds a trial on golden 4-PAM
+    most = 30 if (code, m, strategy) == ("golden", 4, "sphere") else 300
+    halves = draw(st.lists(half_sublattices(code_map.k), max_size=4))
+    return dict(code_map=code_map, m=m, strategy=strategy, halves=halves,
+                n_trials=draw(st.integers(1, most)), n_r=draw(st.integers(1, 2)),
+                snr_db=draw(st.sampled_from([-60.0, -10.0, 0.0, 10.0, 30.0])),
+                seed=draw(st.integers(0, 2 ** 32 - 1)), chunk=draw(st.integers(0, 3)))
+
+
+class TestChunkKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(job=chunk_jobs())
+    @example(job=dict(code_map=alamouti_map(), m=4, strategy="exhaustive", n_trials=1024,
+                      halves=[builtin_sublattice("L2").B // 2,
+                              np.diag([1, 1, 1, 2 ** 33]).astype(np.int64),
+                              builtin_sublattice("L3").B // 2],
+                      n_r=2, snr_db=0.0, seed=7, chunk=0))
+    def test_counts_match_the_label_comparison(self, job):
+        code_map, alphabet = job["code_map"], PAMAlphabet(job["m"])
+        labelers = [lattice.label_operator(IntegerLattice(b)) for b in job["halves"]]
+        sigma_sq = snr_to_sigma(job["snr_db"], code_map, alphabet).sigma_sq
+        args = (sigma_sq, job["n_r"], job["seed"], 1, job["chunk"], job["n_trials"],
+                job["strategy"])
+        got = wiretap._simulate_chunk(code_map, alphabet,
+                                      wiretap._coset_tests(labelers, alphabet.m), *args)
+        assert got == old_chunk_counts(code_map, alphabet, labelers, *args)
+
+    def test_object_operators_stay_off_the_stacked_product(self):
+        halves = [builtin_sublattice("L2").B // 2, np.diag([1, 1, 1, 2 ** 33]).astype(np.int64),
+                  builtin_sublattice("L3").B // 2]
+        labelers = [lattice.label_operator(IntegerLattice(b)) for b in halves]
+        tests = wiretap._coset_tests(labelers, 4)
+        assert tests.stacked == [0, 2] and [pos for pos, *_ in tests.wide] == [1]
+        assert tests.wide[0][1].dtype == object
+        # rows with invariant 1 hold for every D and are dropped
+        assert tests.d.tolist() == [2.0, 16.0] + [float(x) for x in labelers[2][1] if x > 1]
 
 
 class TestBound:
