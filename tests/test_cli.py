@@ -476,3 +476,16 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "L1,32,no,16" in proc.stdout
+
+    def test_analyze_and_bound_leave_numpy_random_unimported(self):
+        # only simulate and search draw; the others must not pay for the module
+        script = ("import sys\n"
+                  "from latcoset.cli import main\n"
+                  "assert main(['analyze', '--code', 'golden', '--pam', '4',"
+                  " '--lattices', \"L'1,L'2\"]) == 0\n"
+                  "assert main(['bound', '--code', 'golden', '--lattices', \"L'2\","
+                  " '--sigma-e-sq', '10', '--truncation', '40']) == 0\n"
+                  "assert 'numpy.random' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ Each case runs the CLI in process and compares the sha256 of its stdout
 with a digest recorded from an earlier build, so a change to the draw,
 channel, decoding or labelling kernels that moves any decision, or a CSV
 byte, fails here.  The cases cover alamouti 2/4/8-PAM and golden 2/4-PAM,
-every ``--decoder``, both metrics, 1 and 2 receive antennas, 1 and 2
+every ``--decoder``, both metrics, 1 and 2 receive antennas, 1, 2 and 3
 workers, and lattice files whose label operator needs Python integers
 (object dtype) listed with catalog lattices.
 """
@@ -79,6 +79,10 @@ CASES = [
     ("--code golden --pam 4 --lattices M2 --snr 10 --trials 150 --seed 17 "
      "--decoder exhaustive --n-r 1",
      "a2c0325db722eb206472be03e946347d85081ef904579b373f879827a5319abe"),
+    # two tasks on a pool sized down from 3 workers; the digest of --workers 1
+    ("--code golden --pam 4 --lattices L'1,L'3 --snr 0,20 --trials 150 --seed 18 "
+     "--workers 3",
+     "86da526fc97c277ca36d5472f99eb1c112343eed8b3771eed8bde7c4cc0a07a1"),
 ]
 
 

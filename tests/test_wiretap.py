@@ -1,5 +1,9 @@
+import concurrent.futures
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from functools import lru_cache
 
@@ -423,6 +427,65 @@ class TestChunkKernel:
         assert tests.wide[0][1].dtype == object
         # rows with invariant 1 hold for every D and are dropped
         assert tests.d.tolist() == [2.0, 16.0] + [float(x) for x in labelers[2][1] if x > 1]
+
+
+class TestPool:
+    """When simulate_curves starts a process pool, and how large."""
+
+    def test_pool_holds_at_most_one_worker_per_task(self, monkeypatch):
+        built = []
+
+        class InProcessPool:  # records the size, starts no process
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        c = coset("alamouti", "L2", 4)
+        serial = ecdp_monte_carlo(c, [0.0, 10.0], 300, seed=3)
+        assert ecdp_monte_carlo(c, [0.0, 10.0], 300, seed=3, workers=64) == serial
+        assert built == [2]
+
+    def test_one_task_job_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for a one-task job")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        c = coset("alamouti", "L2", 4)
+        assert (ecdp_monte_carlo(c, [0.0], 1024, seed=3, workers=8)
+                == ecdp_monte_carlo(c, [0.0], 1024, seed=3))
+
+    def test_pool_starts_after_numpy_random_is_loaded(self):
+        # a fresh process, so nothing earlier has imported numpy.random
+        script = textwrap.dedent("""
+            import concurrent.futures
+            import sys
+
+            from latcoset import PAMAlphabet, alamouti_map
+            from latcoset.wiretap import simulate_curves
+
+            class CheckedPool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    assert "numpy.random" in sys.modules, "the pool started first"
+                    super().__init__(*args, **kwargs)
+
+            concurrent.futures.ProcessPoolExecutor = CheckedPool
+            assert "numpy.random" not in sys.modules
+            job = (alamouti_map(), PAMAlphabet(4), [], [0.0, 10.0], 64, 1)
+            pooled = simulate_curves(*job, workers=2)
+            assert pooled == simulate_curves(*job)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBound:
