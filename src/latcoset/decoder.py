@@ -15,16 +15,21 @@ side is k(k+1)/2 + k numbers per problem, each a sum over the rows of
 products of two columns of [Heff | y].  Beyond it a two-level search
 takes a QR of [Heff | y], prunes the top half of the coordinates against
 the radius of the greedy leaf and completes each surviving top word over
-the bottom half, holding only the two half codebooks.  In both, problems
-whose best candidates the kernel cannot separate within its rounding bound
-are re-decided by the residual form sum (y - Heff z)^2, so decisions are
-the residual form's.
+the bottom half, holding only the two half codebooks.  It scores in the
+same product form, per half: rows [vech(G), c, const] from the Gram matrix
+of R's columns times the cached half-codebook features with a row of ones,
+within E / 2 = (2d(k + 1) + (k + 3)^2) eps A^2 of the exact distances (A
+is ||y|| plus the largest symbol times the sum of Heff's column norms).  In
+both, problems whose best candidates the kernel cannot separate within its
+rounding bound are re-decided by the residual form sum (y - Heff z)^2, so
+decisions are the residual form's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +48,9 @@ _RANK_TOL = 1e-10
 #: elements of the (problems x codewords) distance block of one product
 _BLOCK_ELEMENTS = 1 << 21
 
-#: elements of a (problems x top words) or (survivors x bottom words) block
-#: of the two-level kernel
-_TWO_LEVEL_BLOCK = 1 << 14
+#: elements of a (problems x top words) or (survivor pairs x bottom words)
+#: block of the two-level kernel; 1 << 16 was slower on golden 4-PAM
+_TWO_LEVEL_BLOCK = 1 << 15
 
 _EPS = float(np.finfo(float).eps)
 
@@ -77,7 +82,10 @@ def codebook(m: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _codebook_features(m: int, k: int):
-    """Cached codebook side of :func:`exhaustive_argmin` for S^k.
+    """Cached codebook side of the product kernels for S^k.
+
+    :func:`exhaustive_argmin` uses it for the whole codebook, the two-level
+    kernel for the two half codebooks.
 
     Returns the float codebook (N, k); the features (n_f, N), n_f =
     k(k+1)/2 + k, rows w * vech(z z^T) (upper triangle, row-major, w = 1 on
@@ -209,41 +217,68 @@ def codebook_rows(flat: np.ndarray, m: int, k: int) -> np.ndarray:
     return np.concatenate([bottom[i_b], top[i_t]], axis=-1)
 
 
-def _two_level_terms(heff, y, m, zb, zt):
+def _with_ones(feats: np.ndarray) -> np.ndarray:
+    """[features; 1]: a row [vech(G), c, const] times it is the quadratic form plus const."""
+    return np.vstack([feats, np.ones((1, feats.shape[1]))])
+
+
+class _TwoLevelTerms(NamedTuple):
+    """Per-problem terms of the two-level kernel; see :func:`_two_level_terms`."""
+
+    tscore: np.ndarray  # T(z_t), (b, top words)
+    base: np.ndarray  # T(z_t) + ||r_b||^2, (b, top words)
+    head: np.ndarray  # [vech(R_bb^T R_bb), R_bb^T y_b, 0] in feature order, (b, n_b + 1)
+    cross: np.ndarray  # R_bb^T R_bt, (b, k_b, k_t)
+    slack: np.ndarray  # the error bound E, (b,)
+
+
+def _two_level_terms(heff, y, m) -> _TwoLevelTerms:
     """Per-problem terms of the two-level kernel for a block of problems.
 
     With [Heff | y] = Q R and z = (z_b, z_t), ||y - Heff z||^2 is
     c + T(z_t) + ||r_b - R_bb z_b||^2, where (y_b, y_t) = Q^T y is the last
     column of R, T(z_t) = ||y_t - R_tt z_t||^2, r_b = y_b - R_bt z_t, and
-    c = ||y||^2 - ||Q^T y||^2 does not depend on z.
-    Returns T (b, top words); base = T + ||r_b||^2 and g = -2 R_bb^T r_b
-    (b, top words, k_b); ||R_bb z_b||^2 (b, bottom words); and the error
-    bound E of :func:`_two_level_argmin`.
+    c = ||y||^2 - ||Q^T y||^2 does not depend on z.  Expanded,
+    T = ||y_t||^2 - 2 <R_tt^T y_t, z_t> + z_t^T R_tt^T R_tt z_t, a row
+    [vech(G), c, const] of Gram entries of the columns of R's bottom-right
+    block times [features; 1] of the top half codebook; base = T + ||r_b||^2
+    = ||Q^T y - R_t z_t||^2 (R_t the top columns of R) is the same with the
+    Gram entries of all of R, and one product gives both for every top word.
+    The bottom side keeps Gram entries only: :func:`_pair_rows` forms
+    R_bb^T r_b = R_bb^T y_b - R_bb^T R_bt z_t for the pairs it is asked for.
     """
     b, d, k = heff.shape
-    kb = zb.shape[1]
+    kb, kt = k // 2, k - k // 2
     r = np.linalg.qr(np.concatenate([heff, y[:, :, None]], axis=2), mode="r")
     if r.shape[1] < k:  # fewer rows than coefficients: pad R with zero rows
         r = np.concatenate([r, np.zeros((b, k - r.shape[1], k + 1))], axis=1)
-    rh, yq = r[:, :k, :k], r[:, :k, k:]
-    top = yq[:, kb:] - rh[:, kb:, kb:] @ zt.T
-    tscore = np.einsum("bit,bit->bt", top, top)
-    rb = yq[:, :kb] - rh[:, :kb, kb:] @ zt.T
-    base = tscore + np.einsum("bit,bit->bt", rb, rb)
-    g = (-2.0 * rh[:, :kb, :kb].transpose(0, 2, 1) @ rb).transpose(0, 2, 1)
-    q = rh[:, :kb, :kb] @ zb.T
-    qn = np.einsum("bic,bic->bc", q, q)
+    r = r[:, :k]  # row k holds ||y_perp||, part of the constant c
+    gram = r.transpose(0, 2, 1) @ r
+    low = r[:, kb:, kb:]
+    gram_t = low.transpose(0, 2, 1) @ low
+    _, feats_t, (rows, cols), _ = _codebook_features(m, kt)
+    rows, cols = np.append(rows, kt), np.append(cols, kt)
+    lhs = np.concatenate([gram_t[:, rows, cols], gram[:, rows + kb, cols + kb]])
+    scores = lhs @ _with_ones(feats_t)
+    iu, ju = np.triu_indices(kb)
+    head = np.concatenate([gram[:, iu, ju], gram[:, :kb, k], np.zeros((b, 1))], axis=1)
     a = np.linalg.norm(y, axis=1) + (m - 1) * np.linalg.norm(heff, axis=1).sum(axis=1)
-    slack = (4 * d * (k + 1) + 16 * k + 48) * _EPS * a * a
-    return tscore, base, g, qn, slack
+    slack = (4 * d * (k + 1) + 2 * (k + 3) ** 2) * _EPS * a * a
+    return _TwoLevelTerms(scores[:b], scores[b:], head, gram[:, :kb, kb:k], slack)
 
 
-def _complete(base, g, qn, zb, trial, top):
-    """Scores of every bottom word completing the (problem, top word) pairs."""
-    s = g[trial, top] @ zb.T
-    s += qn[trial]
-    s += base[trial, top][:, None]
-    return s
+def _pair_rows(terms: _TwoLevelTerms, zt, trial, top) -> np.ndarray:
+    """Rows [vech(R_bb^T R_bb), R_bb^T r_b, base] of the (problem, top word) pairs.
+
+    Times [features; 1] of the bottom half codebook, a row gives the scores
+    base - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2 of every bottom word.
+    """
+    rows = np.take(terms.head, trial, axis=0)
+    kb = terms.cross.shape[1]
+    rows[:, -kb - 1:-1] -= np.einsum("pij,pj->pi", np.take(terms.cross, trial, axis=0),
+                                     np.take(zt, top, axis=0))
+    rows[:, -1] = terms.base[trial, top]
+    return rows
 
 
 def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
@@ -258,38 +293,53 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     radius; only top words with T within the radius plus 2E survive, and
     each survivor is completed over all bottom words as
     T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2, and (z_b, z_t)
-    maps to its row of ``codebook(m, k)`` by :func:`_flat_index`.
+    maps to its row of ``codebook(m, k)`` by :func:`_flat_index`.  Every
+    score is a product of per-problem rows with the cached features of a
+    half codebook (:func:`_codebook_features`, with a row of ones for the
+    constant), as in the one-product kernel: T and base for all top words
+    of a block of problems in one product, the completions of a block of
+    survivor pairs in another (:func:`_pair_rows`).
 
-    With d rows in Heff, zmax the largest symbol and
-    A = ||y|| + zmax sum_a ||Heff_a|| (columns), the computed scores (plus c),
+    With d rows in Heff, zmax the largest symbol, a_i the norm of column i
+    of Heff and A = ||y|| + zmax sum_i a_i, the computed scores (plus c),
     the computed T and the residual form sum (y - Heff z)^2 each lie within
-    E / 2 = (2d(k + 1) + 8k + 24) eps A^2 of their exact values: the
-    Householder QR's backward error (2d(k + 1) eps A^2, Higham's bound with
-    the constant taken as 2 units of roundoff) plus twice the first-order
-    bounds of the products and sums.  So pruning past 2E never drops the
-    residual form's argmin, and a problem whose second-best candidate lies
-    within 2E of its best is re-decided by the residual form over those
-    candidates, ties to the smallest flat index.  Problems go in blocks of
+    E / 2 = (2d(k + 1) + (k + 3)^2) eps A^2 of their exact values.  The
+    first term is the Householder QR's backward error (Higham's bound with
+    the constant taken as 2 units of roundoff); R keeps the column norms of
+    [Heff | y], so every Gram entry of R's columns i, j is within k eps a_i a_j.
+    The expansion then cancels terms of size up to A^2: taking gamma_n as
+    n eps, the Gram entries, the pair coefficients R_bb^T r_b (k_t + 1 more
+    roundings) and the two products of n_t + 1 and n_b + 1 terms
+    (n_h = k_h(k_h + 3)/2 features per half) add at most
+    (k + k_t + n_t + n_b + 2) eps A^2, and (k + 3)^2 is more than twice that
+    for every k >= 2.  The residual form's error, (2k + d + 3) eps A^2 at
+    first order, is also below E / 2.  So pruning past 2E never drops the residual
+    form's argmin, and a problem whose second-best candidate lies within 2E
+    of its best is re-decided by the residual form over those candidates,
+    ties to the smallest flat index.  Problems go in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k - k // 2)`` and survivor pairs in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.
     """
-    zb, zt = (half.astype(float) for half in _halves(m, heff.shape[2]))
+    k = heff.shape[2]
+    zb, feats_b = _codebook_features(m, k // 2)[:2]
+    zt = _codebook_features(m, k - k // 2)[0]
+    feats_b = _with_ones(feats_b)
     out = np.empty(heff.shape[0], dtype=np.int64)
     block = max(1, _TWO_LEVEL_BLOCK // zt.shape[0])
     for off in range(0, heff.shape[0], block):
-        out[off:off + block] = _two_level_block(heff[off:off + block],
-                                                y[off:off + block], m, zb, zt)
+        out[off:off + block] = _two_level_block(heff[off:off + block], y[off:off + block],
+                                                m, zb, zt, feats_b)
     return out
 
 
-def _two_level_block(heff, y, m, zb, zt):
+def _two_level_block(heff, y, m, zb, zt, feats_b):
     """Flat indices of :func:`_two_level_argmin` for one block of problems."""
-    tscore, base, g, qn, slack = _two_level_terms(heff, y, m, zb, zt)
-    b, n_t = tscore.shape
+    terms = _two_level_terms(heff, y, m)
+    b, n_t = terms.tscore.shape
     rows = np.arange(b)
-    t0 = np.argmin(tscore, axis=1)
-    radius = np.min(_complete(base, g, qn, zb, rows, t0), axis=1)
-    keep = tscore <= (radius + 2 * slack)[:, None]
+    t0 = np.argmin(terms.tscore, axis=1)
+    radius = np.min(_pair_rows(terms, zt, rows, t0) @ feats_b, axis=1)
+    keep = terms.tscore <= (radius + 2 * terms.slack)[:, None]
     keep[rows, t0] = True
     trial, top = np.nonzero(keep)
     n_pairs = trial.shape[0]
@@ -298,32 +348,32 @@ def _two_level_block(heff, y, m, zb, zt):
     v2 = np.empty(n_pairs)
     a1 = np.empty(n_pairs, dtype=np.int64)
     for off in range(0, n_pairs, step):
-        s = _complete(base, g, qn, zb, trial[off:off + step], top[off:off + step])
+        s = _pair_rows(terms, zt, trial[off:off + step], top[off:off + step]) @ feats_b
         at = np.argmin(s, axis=1)
         pick = (np.arange(s.shape[0]), at)
         a1[off:off + step] = at
         v1[off:off + step] = s[pick]
         s[pick] = np.inf
-        v2[off:off + step] = np.min(s, axis=1)
+        v2[off:off + step] = s.min(axis=1, initial=np.inf)
     starts = np.searchsorted(trial, rows)
     lo = np.minimum.reduceat(v1, starts)
-    lim = lo + 2 * slack
+    lim = lo + 2 * terms.slack
     within = (v1 <= lim[trial]).astype(np.int64) + (v2 <= lim[trial])
     near = np.add.reduceat(within, starts) > 1
     first = np.minimum.reduceat(np.where(v1 == lo[trial], np.arange(n_pairs), n_pairs), starts)
     out = _flat_index(a1[first], top[first], n_t)
     for p in np.flatnonzero(near):
-        out[p] = _recheck(heff[p], y[p], base, g, qn, zb, zt, p, top[trial == p], lim[p], step)
+        out[p] = _recheck(heff[p], y[p], terms, top[trial == p], feats_b, zb, zt, p, lim[p],
+                          step)
     return out
 
 
-def _recheck(heff, y, base, g, qn, zb, zt, p, tops, lim, step):
+def _recheck(heff, y, terms, tops, feats_b, zb, zt, p, lim, step):
     """Residual-form argmin of one problem over its candidates scored within ``lim``."""
     best = (np.inf, -1)
     for off in range(0, tops.shape[0], step):
         t = tops[off:off + step]
-        s = _complete(base, g, qn, zb, np.full(t.shape[0], p), t)
-        i, j = np.nonzero(s <= lim)
+        i, j = np.nonzero(_pair_rows(terms, zt, np.full(t.shape[0], p), t) @ feats_b <= lim)
         if i.size == 0:
             continue
         words = np.concatenate([zb[j], zt[t[i]]], axis=1)

@@ -315,12 +315,16 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     not an integer >= 1.
 
     The job splits into one task per SNR point and chunk of
-    ``CHUNK_TRIALS`` trials.  A job of one task runs in process; a larger
-    one with ``workers > 1`` runs on a pool of ``min(workers, tasks)``
-    processes.  ``numpy.random`` is imported just before the pool starts:
-    forked workers then inherit it, where each would otherwise import it
-    again (~15 ms) on its first draw.  Results do not depend on
-    ``workers``.
+    ``CHUNK_TRIALS`` trials.  With ``workers > 1`` it runs on a pool of
+    ``min(workers, tasks)`` processes, except that a job runs in process
+    when it has one task, or when it decodes with the batched kernels
+    (strategy ``exhaustive``) and holds at most ``CHUNK_TRIALS`` trials in
+    all (trials times SNR points): starting and stopping a pool costs
+    ~11 ms, more than such a job takes.  The per-trial ``sphere`` strategy
+    costs 0.3-37 ms per trial and pools from two tasks.  ``numpy.random``
+    is imported just before the pool starts: forked workers then inherit
+    it, where each would otherwise import it again (~15 ms) on its first
+    draw.  Results do not depend on ``workers``.
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
@@ -340,7 +344,8 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
             n = min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS)
             tasks.append((code_map, alphabet, tests, sigma_sq, n_r, seed,
                           point_idx, chunk_idx, n, strategy))
-    if workers > 1 and len(tasks) > 1:
+    small = strategy == "exhaustive" and trials * len(snr_db_list) <= CHUNK_TRIALS
+    if workers > 1 and len(tasks) > 1 and not small:
         # imported here: multiprocessing and concurrent.futures add ~2.1 MB of
         # RSS that serial runs never use, and numpy.random ~2.4 MB that analyze
         # and bound never use

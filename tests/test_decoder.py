@@ -10,9 +10,9 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
                       sphere_decode)
-from latcoset.decoder import (_codebook_features, _complete, _gemm_terms, _halves,
+from latcoset.decoder import (_codebook_features, _gemm_terms, _halves, _pair_rows,
                               _residual_distances, _two_level_argmin, _two_level_terms,
-                              codebook, exhaustive_argmin)
+                              _with_ones, codebook, exhaustive_argmin)
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -85,6 +85,54 @@ def exact_distances(heff, y, words):
     return [Fraction(int(v), den * den) for v in (r * r).sum(axis=1)]
 
 
+def exact_perp_norm(heff, y):
+    """||y||^2 - ||P y||^2 in exact rationals, P the projection onto Heff's columns.
+
+    Zero when Heff has no more rows than columns (full row rank assumed).
+    """
+    d, k = heff.shape
+    if d <= k:
+        return Fraction(0)
+    h = [[Fraction(float(v)) for v in row] for row in heff]
+    yv = [Fraction(float(v)) for v in y]
+    # the normal equations (H^T H) x = H^T y, by Gauss-Jordan elimination
+    aug = [[sum(h[r][i] * h[r][j] for r in range(d)) for j in range(k)]
+           + [sum(h[r][i] * yv[r] for r in range(d))] for i in range(k)]
+    hty = [row[k] for row in aug]
+    for i in range(k):
+        piv = next(r for r in range(i, k) if aug[r][i] != 0)
+        aug[i], aug[piv] = aug[piv], aug[i]
+        for r in range(k):
+            if r != i and aug[r][i] != 0:
+                f = aug[r][i] / aug[i][i]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[i])]
+    return sum(v * v for v in yv) - sum(hty[i] * aug[i][k] / aug[i][i] for i in range(k))
+
+
+def check_two_level_bound(heff, y, m, rng):
+    """The two-level scores (plus c) and the residual form lie within E/2 of the
+    exact distances, and T(z_t) + c at most E/2 above any completion of z_t;
+    checked on the greedy top word and two random ones of each problem."""
+    k = heff.shape[2]
+    zb, zt = (half.astype(float) for half in _halves(m, k))
+    feats_b = _with_ones(_codebook_features(m, k // 2)[1])
+    terms = _two_level_terms(heff, y, m)
+    for p in range(heff.shape[0]):
+        # the kernel's scores and T drop c = ||y||^2 - ||Q^T y||^2
+        c = exact_perp_norm(heff[p], y[p])
+        half = Fraction(float(terms.slack[p])) / 2
+        for t in [int(np.argmin(terms.tscore[p])), *rng.integers(0, zt.shape[0], 2)]:
+            words = np.concatenate([zb, np.repeat(zt[t][None], zb.shape[0], axis=0)], axis=1)
+            exact = exact_distances(heff[p], y[p], words)
+            scores = (_pair_rows(terms, zt, np.array([p]), np.array([t])) @ feats_b)[0]
+            residual = _residual_distances(heff[p][None], y[p][None], words)[0]
+            tscore = Fraction(float(terms.tscore[p, t])) + c
+            for s, f, e in zip(scores, residual, exact):
+                assert abs(Fraction(float(s)) + c - e) <= half
+                assert abs(Fraction(float(f)) - e) <= half
+                assert tscore <= e + half
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
@@ -148,24 +196,30 @@ class TestKernel:
     def test_two_level_error_bound_against_exact_distances(self, snr_db):
         # golden rows have d = k = 8, so the kernel's scores carry no constant
         rng = np.random.default_rng(snr_db + 100)
-        zb, zt = (half.astype(float) for half in _halves(4, 8))
         problems = [random_problem(rng, golden_map(), 4, sigma_sq=10 ** (-snr_db / 10))[0]
                     for _ in range(3)]
         heff = np.array([p.Heff for p in problems])
         y = np.array([p.y for p in problems])
-        tscore, base, g, qn, slack = _two_level_terms(heff, y, 4, zb, zt)
-        for p in range(len(problems)):
-            for t in [int(np.argmin(tscore[p])), *rng.integers(0, zt.shape[0], 2)]:
-                words = np.concatenate([zb, np.repeat(zt[t][None], zb.shape[0], axis=0)],
-                                       axis=1)
-                exact = exact_distances(heff[p], y[p], words)
-                scores = _complete(base, g, qn, zb, np.array([p]), np.array([t]))[0]
-                residual = _residual_distances(heff[p][None], y[p][None], words)[0]
-                half = Fraction(float(slack[p])) / 2
-                for s, f, e in zip(scores, residual, exact):
-                    assert abs(Fraction(float(s)) - e) <= half
-                    assert abs(Fraction(float(f)) - e) <= half
-                    assert Fraction(float(tscore[p, t])) <= e + half
+        check_two_level_bound(heff, y, 4, rng)
+
+    @pytest.mark.parametrize("case", ["alamouti 8-PAM", "k=5 6-PAM", "golden 4-PAM n_r=1"])
+    @pytest.mark.parametrize("snr_db", range(-60, 61, 20))
+    def test_two_level_error_bound_other_shapes(self, case, snr_db):
+        # halves 2/2 with d = 8 > k + 1 (a constant c > 0), halves 2/3 (a direct
+        # kernel call, d = 6 = k + 1) and halves 4/4 with d = 4 < k
+        rng = np.random.default_rng(snr_db + 300)
+        if case == "k=5 6-PAM":
+            m, k = 6, 5
+            heff = rng.standard_normal((3, 6, k))
+        else:
+            code_map, m, n_r = ((alamouti_map(), 8, 2) if case == "alamouti 8-PAM"
+                                else (golden_map(), 4, 1))
+            k = code_map.k
+            heff = np.array([realify(sample_channel(ChannelParams(n_r=n_r), rng), code_map.T)
+                             @ code_map.M for _ in range(3)])
+        z = PAMAlphabet(m).symbols[rng.integers(0, m, (3, k))]
+        noise = np.sqrt(10 ** (-snr_db / 10) / 2) * rng.standard_normal(heff.shape[:2])
+        check_two_level_bound(heff, np.einsum("bik,bk->bi", heff, z) + noise, m, rng)
 
     @pytest.mark.parametrize("n_r", [1, 3])
     def test_two_level_any_row_count(self, n_r):

@@ -79,10 +79,16 @@ CASES = [
     ("--code golden --pam 4 --lattices M2 --snr 10 --trials 150 --seed 17 "
      "--decoder exhaustive --n-r 1",
      "a2c0325db722eb206472be03e946347d85081ef904579b373f879827a5319abe"),
-    # two tasks on a pool sized down from 3 workers; the digest of --workers 1
+    # two tasks and 3 workers, 300 trials in all, so it runs in process; the
+    # digest of --workers 1
     ("--code golden --pam 4 --lattices L'1,L'3 --snr 0,20 --trials 150 --seed 18 "
      "--workers 3",
      "86da526fc97c277ca36d5472f99eb1c112343eed8b3771eed8bde7c4cc0a07a1"),
+    # 1200 trials in all: two-level chunks on a 2-worker pool (smaller golden
+    # jobs run in process); the digest of the residual-form two-level kernel
+    ("--code golden --pam 4 --lattices L'2,L'3 --snr 0,20 --trials 600 --seed 19 "
+     "--workers 2",
+     "d20b97621724aa84ca55fe3726adb57b1d628039986f818d8b3b4be83beb3cc5"),
 ]
 
 

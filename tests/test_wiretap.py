@@ -269,20 +269,26 @@ class TestMonteCarlo:
         assert ecdp_monte_carlo(c, [0.0], 40, seed=23, n_r=1, decoder="sphere") == auto
 
     def test_golden_auto_never_builds_the_full_codebook(self, monkeypatch):
-        codebook = decoder.codebook
+        # the two-level kernel holds only the half codebooks and their features
+        codebook, features = decoder.codebook, decoder._codebook_features
+        built = set()
 
         def no_full_codebook(m, k):
             if (m, k) == (4, 8):
                 raise AssertionError("codebook(4, 8) was built")
             return codebook(m, k)
 
-        def no_features(m, k):
-            raise AssertionError("codebook features were built")
+        def half_features(m, k):
+            if (m, k) == (4, 8):
+                raise AssertionError("the features of codebook(4, 8) were built")
+            built.add((m, k))
+            return features(m, k)
 
         monkeypatch.setattr(decoder, "codebook", no_full_codebook)
-        monkeypatch.setattr(decoder, "_codebook_features", no_features)
+        monkeypatch.setattr(decoder, "_codebook_features", half_features)
         curve = ecdp_monte_carlo(coset("golden", "L'2", 4), [0.0], 300, seed=22)
         assert curve.points[0].trials == 300
+        assert built == {(4, 4)}
 
     def test_bob_cer_ignores_sublattice(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
@@ -429,29 +435,36 @@ class TestChunkKernel:
         assert tests.d.tolist() == [2.0, 16.0] + [float(x) for x in labelers[2][1] if x > 1]
 
 
+def record_pools(monkeypatch) -> list:
+    """Replace the process pool by one that runs in process; returns the sizes asked for."""
+    built = []
+
+    class InProcessPool:  # records the size, starts no process
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return built
+
+
 class TestPool:
     """When simulate_curves starts a process pool, and how large."""
 
     def test_pool_holds_at_most_one_worker_per_task(self, monkeypatch):
-        built = []
-
-        class InProcessPool:  # records the size, starts no process
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        built = record_pools(monkeypatch)
         c = coset("alamouti", "L2", 4)
-        serial = ecdp_monte_carlo(c, [0.0, 10.0], 300, seed=3)
-        assert ecdp_monte_carlo(c, [0.0, 10.0], 300, seed=3, workers=64) == serial
+        # 2 x 600 trials: above CHUNK_TRIALS in all, one task per point
+        serial = ecdp_monte_carlo(c, [0.0, 10.0], 600, seed=3)
+        assert ecdp_monte_carlo(c, [0.0, 10.0], 600, seed=3, workers=64) == serial
         assert built == [2]
 
     def test_one_task_job_runs_in_process(self, monkeypatch):
@@ -463,6 +476,25 @@ class TestPool:
         assert (ecdp_monte_carlo(c, [0.0], 1024, seed=3, workers=8)
                 == ecdp_monte_carlo(c, [0.0], 1024, seed=3))
 
+    def test_small_two_level_job_runs_in_process(self, monkeypatch):
+        # 2 points x 256 trials = 512 <= CHUNK_TRIALS, decoded by the batched kernel
+        c = coset("golden", "L'2", 4)
+        serial = ecdp_monte_carlo(c, [0.0, 20.0], 256, seed=24)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for a small batched-kernel job")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert ecdp_monte_carlo(c, [0.0, 20.0], 256, seed=24, workers=2) == serial
+
+    def test_two_task_sphere_job_pools(self, monkeypatch):
+        built = record_pools(monkeypatch)
+        c = coset("alamouti", "L2", 4)
+        serial = ecdp_monte_carlo(c, [0.0, 10.0], 64, seed=25, decoder="sphere")
+        assert ecdp_monte_carlo(c, [0.0, 10.0], 64, seed=25, workers=2,
+                                decoder="sphere") == serial
+        assert built == [2]
+
     def test_pool_starts_after_numpy_random_is_loaded(self):
         # a fresh process, so nothing earlier has imported numpy.random
         script = textwrap.dedent("""
@@ -472,15 +504,20 @@ class TestPool:
             from latcoset import PAMAlphabet, alamouti_map
             from latcoset.wiretap import simulate_curves
 
+            built = []
+
             class CheckedPool(concurrent.futures.ProcessPoolExecutor):
                 def __init__(self, *args, **kwargs):
                     assert "numpy.random" in sys.modules, "the pool started first"
+                    built.append(1)
                     super().__init__(*args, **kwargs)
 
             concurrent.futures.ProcessPoolExecutor = CheckedPool
             assert "numpy.random" not in sys.modules
-            job = (alamouti_map(), PAMAlphabet(4), [], [0.0, 10.0], 64, 1)
+            # 2 x 600 trials: above CHUNK_TRIALS in all, so the job pools
+            job = (alamouti_map(), PAMAlphabet(4), [], [0.0, 10.0], 600, 1)
             pooled = simulate_curves(*job, workers=2)
+            assert built, "no pool was built"
             assert pooled == simulate_curves(*job)
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
