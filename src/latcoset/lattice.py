@@ -330,17 +330,24 @@ def volume(lat: Lattice):
 # enumeration
 # ---------------------------------------------------------------------------
 
+#: most candidates one level of one enumeration block expands at once: a
+#: larger level is split into contiguous slices of its partial vectors,
+#: taken one at a time, so an enumeration's memory is flat in its radius
+_BLOCK = 1 << 12
+
+
 @dataclass(frozen=True, eq=False)
 class _Runs:
-    """A layered Fincke-Pohst enumeration stopped at its last level
-    (coordinate 0): the partial vectors z_p = (z_1, ..., z_{s-1}) that
+    """One block of a layered Fincke-Pohst enumeration stopped at its last
+    level (coordinate 0): partial vectors z_p = (z_1, ..., z_{s-1}) that
     survive levels s-1 .. 1, and the run lo, lo + 1, ..., lo + count - 1
     of z_0 values each allows by the float radius test's interval.
 
-    ``Z`` holds one partial vector per column, z_{s-1} in row 0; column 0
-    is the zero partial vector, whose run starts at z_0 = 0.  ``q`` and
-    ``proj`` are the float partial norms and level-0 offsets, and ``norms``
-    the exact partial norms ||B z_p||^2 when the enumeration carried them.
+    ``Z`` holds one partial vector per column, z_{s-1} in row 0.  Column 0
+    of the first block is the zero partial vector, whose run starts at
+    z_0 = 0.  ``q`` and ``proj`` are the float partial norms and level-0
+    offsets, and ``norms`` the exact partial norms ||B z_p||^2 when the
+    enumeration carried them.
     """
 
     Z: np.ndarray
@@ -352,22 +359,17 @@ class _Runs:
     bound: float
     norms: np.ndarray | None = None
 
-    def coefficients(self) -> np.ndarray:
-        """The level-0 expansion: one coefficient row per point that passes
-        the float radius test, in natural order, the zero vector dropped."""
-        Z = _grow(self.Z, self.q, self.proj, self.r00, self.lo, self.counts, self.bound)[0]
-        return Z[::-1, 1:].T
-
 
 def _grow(Z, q, proj, rii, lo, counts, bound):
     """Extend every partial vector by each value of its run that passes the
     float radius test: (grown Z, its partial norms, parent column and new
     coefficient of each grown column)."""
-    rep = np.repeat(np.arange(len(q)), counts)
-    zi = np.arange(len(rep)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    # ndarray methods: the np.* wrappers cost ~0.5 us a call on small levels
+    rep = np.arange(len(q)).repeat(counts)
+    zi = np.arange(len(rep)) + (lo - (counts.cumsum() - counts)).repeat(counts)
     t = rii * zi + proj[rep]
     qn = q[rep] + t * t
-    keep = np.flatnonzero(qn <= bound)
+    keep = (qn <= bound).nonzero()[0]
     rep, zi = rep[keep], zi[keep]
     grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
     # the indices are in range; "raise" would copy through a buffer
@@ -376,11 +378,34 @@ def _grow(Z, q, proj, rii, lo, counts, bound):
     return grown, qn[keep], rep, zi
 
 
-def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None) -> _Runs:
+def _slices(counts: np.ndarray) -> list[slice]:
+    """Contiguous column slices holding at most ``_BLOCK`` candidates each,
+    given each column's count; a column that alone holds more is a slice of
+    its own."""
+    ends = counts.cumsum()
+    parts, a = [], 0
+    while a < len(ends):
+        base = ends[a - 1] if a else 0
+        b = max(int(ends.searchsorted(base + _BLOCK, side="right")), a + 1)
+        parts.append(slice(a, b))
+        a = b
+    return parts
+
+
+def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None):
     """Levels s-1 .. 1 of :func:`_enumerate_coefficients`'s enumeration,
-    and the z_0 run each surviving partial vector allows at level 0.  The
-    cap is checked at every level, the runs included: they hold ``total``
-    candidates of the half, 2 total - 1 of the full enumeration.
+    and the z_0 run each surviving partial vector allows at level 0, as an
+    iterator of :class:`_Runs` blocks.  The Cholesky factor is taken on the
+    call (np.linalg.LinAlgError when that fails); the blocks come lazily.
+
+    Each level runs breadth-first over its partial vectors.  Where a level
+    holds more than ``_BLOCK`` candidates, its partial vectors are split
+    into contiguous slices that are grown and descended one at a time, so
+    the blocks list the paths in the same lexicographic order as one
+    breadth-first pass would.  The cap counts each level's candidates over
+    all blocks, the runs included: they hold ``total`` candidates of the
+    half, 2 total - 1 of the full enumeration.  A larger cap costs time,
+    not memory.
 
     Given ``gram``, B^T B of an integer basis B computed in int64, the exact
     norm of each partial vector x is carried as ``proj`` is:
@@ -395,34 +420,64 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None) -> _Runs
     R = np.linalg.cholesky(g).T  # upper triangular, positive diagonal
     slack = 1e-9 * max(r_sq, 1.0)
     bound = r_sq + slack
+    seen = [0] * s  # candidates of each level over the blocks so far
 
-    # Z holds the coefficients chosen at levels s-1 .. i, one row per level
-    # (most significant first) and one column per partial vector;  q holds
-    # the accumulated squared norm.
-    Z = np.zeros((0, 1), dtype=np.int64)
-    q = np.zeros(1)
-    norms = None if gram is None else np.zeros(1, dtype=np.int64)
-    for i in range(s - 1, -1, -1):
-        proj = R[i, i + 1:][::-1] @ Z
-        rii = R[i, i]
-        rem = np.maximum(bound - q, 0.0)
-        half = np.sqrt(rem) / rii
-        center = -proj / rii
-        lo = np.ceil(center - half - 1e-12).astype(np.int64)
-        hi = np.floor(center + half + 1e-12).astype(np.int64)
-        lo[0] = 0  # the zero partial vector: one sign of each pair
-        counts = np.maximum(hi - lo + 1, 0)
-        if 2 * int(counts.sum()) - 1 > cap:
-            raise CapacityError(
-                f"enumeration exceeded the cap of {cap} points; "
-                "reduce the radius or raise the cap")
-        if i == 0:
-            return _Runs(Z, lo, counts, q, proj, rii, bound, norms)
-        grown, q, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound)
+    def grow(i, Z, q, proj, lo, counts, norms):  # the partial vectors of level i - 1
+        grown, qn, rep, zi = _grow(Z, q, proj, R[i, i], lo, counts, bound)
         if norms is not None:
             inner = gram[i, i + 1:][::-1] @ Z
             norms = norms[rep] + zi * (2 * inner[rep] + gram[i, i] * zi)
-        Z = grown
+        return grown, qn, norms
+
+    def descend(i, Z, q, norms, first):
+        # Z holds the coefficients chosen at levels s-1 .. i + 1, one row per
+        # level (most significant first) and one column per partial vector;
+        # q holds the accumulated squared norm.  Column 0 is the zero partial
+        # vector when ``first``.
+        while len(q):  # a slice whose candidates all fail ends here
+            proj = R[i, i + 1:][::-1] @ Z
+            rii = R[i, i]
+            rem = np.maximum(bound - q, 0.0)
+            half = np.sqrt(rem) / rii
+            center = -proj / rii
+            lo = np.ceil(center - half - 1e-12).astype(np.int64)
+            hi = np.floor(center + half + 1e-12).astype(np.int64)
+            if first:
+                lo[0] = 0  # the zero partial vector: one sign of each pair
+            counts = np.maximum(hi - lo + 1, 0)
+            total = int(counts.sum())
+            seen[i] += total
+            if 2 * seen[i] - 1 > cap:
+                raise CapacityError(
+                    f"enumeration exceeded the cap of {cap} points; "
+                    "reduce the radius or raise the cap")
+            parts = [slice(None)] if total <= _BLOCK else _slices(counts)
+            if i == 0:
+                for part in parts:
+                    yield _Runs(Z[:, part], lo[part], counts[part], q[part], proj[part],
+                                rii, bound, None if norms is None else norms[part])
+                return
+            if len(parts) == 1:  # one block: stay breadth-first
+                Z, q, norms = grow(i, Z, q, proj, lo, counts, norms)
+                i -= 1
+                continue
+            for part in parts:
+                child = grow(i, Z[:, part], q[part], proj[part], lo[part], counts[part],
+                             None if norms is None else norms[part])
+                yield from descend(i - 1, *child, first and part.start == 0)
+            return
+
+    norms = None if gram is None else np.zeros(1, dtype=np.int64)
+    return descend(s - 1, np.zeros((0, 1), dtype=np.int64), np.zeros(1), norms, True)
+
+
+def _coefficients(blocks) -> np.ndarray:
+    """The level-0 expansion of an enumeration's blocks: one coefficient row
+    per point that passes the float radius test, in natural order, the zero
+    vector (the first) dropped."""
+    Z = np.concatenate([_grow(b.Z, b.q, b.proj, b.r00, b.lo, b.counts, b.bound)[0]
+                        for b in blocks], axis=1)
+    return Z[::-1, 1:].T
 
 
 def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
@@ -437,7 +492,7 @@ def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
     z_i >= 0 only; its interval is symmetric about 0.  ``cap`` counts points
     of both signs.
     """
-    return _fincke_pohst_runs(g, r_sq, cap).coefficients()
+    return _coefficients(_fincke_pohst_runs(g, r_sq, cap))
 
 
 def _reduced_head(lat: IntegerLattice, r_sq: int) -> np.ndarray:
@@ -462,11 +517,11 @@ class _GramPastFloats(CapacityError):
     """The exact Gram matrix of a basis has entries that floats cannot hold."""
 
 
-def _integer_runs(basis: np.ndarray, r_sq, cap: int, gram=None) -> _Runs:
+def _integer_runs(basis: np.ndarray, r_sq, cap: int, gram=None):
     """:func:`_fincke_pohst_runs` of the integer lattice spanned by the
     independent columns of ``basis``, to squared radius r_sq (+ 1/2: norms
     are integers, so half a unit of float margin loses no shell), carrying
-    exact norms when given ``gram``."""
+    exact norms when given ``gram``: an iterator of its blocks."""
     if r_sq >= _INT64_NORM_LIMIT:
         raise CapacityError(f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
     b = basis.astype(object)
@@ -484,7 +539,7 @@ def _integer_half(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
     """The points of norm <= r_sq of the integer lattice spanned by the
     independent columns of ``basis``, one of each +-pair: the one whose last
     nonzero coefficient is positive.  The radius test is exact."""
-    pts = _integer_runs(basis, r_sq, cap).coefficients() @ basis.T
+    pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
     return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
 
 

@@ -399,6 +399,9 @@ class BoundReport:
     value: float
     truncation_r_sq: float
     points_used: int
+    #: share of ``value`` from points with ||x||^2 in (R/2, R], R the
+    #: truncation: near 0 once the truncation holds the sum
+    outer_share: float = 0.0
 
 
 def _det_form(u, v):
@@ -410,10 +413,11 @@ def _det_form(u, v):
             u[0] * v[7] + u[1] * v[6] - u[4] * v[3] - u[5] * v[2])
 
 
-def _bound_terms(code: CosetCode, trunc: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _bound_terms(code: CosetCode, trunc: float, cap: int):
     """(||x||^2 as int64, |det X|^2) of one point x of each +-pair of the
-    sublattice with 0 < ||x||^2 <= trunc, read off the enumeration's
-    level-0 runs without forming their points or codewords.
+    sublattice with 0 < ||x||^2 <= trunc, one pair of arrays per block of
+    the enumeration's level-0 runs, read off without forming their points
+    or codewords.
 
     A run's points are x = x_c + u b_0, with b_0 the first basis column and
     x_c the point at the run's rounded center (z_0 = c), so
@@ -429,30 +433,32 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int) -> tuple[np.ndarray, n
     basis = code.sub.B
     gram = basis.T @ basis  # int64: exact modulo 2^64
     b00 = gram[0, 0]
-    runs = _integer_runs(basis, trunc, cap, gram)
-    counts = runs.counts
-    c = np.rint(-runs.proj / runs.r00).astype(np.int64)
-    inner_p = gram[0, 1:][::-1] @ runs.Z  # <x_p, b_0> of the partial vectors x_p
-    inner_c = inner_p + b00 * c
-    norm_c = runs.norms + c * (inner_p + inner_c)
-
     mb = code.map.M @ basis
     y0 = mb[:, 0]
     eye = np.eye(len(y0))
     lin = np.add(_det_form(eye, y0[:, None]), _det_form(y0[:, None], eye))  # beta = lin @ X_c
-    w = mb[:, ::-1]  # columns k-1 .. 0, matching the rows of [runs.Z; c]
-    y = np.vstack([w, lin @ w]) @ np.vstack([runs.Z, c])
-    alpha, det0 = _det_form(y, y), _det_form(y0, y0)
+    w = np.vstack([mb, lin @ mb])[:, ::-1]  # columns k-1 .. 0, matching [runs.Z; c]
+    det0 = _det_form(y0, y0)
+    limit = math.floor(trunc)
+    for block, runs in enumerate(_integer_runs(basis, trunc, cap, gram)):
+        counts = runs.counts
+        c = np.rint(-runs.proj / runs.r00).astype(np.int64)
+        inner_p = gram[0, 1:][::-1] @ runs.Z  # <x_p, b_0> of the partial vectors x_p
+        inner_c = inner_p + b00 * c
+        norm_c = runs.norms + c * (inner_p + inner_c)
+        y = w @ np.vstack([runs.Z, c])
+        alpha = _det_form(y, y)
 
-    starts = np.cumsum(counts) - counts
-    u = np.arange(counts.sum()) + np.repeat(runs.lo - c - starts, counts)
-    norms = np.repeat(norm_c, counts) + u * (np.repeat(2 * inner_c, counts) + b00 * u)
-    keep = norms <= math.floor(trunc)
-    keep[0] = False  # x = 0: the zero partial vector's run starts at z_0 = c = 0
-    uf = u.astype(float)
-    re, im = (np.repeat(a, counts) + uf * (np.repeat(b, counts) + d * uf)
-              for a, b, d in zip(alpha, y[-2:], det0))
-    return norms[keep], (re * re + im * im)[keep]
+        starts = np.cumsum(counts) - counts
+        u = np.arange(counts.sum()) + np.repeat(runs.lo - c - starts, counts)
+        norms = np.repeat(norm_c, counts) + u * (np.repeat(2 * inner_c, counts) + b00 * u)
+        keep = norms <= limit
+        if block == 0:
+            keep[0] = False  # x = 0: the zero partial vector's run starts at z_0 = c = 0
+        uf = u.astype(float)
+        re, im = (np.repeat(a, counts) + uf * (np.repeat(b, counts) + d * uf)
+                  for a, b, d in zip(alpha, y[-2:], det0))
+        yield norms[keep], (re * re + im * im)[keep]
 
 
 def _gamma(sigma_e_sq: float, mode: str) -> float:
@@ -483,7 +489,11 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     with ||x||^2 and |det X|^2 read off the enumeration's last level in
     closed form (:func:`_bound_terms`).  Each term is even in x, so one point of each
     +-pair is enumerated and the sum doubled; ``points_used`` counts both
-    signs.
+    signs.  The terms come in fixed-size blocks of the enumeration and are
+    summed as they come, so memory stays flat in the truncation.
+    ``outer_share`` is the share of each value from the outer shell
+    truncation_r_sq / 2 < ||x||^2 <= truncation_r_sq (0 for a value of 0):
+    a sum the truncation holds has a small one.
     """
     if code.map.n != 2:
         raise ValueError("the bound is implemented for 2x2 codewords only")
@@ -499,8 +509,23 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
         trunc = float(truncation_r_sq)
         if not trunc > 0:
             raise ValueError(too_short)
+    keys = [(float(sigma_e_sq), mode) for sigma_e_sq in sigmas for mode in modes]
+    gammas = [_gamma(sigma_e_sq, mode) for sigma_e_sq, mode in keys]
+    sums = np.zeros((len(keys), 2))  # (whole ball, outer shell) per report
+    points, least = 0, math.inf  # points of one sign, least norm
     try:
-        norms, det_sq = _bound_terms(code, trunc, cap)
+        for norms, det_sq in _bound_terms(code, trunc, cap):
+            if not len(norms):
+                continue
+            points += len(norms)
+            least = min(least, int(norms.min()))
+            outer = (2 * norms > trunc).astype(float)
+            norms = norms.astype(float)
+            for row, gamma in zip(sums, gammas):
+                if gamma < math.inf:
+                    with np.errstate(over="ignore"):  # a term past floats is its limit 0
+                        terms = (1.0 + gamma * (norms + gamma * det_sq)) ** (-(n_r + 2))
+                    row += terms.sum(), terms @ outer
     except CapacityError:
         # a truncation <= lambda_1^2 is reported as such even where its own
         # enumeration cannot run
@@ -508,19 +533,11 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
             raise ValueError(too_short) from None
         raise
     # trunc > lambda_1^2 exactly when a point shorter than trunc was enumerated
-    if not len(norms) or not int(norms.min()) < trunc:
+    if not least < trunc:
         raise ValueError(too_short)
-    points_used = 2 * len(norms)
-    norms = norms.astype(float)
-    reports = []
-    for sigma_e_sq in map(float, sigmas):
-        for mode in modes:
-            gamma = _gamma(sigma_e_sq, mode)
-            with np.errstate(over="ignore"):  # a term past floats is its limit 0
-                value = 0.0 if gamma == math.inf else 2.0 * float(
-                    np.sum((1.0 + gamma * (norms + gamma * det_sq)) ** (-(n_r + 2))))
-            reports.append(BoundReport(sigma_e_sq, mode, value, trunc, points_used))
-    return reports
+    return [BoundReport(sigma_e_sq, mode, 2.0 * whole, trunc, 2 * points,
+                        outer / whole if whole else 0.0)
+            for (sigma_e_sq, mode), (whole, outer) in zip(keys, sums.tolist())]
 
 
 def ecdp_bound_report(code: CosetCode, sigma_e_sq: float,

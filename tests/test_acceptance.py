@@ -446,3 +446,19 @@ def test_supplementary_bound_ordering_discriminative():
         print(f"SUPPLEMENT (criterion 9): {fam}/{mode} at sigma_e_sq={sigma}: "
               + " ".join(f"{v:.4g}" for v in vals))
         assert vals[0] > vals[1] > vals[2]
+
+
+def test_supplementary_bound_golden_partial_sums():
+    """Criterion 9's golden cause, measured: at sigma_E^2 = 100 (pow2) and
+    R = 64 most of each golden sum comes from the outer shell
+    32 < ||x||^2 <= 64 (``outer_share`` 0.881 / 0.844 / 0.826), so the sum is
+    far from converged; the Alamouti sums at R = 1000 take 0.3% or less from
+    their outer shell."""
+    for fam, names, trunc, converged in [
+            ("golden", ["L'1", "L'2", "L'3"], 64.0, False),
+            ("alamouti", ["L1", "L2", "L3"], 1000.0, True)]:
+        shares = [ecdp_bound_report(coset(fam, n, 4), 100.0, truncation_r_sq=trunc,
+                                    exponent_mode="pow2").outer_share for n in names]
+        print(f"SUPPLEMENT (criterion 9): {fam}/pow2 at R={trunc:g}: outer_share "
+              + " ".join(f"{s:.3f}" for s in shares))
+        assert all(s < 0.01 for s in shares) if converged else all(s > 0.8 for s in shares)

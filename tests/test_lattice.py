@@ -14,7 +14,9 @@ from latcoset import (CapacityError, IntegerLattice, NotASublattice, RealLattice
                       is_well_rounded, smith_normal_form, successive_minima,
                       volume, alamouti_map)
 from latcoset.catalog import NAMES
+import latcoset.lattice as lattice
 from latcoset.lattice import _half_shorter_than, _integral_lll, int_det, shortest_shell
+from latcoset.search import random_sublattice_with_index
 
 TWO_Z4 = IntegerLattice(2 * np.eye(4, dtype=np.int64))
 
@@ -172,6 +174,69 @@ class TestHalfEnumeration:
     def test_radius_must_be_positive(self, r_sq):
         with pytest.raises(ValueError, match="positive"):
             enumerate_shorter_than(TWO_Z4, r_sq)
+
+
+class TestBlocks:
+    """The enumeration streams blocks of at most ``lattice._BLOCK`` candidates
+    per level; forcing tiny blocks must change nothing a caller sees."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(3)
+        cases = [builtin_sublattice(name) for name in NAMES]
+        cases += [random_sublattice_with_index(k, index, rng)
+                  for k, index in [(4, 32), (4, 63), (6, 9), (8, 16)]]
+        return cases
+
+    @staticmethod
+    def _radius(lat):
+        return 2 * shortest_shell(lat)[0] + 1
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_points_and_their_order_unchanged(self, block, monkeypatch):
+        lats = self._cases()
+        real = RealLattice(builtin_sublattice("L3").B + 0.1 * np.eye(4))
+        whole = [enumerate_shorter_than(lat, self._radius(lat)) for lat in lats]
+        whole_real = enumerate_shorter_than(real, 70.0)
+        blocks = []  # the blocks of each enumeration
+        real_runs = lattice._fincke_pohst_runs
+
+        def recorded(*args):
+            blocks.append(list(real_runs(*args)))
+            return iter(blocks[-1])
+
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
+        for lat, expected in zip(lats, whole):
+            assert np.array_equal(enumerate_shorter_than(lat, self._radius(lat)), expected)
+        assert np.array_equal(enumerate_shorter_than(real, 70.0), whole_real)
+        assert max(len(b) for b in blocks) > 50  # many blocks formed
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_shortest_shell_unchanged(self, block, monkeypatch):
+        lats = self._cases()
+        shells = [shortest_shell(lat) for lat in lats]
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        assert [shortest_shell(lat) for lat in lats] == shells
+
+    @pytest.mark.parametrize("name,r_sq", [("L2", 100), ("L'3", 24)])
+    def test_cap_raises_as_with_one_block(self, name, r_sq, monkeypatch):
+        # the cap counts each level's candidates over every block
+        lat = builtin_sublattice(name)
+
+        def outcomes():
+            out = []
+            for cap in range(1, len(enumerate_shorter_than(lat, r_sq)) + 3):
+                try:
+                    out.append(len(_half_shorter_than(lat, r_sq, cap)))
+                except CapacityError as exc:
+                    out.append(str(exc))
+            return out
+
+        whole = outcomes()
+        assert isinstance(whole[0], str) and isinstance(whole[-1], int)
+        monkeypatch.setattr(lattice, "_BLOCK", 2)
+        assert outcomes() == whole
 
 
 class TestSuccessiveMinima:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -26,14 +27,19 @@ from latcoset.search import random_sublattice_with_index
 from latcoset.wiretap import simulate_curves
 
 
-def brute_force_bound(code, trunc, sigma, mode, n_r):
-    """The bound summed over every point within ``trunc``, both signs."""
+def brute_force_terms(code, trunc, sigma, mode, n_r):
+    """(||x||^2, term of the bound) of every point within ``trunc``, both signs."""
     pts = lattice.enumerate_shorter_than(code.sub, trunc)
     norms = np.sum(pts * pts, axis=1).astype(float)
     cw = stcode.codeword_matrices(pts @ code.map.M.T, 2, 2)
     det_sq = np.abs(cw[:, 0, 0] * cw[:, 1, 1] - cw[:, 0, 1] * cw[:, 1, 0]) ** 2
     gamma = sigma ** -2 if mode == "pow2n" else 1.0 / sigma
-    return float(np.sum((1.0 + gamma * norms + gamma ** 2 * det_sq) ** -(n_r + 2)))
+    return norms, (1.0 + gamma * norms + gamma ** 2 * det_sq) ** -(n_r + 2)
+
+
+def brute_force_bound(code, trunc, sigma, mode, n_r):
+    """The bound summed over every point within ``trunc``, both signs."""
+    return float(np.sum(brute_force_terms(code, trunc, sigma, mode, n_r)[1]))
 
 
 def coset(map_name, lattice_name, m):
@@ -660,19 +666,19 @@ class TestBound:
 
     def test_only_the_zero_partial_vectors_run(self, monkeypatch):
         # at R = 20 the ball of diag(2, 6, 6, 6) holds 2 e_0 and 4 e_0 only
-        widths = []
+        widths = []  # one list of block widths per enumeration
         real = lattice._fincke_pohst_runs
 
         def recorded(*args):
-            runs = real(*args)
-            widths.append(runs.Z.shape[1])
-            return runs
+            blocks = list(real(*args))
+            widths.append([runs.Z.shape[1] for runs in blocks])
+            return iter(blocks)
 
         monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
         c = CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4),
                       sub=IntegerLattice(np.diag([2, 6, 6, 6])))
         reps = ecdp_bound_reports(c, [0.5, 3.0], ["pow2n", "pow2"], 20.0, 3)
-        assert widths == [1]
+        assert widths == [[1]]
         for rep in reps:
             assert rep.points_used == 4
             assert rep.value == pytest.approx(
@@ -705,13 +711,13 @@ class TestBound:
                 brute_force_bound(c, trunc, rep.sigma_e_sq, rep.exponent_mode, n_r), rel=1e-12)
 
     def test_enumerates_one_point_of_each_pair(self, monkeypatch):
-        totals = []
+        totals = []  # one candidate total per enumeration, over its blocks
         real = lattice._fincke_pohst_runs
 
         def recorded(*args):
-            runs = real(*args)
-            totals.append(int(runs.counts.sum()))
-            return runs
+            blocks = list(real(*args))
+            totals.append(sum(int(runs.counts.sum()) for runs in blocks))
+            return iter(blocks)
 
         def refused(*args, **kwargs):
             raise AssertionError("the bound enumerated both signs")
@@ -722,6 +728,53 @@ class TestBound:
         # one enumeration, no shortest shell: the truncation is given; its
         # runs hold z = 0 and one point of each pair
         assert totals == [rep.points_used // 2 + 1] and rep.points_used == 10408
+
+    # the even truncations put points on the shell boundary ||x||^2 = R/2
+    @pytest.mark.parametrize("family,name,trunc", [
+        ("alamouti", "L1", 32.0), ("alamouti", "L3", 64.0), ("alamouti", "L2", 57.5),
+        ("golden", "L'2", 24.0), ("golden", "L'3", 33.0), ("golden", "M1", 40.0)])
+    def test_outer_share_matches_brute_force_split(self, family, name, trunc):
+        c = coset(family, name, 4)
+        reps = ecdp_bound_reports(c, [0.3, 5.0, 100.0], ["pow2n", "pow2"], trunc, 2)
+        for rep in reps:
+            norms, terms = brute_force_terms(c, trunc, rep.sigma_e_sq, rep.exponent_mode, 2)
+            outer = terms[2 * norms > trunc].sum() / terms.sum()
+            assert 0.0 < rep.outer_share < 1.0
+            assert rep.outer_share == pytest.approx(outer, rel=1e-12)
+
+    def test_outer_share_of_the_zero_limit(self):
+        rep = ecdp_bound_report(coset("golden", "L'2", 4), 1e-200, 20.0)
+        assert (rep.value, rep.outer_share) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_leave_the_bound_unchanged(self, block, monkeypatch):
+        cases = [(coset("alamouti", "L2", 4), 100.0), (coset("golden", "L'2", 4), 40.0),
+                 (CosetCode(map=golden_map(), alphabet=PAMAlphabet(4),
+                            sub=random_sublattice_with_index(8, 16, np.random.default_rng(5))),
+                  None)]
+        args = ([0.5, 100.0], ["pow2n", "pow2"])
+        whole = [ecdp_bound_reports(c, *args, trunc) for c, trunc in cases]
+        monkeypatch.setattr(lattice, "_BLOCK", block)
+        for (c, trunc), expected in zip(cases, whole):
+            for rep, exp in zip(ecdp_bound_reports(c, *args, trunc), expected):
+                assert (rep.sigma_e_sq, rep.exponent_mode, rep.truncation_r_sq,
+                        rep.points_used) == (exp.sigma_e_sq, exp.exponent_mode,
+                                             exp.truncation_r_sq, exp.points_used)
+                assert rep.value == pytest.approx(exp.value, rel=1e-12)
+                assert rep.outer_share == pytest.approx(exp.outer_share, rel=1e-12)
+
+    def test_memory_is_flat_in_the_truncation(self):
+        # golden L'1 at R = 256 holds 2.13e6 points; summed whole, its terms
+        # took ~140 MB
+        c = coset("golden", "L'1", 4)
+        tracemalloc.start()
+        try:
+            rep = ecdp_bound_report(c, 100.0, 256.0, exponent_mode="pow2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.points_used == 2131532
+        assert peak < 16e6
 
     def test_only_2x2_codewords(self):
         scalar = STCodeMap(name="scalar", n=1, k=2, int_part=np.eye(2),
