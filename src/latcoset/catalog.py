@@ -12,6 +12,8 @@ well-rounded lattices found by randomized search.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .lattice import IntegerLattice
@@ -106,6 +108,13 @@ def canonical_name(name: str) -> str:
 
 
 def builtin_sublattice(name: str) -> IntegerLattice:
-    """The named sublattice of 2Z^k as an IntegerLattice (outer matrix)."""
-    key = canonical_name(name)
+    """The named sublattice of 2Z^k as an IntegerLattice (outer matrix).
+
+    Every spelling of a name gives the same immutable instance.
+    """
+    return _lattice(canonical_name(name))
+
+
+@lru_cache(maxsize=None)
+def _lattice(key: str) -> IntegerLattice:
     return IntegerLattice(2 * np.array(_INNER[key], dtype=np.int64))

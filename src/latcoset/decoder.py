@@ -5,7 +5,13 @@ box-constrained sphere decoder.  Both return the argmin of
 ||y - Heff z||^2 over z in S^k with ties broken lexicographically, so their
 outputs are bit-identical wherever the oracle is feasible.
 
-The exhaustive route is batched over problems and has two kernels, chosen
+The exhaustive route is batched over problems.  For an orthogonal design,
+where Heff^T Heff = g I for every channel, :func:`orthogonal_words` slices
+each coordinate: z_i is the symbol nearest (Heff^T y)_i / g, clamped to the
+box, at any m; trials with a coordinate too near a decision boundary for its
+float bound are re-decided by the residual form over the 2^j words beside
+those boundaries.  The caller decides the design property once per code map.
+Other channels go to :func:`exhaustive_argmin`, which has two kernels, chosen
 by codebook size.  Up to ``_GEMM_LIMIT`` words it scores every word with
 one matrix product, using the expansion
 ||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
@@ -40,7 +46,7 @@ from .stcode import PAMAlphabet, grid_rows
 DEFAULT_CODEBOOK_CAP = 1_000_000
 
 #: codebooks up to this size are scored by one matrix product; larger ones
-#: (from alamouti 8-PAM on) by the two-level kernel, which holds no m^k array
+#: (from 8-PAM at k = 4 on) by the two-level kernel, which holds no m^k array
 _GEMM_LIMIT = 2048
 
 _RANK_TOL = 1e-10
@@ -53,6 +59,7 @@ _BLOCK_ELEMENTS = 1 << 21
 _TWO_LEVEL_BLOCK = 1 << 15
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +389,76 @@ def _recheck(heff, y, terms, tops, feats_b, zb, zt, p, lim, step):
         pick = np.lexsort((flat, res))[0]
         best = min(best, (float(res[pick]), int(flat[pick])))
     return best[1]
+
+
+def orthogonal_words(heff: np.ndarray, y: np.ndarray, m: int, gram_error: float) -> np.ndarray:
+    """The words of :func:`exhaustive_argmin` for channels of an orthogonal design.
+
+    ``heff`` is (b, d, k) and ``y`` is (b, d); each Heff^T Heff must lie
+    within ``gram_error`` g of g I in spectral norm, g = ||Heff||_F^2 / k.
+    Then ||y - Heff z||^2 is g ||z - u||^2 + z^T (G - g I) z plus a constant,
+    u = Heff^T y / g, and the decision splits into k scalar ones (Alamouti,
+    IEEE JSAC 1998; Tarokh, Jafarkhani & Calderbank, IEEE Trans. IT 1999):
+    z_i is the symbol nearest u_i, clamped to the box.  Returns the (b, k)
+    int64 words; nothing of size m^k is formed.
+
+    Decisions are the residual form's, bit for bit.  Moving z_i across the
+    decision boundary b nearest to u_i (an even integer strictly inside the
+    box) adds at least 4 g |u_i - b| to the exact distance, and moving it
+    past b's two neighbouring symbols at least 6 g while |u_i - b| <= 1/2.
+    With zmax = m - 1 and A = ||y|| + zmax k sqrt(g), at least ||y|| plus
+    zmax times the sum of Heff's column norms, and gamma_n taken as n eps as
+    in :func:`_two_level_argmin`, three errors can hide that gain:
+    - the residual forms of the two words compared, each within
+      (2k + d + 3) eps A^2 of its exact value;
+    - the Gram term, which moves by at most 2k zmax^2 ``gram_error`` g
+      <= 2 ``gram_error`` A^2 between two words, as k zmax^2 g <= A^2;
+    - the computed u_i~, where g |u_i~ - u_i| <= d eps a_i ||y|| +
+      (dk + 2) eps g |u_i~| is at most (2d + 2) eps A^2 plus a relative
+      (dk + 2) eps of g |u_i~ - b|.
+    With B = (2(2k + d + 3) eps + 2 ``gram_error``) A^2 from the first two,
+    a coordinate with g |u_i~ - b| > B / 4 + (2d + 2) eps A^2 keeps its
+    sliced symbol in the residual form's argmin, and one within it takes
+    b - 1 or b + 1 there.  The test uses twice that bound,
+    T = ((2k + 5d + 7) eps + ``gram_error``) A^2, which absorbs the rounding
+    of g and A, with A^2 <= 2 (||y||^2 + zmax^2 k^2 g).  A trial with j
+    coordinates within T is re-decided by the residual form over those 2^j
+    words, ties to the smallest flat index.  A trial with g = 0 has Heff = 0,
+    where every word ties, and gets the first word; one with 2T >= g (noise
+    some 10^6 times the signal, or a non-finite input) goes to
+    :func:`exhaustive_argmin`.  Like the module's other bounds this one
+    assumes no underflow.
+    """
+    n, d, k = heff.shape
+    h2 = heff.reshape(n, -1)
+    g = np.einsum("bi,bi->b", h2, h2) / k
+    # g = 0 means Heff = 0, a trial _settle gives the first word
+    u = (y[:, None, :] @ heff)[:, 0] / np.maximum(g, _TINY)[:, None]
+    bound = np.rint(u / 2).clip(1 - m // 2, m // 2 - 1) * 2
+    diff = u - bound
+    words = (bound + np.copysign(1.0, diff)).astype(np.int64)
+    slack = 2 * ((2 * k + 5 * d + 7) * _EPS + gram_error) * (
+        np.einsum("bi,bi->b", y, y) + (m - 1) ** 2 * k * k * g)
+    near = g[:, None] * np.abs(diff) <= slack[:, None]
+    odd = ~(2 * slack < g)
+    if near.any() or odd.any():
+        _settle(heff, y, m, words, bound, near, odd, g)
+    return words
+
+
+def _settle(heff, y, m, words, bound, near, odd, g):
+    """The trials of :func:`orthogonal_words` whose slicing is not final, in place."""
+    for p in np.flatnonzero(near.any(axis=1) & ~odd):
+        cols = np.flatnonzero(near[p])
+        cand = np.repeat(words[p][None], 1 << cols.size, axis=0)
+        # ascending on the near coordinates, the others fixed: ascending flat index
+        cand[:, cols] = bound[p, cols].astype(np.int64) + grid_rows((-1, 1), cols.size)
+        res = _residual_distances(heff[p][None], y[p][None], cand.astype(float))[0]
+        words[p] = cand[np.argmin(res)]
+    words[g == 0] = 1 - m
+    rest = np.flatnonzero(odd & (g != 0))
+    if rest.size:
+        words[rest] = codebook_rows(exhaustive_argmin(heff[rest], y[rest], m), m, heff.shape[2])
 
 
 def ml_decode_exhaustive(problem: DecodingProblem,

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import _real_expand, snr_to_sigma
-from .decoder import (DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
-                      exhaustive_argmin, sphere_decode)
+from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
+                      exhaustive_argmin, orthogonal_words, sphere_decode)
 from .errors import CapacityError, CodebookTooLarge, NotASublattice, RankDeficientChannel
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _integer_runs, coset_label,
                       label_operator, shortest_shell)
@@ -54,10 +54,15 @@ class CosetCode:
             raise NotASublattice("sublattice generators must have even entries "
                                  "(the lattice must be contained in 2Z^k)")
 
-    @cached_property
+    @property
     def half_sub(self) -> IntegerLattice:
         """The sublattice scaled by 1/2, acting on (z - 1)/2 coordinates."""
-        return IntegerLattice(self.B_half)
+        return _half_setup(self.B_half.tobytes(), self.sub.k)[0]
+
+    @property
+    def labeler(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`label_operator` of :attr:`half_sub`, read-only."""
+        return _half_setup(self.B_half.tobytes(), self.sub.k)[1:]
 
     @property
     def B_half(self) -> np.ndarray:
@@ -68,6 +73,18 @@ class CosetCode:
         """Number of cosets inside 2Z^k, exactly: |det sub| / 2^k, as the
         even entries put sub inside 2Z^k."""
         return abs(self.sub.det) >> self.map.k
+
+
+@lru_cache(maxsize=64)
+def _half_setup(basis: bytes, k: int) -> tuple[IntegerLattice, np.ndarray, np.ndarray]:
+    """The half sublattice of the int64 half basis ``basis`` (k x k, C order)
+    and its label operator (U, d), computed once per basis: every job and
+    every code built on one sublattice shares them, so U and d are read-only."""
+    half = IntegerLattice(np.frombuffer(basis, dtype=np.int64).reshape(k, k))
+    u, d = label_operator(half)
+    u.setflags(write=False)
+    d.setflags(write=False)
+    return half, u, d
 
 
 @dataclass(frozen=True)
@@ -242,13 +259,61 @@ def _channel_map(code_map: STCodeMap) -> np.ndarray:
     return (_real_expand(unit[..., 0] + 1j * unit[..., 1]) @ blocks).reshape(2 * n_t, -1)
 
 
+def _effective_channels(code_map: STCodeMap, draws: np.ndarray) -> np.ndarray:
+    """Heff (trials, 2 T n_r, k) of channel draws (trials, n_r, n_t, 2), rows
+    ordered (use, receive antenna, real/imaginary), by one product with
+    :func:`_channel_map`."""
+    n, n_r = draws.shape[:2]
+    return (draws.reshape(-1, 2 * code_map.n) @ _channel_map(code_map)).reshape(
+        n, n_r, 2, code_map.T, code_map.k).transpose(0, 3, 1, 2, 4).reshape(n, -1, code_map.k)
+
+
+@lru_cache(maxsize=8)
+def _design_gram_error(code_map: STCodeMap) -> float | None:
+    """Bound on ||Heff^T Heff - g I||_2 / g for every Heff of
+    :func:`_effective_channels`, g = ||Heff||_F^2 / k, when the code map is an
+    orthogonal design; None when it is not.
+
+    Row r of :func:`_channel_map` holds the block A_r (2T x k) that the draw
+    h_r multiplies, and one receive antenna's Heff is sum_r h_r A_r.  Its
+    Gram matrix is g I for every channel exactly when A_r^T A_r = c_r I and
+    A_q^T A_r + A_r^T A_q = 0 for q != r, tested here in exact integer
+    arithmetic on the stored floats scaled by a common power of two; a map that is a design only up to
+    rounding is left to the product kernels.  For a design, Heff computed in
+    floats is H_0 + E, where H_0^T H_0 = g_0 I and each entry of E is within
+    gamma_t of the sum of |h_r A_r| over its t = 2 n_t products.  As
+    tr(A_q^T A_r) = 0 for q != r, ||E||_F <= rho ||H_0||_F with
+    rho = t sqrt(t) eps, and then ||Heff^T Heff - g I||_2 <= 5 rho sqrt(k) g
+    (twice 2 rho sqrt(k) g_0 at first order, g_0 within a relative
+    2 rho sqrt(k) of g).  Alamouti gives 80 eps.
+    """
+    k, t = code_map.k, 2 * code_map.n
+    ratios = [v.as_integer_ratio() for v in _channel_map(code_map).ravel().tolist()]
+    den = max(d for _, d in ratios)  # a power of two: every entry is an integer over it
+    blocks = np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(t, -1, k)
+
+    def gram(q, r):
+        return blocks[q].T @ blocks[r]
+
+    for q in range(t):
+        g = gram(q, q)
+        if np.any(g != g[0, 0] * np.eye(k, dtype=object)):
+            return None
+        if any(np.any(gram(q, r) + gram(r, q) != 0) for r in range(q)):
+            return None
+    return 5 * t * math.sqrt(t * k) * _EPS
+
+
 def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq: float,
                     n_r: int, seed: int, point_idx: int, chunk_idx: int, n_trials: int,
                     strategy: str) -> tuple[int, ...]:
     """Run one chunk of trials; returns (word successes, *message successes).
 
     Draw order is fixed: symbol indices, channel block, noise block.  Heff
-    is one product of the channel draws with :func:`_channel_map`.  Both
+    is one product of the channel draws with :func:`_channel_map`.  The
+    ``exhaustive`` strategy slices each coordinate (:func:`orthogonal_words`)
+    for an orthogonal design (:func:`_design_gram_error`) and runs the
+    product kernels of :func:`exhaustive_argmin` for any other map.  Both
     success tests read D = (z_hat - z)/2: the word is right when D = 0, the
     message when D lies in the code's half sublattice, the same predicate
     as equal coset labels (:func:`_message_successes`; ``tests`` comes from
@@ -265,15 +330,16 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq:
     noise = rng.standard_normal((n_trials, 2 * n_r * t_uses)) * math.sqrt(sigma_sq / 2.0)
 
     z = alphabet.symbols[sym_idx]
-    heff = (hblock.reshape(-1, 2 * n_t) @ _channel_map(code_map)).reshape(
-        n_trials, n_r, 2, t_uses, k).transpose(0, 3, 1, 2, 4).reshape(n_trials, -1, k)
+    heff = _effective_channels(code_map, hblock)
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
-    if strategy == "exhaustive":
-        zhat = codebook_rows(exhaustive_argmin(heff, y, m), m, k)
-    else:
+    if strategy == "sphere":
         zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
                          for i in range(n_trials)])
+    elif (gram_error := _design_gram_error(code_map)) is not None:
+        zhat = orthogonal_words(heff, y, m, gram_error)
+    else:
+        zhat = codebook_rows(exhaustive_argmin(heff, y, m), m, k)
     half_diff = (zhat - z) >> 1
     word = n_trials - int(np.count_nonzero(half_diff.any(axis=1)))
     return (word, *_message_successes(tests, half_diff))
@@ -314,6 +380,19 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     from the run's, an SNR is not finite, or ``trials`` or ``workers`` is
     not an integer >= 1.
 
+    ``decoder`` is ``auto``, ``exhaustive`` or ``sphere``; ``auto`` is
+    ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and ``sphere``
+    beyond, and ``exhaustive`` past it raises CodebookTooLarge.  The
+    ``exhaustive`` strategy decodes an orthogonal design such as alamouti,
+    whose Heff^T Heff is g I for every channel (decided once per map from
+    the blocks of its channel map), by per-coordinate slicing at any m
+    (:func:`orthogonal_words`, ~0.1-0.5 us per trial in chunks of 64-1024),
+    and every other map by the batched product kernels of
+    :func:`exhaustive_argmin`.  Both give the residual form's decisions,
+    lexicographic ties included.
+    Each code's half sublattice and label operator are built once per
+    sublattice basis and shared by later jobs.
+
     The job splits into one task per SNR point and chunk of
     ``CHUNK_TRIALS`` trials.  With ``workers > 1`` it runs on a pool of
     ``min(workers, tasks)`` processes, except that a job runs in process
@@ -335,7 +414,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     if not all(math.isfinite(snr_db) for snr_db in snr_db_list):
         raise ValueError("SNR values must be finite")
     strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
-    tests = _coset_tests([label_operator(code.half_sub) for code in codes], alphabet.m)
+    tests = _coset_tests([code.labeler for code in codes], alphabet.m)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = []
     for point_idx, snr_db in enumerate(snr_db_list):

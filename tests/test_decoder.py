@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import latcoset.decoder as decoder
 import latcoset.wiretap as wiretap
 from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProblem,
                       IntegerLattice, PAMAlphabet, RankDeficientChannel,
@@ -12,7 +13,7 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       sphere_decode)
 from latcoset.decoder import (_codebook_features, _gemm_terms, _halves, _pair_rows,
                               _residual_distances, _two_level_argmin, _two_level_terms,
-                              _with_ones, codebook, exhaustive_argmin)
+                              _with_ones, codebook, exhaustive_argmin, orthogonal_words)
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -241,6 +242,130 @@ class TestKernel:
                          sub=IntegerLattice(2 * np.eye(8, dtype=np.int64)))
         with pytest.raises(CodebookTooLarge):
             ecdp_monte_carlo(code, [0.0], 1, 0, decoder="exhaustive")
+
+
+def quaternion_block(a, b, c, d):
+    """Real 4x4 orthogonal design: columns orthogonal, each of norm a^2 + b^2 + c^2 + d^2."""
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]], float)
+
+
+def oracle_words(heff, y, m):
+    """:func:`ml_decode_exhaustive` of each problem."""
+    alphabet = PAMAlphabet(m)
+    return np.array([ml_decode_exhaustive(DecodingProblem(y=yi, Heff=hi, alphabet=alphabet))
+                     for hi, yi in zip(heff, y)])
+
+
+def alamouti_channels(rng, n, n_r):
+    """Heff of ``n`` alamouti trials as the Monte-Carlo engine forms them."""
+    return wiretap._effective_channels(alamouti_map(), rng.standard_normal((n, n_r, 2, 2)))
+
+
+ALAMOUTI_GRAM_ERROR = wiretap._design_gram_error(alamouti_map())
+
+
+def count_settles(monkeypatch) -> list:
+    """Record the trials that :func:`orthogonal_words` does not settle by slicing."""
+    calls = []
+    settle = decoder._settle
+
+    def spy(heff, y, m, words, bound, near, odd, g):
+        calls.append((near.any(axis=1) & ~odd, odd))
+        return settle(heff, y, m, words, bound, near, odd, g)
+
+    monkeypatch.setattr(decoder, "_settle", spy)
+    return calls
+
+
+class TestOrthogonalWords:
+    # Integer designs have exact Gram matrices (gram_error 0) and exact
+    # distances; y = Heff v puts u = Heff^T y / g exactly at v.
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    def test_u_exactly_on_boundaries_ties_to_the_first_word(self, n_r, monkeypatch):
+        calls = count_settles(monkeypatch)
+        blocks = [quaternion_block(1, 2, -1, 1), quaternion_block(0, 1, 3, -2),
+                  quaternion_block(2, 0, 0, 1)][:n_r]
+        heff = np.vstack(blocks)[None]
+        for v, want in [((0, 2, -2, 1), [-1, 1, -3, 1]), ((0, 0, 0, 0), [-1, -1, -1, -1]),
+                        ((2, 3, -1, -2), [1, 3, -1, -3])]:
+            y = heff @ np.array(v, float)
+            assert orthogonal_words(heff, y, 4, 0.0).tolist() == [want]
+            assert oracle_words(heff, y, 4).tolist() == [want]
+        assert [near.tolist() for near, _ in calls] == [[True]] * 3
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_u_one_ulp_from_a_boundary(self, side):
+        # g = 4 is a power of two, so u is exactly 2 +- 1 ulp and 0 on the others
+        heff = quaternion_block(1, 1, 1, 1)[None]
+        v = np.array([np.nextafter(2.0, side * np.inf), 0.0, np.nextafter(-2.0, -side * np.inf),
+                      0.0])
+        y = heff @ v
+        assert np.array_equal((y @ heff[0]) / 4, v[None])
+        got = orthogonal_words(heff, y, 4, 0.0)
+        assert got.tolist() == [[2 + side, -1, -2 - side, -1]]
+        assert np.array_equal(got, oracle_words(heff, y, 4))
+
+    def test_u_outside_the_box_is_clamped(self):
+        heff = np.stack([quaternion_block(1, 2, -1, 1), quaternion_block(3, 0, 1, 1)])
+        v = np.array([[7.0, -9.0, 100.0, 0.5], [-3.5, 3.5, -1e6, 4.0]])
+        y = np.einsum("bik,bk->bi", heff, v)
+        got = orthogonal_words(heff, y, 4, 0.0)
+        assert got.tolist() == [[3, -3, 3, 1], [-3, 3, -3, 3]]
+        assert np.array_equal(got, oracle_words(heff, y, 4))
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 30])
+    def test_zero_channel_gets_the_first_word(self, m):
+        rng = np.random.default_rng(m)
+        heff = alamouti_channels(rng, 6, 2)
+        heff[[1, 4]] = 0.0
+        y = rng.standard_normal((6, 8))
+        y[4] = 0.0
+        got = orthogonal_words(heff, y, m, ALAMOUTI_GRAM_ERROR)
+        assert got[[1, 4]].tolist() == [[1 - m] * 4] * 2
+        assert np.array_equal(got, oracle_words(heff, y, m))
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 30])
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    def test_matches_the_oracle(self, n_r, m):
+        # a third of the trials on near-boundary points: y = Heff v, v even or odd
+        rng = np.random.default_rng(10 * n_r + m)
+        n = 12 if m == 30 else 40
+        heff = alamouti_channels(rng, n, n_r)
+        z = PAMAlphabet(m).symbols[rng.integers(0, m, (n, 4))].astype(float)
+        sigma = np.sqrt(10.0 ** (-rng.choice([-20, 0, 10, 30], n) / 10) / 2)[:, None]
+        y = np.einsum("bik,bk->bi", heff, z) + sigma * rng.standard_normal((n, 2 * 2 * n_r))
+        v = rng.integers(-m, m + 1, (n // 3, 4)).astype(float)
+        y[:n // 3] = np.einsum("bik,bk->bi", heff[:n // 3], v)
+        got = orthogonal_words(heff, y, m, ALAMOUTI_GRAM_ERROR)
+        assert np.array_equal(got, oracle_words(heff, y, m))
+
+    def test_noise_far_above_the_channel_goes_to_the_product_kernels(self, monkeypatch):
+        calls = count_settles(monkeypatch)
+        rng = np.random.default_rng(5)
+        heff = alamouti_channels(rng, 8, 2)
+        heff[:3] *= 1e-9
+        y = rng.standard_normal((8, 8))
+        got = orthogonal_words(heff, y, 4, ALAMOUTI_GRAM_ERROR)
+        assert calls[0][1].tolist() == [True] * 3 + [False] * 5
+        assert np.array_equal(got, oracle_words(heff, y, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([2, 4, 6, 8]), n_r=st.integers(1, 3), n=st.integers(1, 8),
+           snr_db=st.sampled_from([-60.0, -10.0, 0.0, 10.0, 40.0]),
+           on_grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_matches_the_oracle(self, m, n_r, n, snr_db, on_grid, seed):
+        # on_grid: y = Heff v for integer v, u on boundaries and symbols to a few ulps
+        rng = np.random.default_rng(seed)
+        heff = alamouti_channels(rng, n, n_r)
+        if on_grid:
+            v = rng.integers(-m, m + 1, (n, 4)).astype(float)
+            y = np.einsum("bik,bk->bi", heff, v)
+        else:
+            z = PAMAlphabet(m).symbols[rng.integers(0, m, (n, 4))].astype(float)
+            y = (np.einsum("bik,bk->bi", heff, z)
+                 + np.sqrt(10 ** (-snr_db / 10) / 2) * rng.standard_normal((n, 4 * n_r)))
+        got = orthogonal_words(heff, y, m, ALAMOUTI_GRAM_ERROR)
+        assert np.array_equal(got, oracle_words(heff, y, m))
 
 
 class TestSphere:

@@ -480,6 +480,21 @@ class TestJson:
             IntegerLattice.from_json('{"k": true, "basis": [[2]]}')
 
 
+class TestCatalog:
+    def test_every_spelling_gives_one_shared_instance(self):
+        lat = builtin_sublattice("L'1")
+        assert builtin_sublattice("LP1") is lat and builtin_sublattice(" lp1 ") is lat
+        assert builtin_sublattice("l2") is builtin_sublattice("L2") is not lat
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_shared_basis_is_read_only(self, name):
+        lat = builtin_sublattice(name)
+        with pytest.raises(ValueError):
+            lat.B[0, 0] = 0
+        with pytest.raises(AttributeError):
+            lat.B = lat.B * 2
+
+
 class TestInt64Edge:
     def test_huge_radius_raises_capacity_error(self):
         # squared norms of diag(2^33) wrap int64 to 0 unless refused

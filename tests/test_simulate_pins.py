@@ -4,7 +4,7 @@ Each case runs the CLI in process and compares the sha256 of its stdout
 with a digest recorded from an earlier build, so a change to the draw,
 channel, decoding or labelling kernels that moves any decision, or a CSV
 byte, fails here.  The cases cover alamouti 2/4/8-PAM and golden 2/4-PAM,
-every ``--decoder``, both metrics, 1 and 2 receive antennas, 1, 2 and 3
+every ``--decoder``, both metrics, 1, 2 and 3 receive antennas, 1, 2 and 3
 workers, and lattice files whose label operator needs Python integers
 (object dtype) listed with catalog lattices.
 """
@@ -89,6 +89,11 @@ CASES = [
     ("--code golden --pam 4 --lattices L'2,L'3 --snr 0,20 --trials 600 --seed 19 "
      "--workers 2",
      "d20b97621724aa84ca55fe3726adb57b1d628039986f818d8b3b4be83beb3cc5"),
+    # three receive antennas (Heff 12 x 4), 6000 trials in all on a 2-worker
+    # pool; the digest of the product kernels, before alamouti was sliced
+    ("--code alamouti --pam 4 --lattices L1,L2,L5 --snr=-10,0,10,20 --trials 1500 "
+     "--seed 20 --n-r 3 --workers 2",
+     "2c77539125caf161588fd5f2d4a7a91ed639d157cb2a86b93519cdd9e0bbad53"),
 ]
 
 

@@ -261,7 +261,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("m", [10, 30])
     def test_alamouti_two_level_matches_sphere(self, m):
-        # 10^4 and 8.1 * 10^5 words: auto decodes both with the two-level kernel
+        # 10^4 and 8.1 * 10^5 words: auto decodes both by per-coordinate slicing,
+        # the orthogonal-design route of the exhaustive strategy
         c = coset("alamouti", "L2", m)
         snrs = [-10.0, 0.0, 20.0]
         auto = simulate_curves(c.map, c.alphabet, [c], snrs, 150, seed=29)
@@ -296,11 +297,97 @@ class TestMonteCarlo:
         assert curve.points[0].trials == 300
         assert built == {(4, 4)}
 
+    def test_alamouti_30_pam_never_builds_the_full_codebook(self, monkeypatch):
+        # the slicer decides per coordinate and holds no codebook at all
+        codebook, features = decoder.codebook, decoder._codebook_features
+
+        def no_full_codebook(m, k):
+            if (m, k) == (30, 4):
+                raise AssertionError("codebook(30, 4) was built")
+            return codebook(m, k)
+
+        def no_full_features(m, k):
+            if (m, k) == (30, 4):
+                raise AssertionError("the features of codebook(30, 4) were built")
+            return features(m, k)
+
+        monkeypatch.setattr(decoder, "codebook", no_full_codebook)
+        monkeypatch.setattr(decoder, "_codebook_features", no_full_features)
+        for name in ("auto", "exhaustive"):
+            curve = ecdp_monte_carlo(coset("alamouti", "L2", 30), [0.0, 30.0], 300, seed=24,
+                                     decoder=name)
+            assert [p.trials for p in curve.points] == [300, 300]
+
+    def test_setup_is_built_once_per_sublattice(self, monkeypatch):
+        calls = []
+        smith = lattice.smith_normal_form
+
+        def counted(mat):
+            calls.append(mat)
+            return smith(mat)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counted)
+        wiretap._half_setup.cache_clear()
+        cm, alpha = alamouti_map(), PAMAlphabet(4)
+
+        def run():
+            codes = [coset("alamouti", name, 4) for name in ("L1", "L2", "L5")]
+            return simulate_curves(cm, alpha, codes, [0.0, 10.0], 200, seed=25)
+
+        first = run()
+        assert len(calls) == 3
+        calls.clear()
+        assert run() == first
+        assert calls == []
+        code = coset("alamouti", "L2", 4)
+        u, d = code.labeler
+        assert code.half_sub is coset("alamouti", "L2", 4).half_sub
+        assert not (u.flags.writeable or d.flags.writeable or code.half_sub.B.flags.writeable)
+        assert calls == []
+
     def test_bob_cer_ignores_sublattice(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
         a = bob_cer_monte_carlo(cm, alpha, [5.0], 2000, seed=2)
         b = bob_cer_monte_carlo(cm, alpha, [5.0], 2000, seed=2)
         assert a == b
+
+
+class TestOrthogonalDesign:
+    def test_alamouti_is_a_design(self):
+        assert wiretap._design_gram_error(alamouti_map()) == 80 * np.finfo(float).eps
+
+    def test_golden_is_not(self):
+        assert wiretap._design_gram_error(golden_map()) is None
+
+    def test_orthonormal_map_that_is_no_design(self):
+        # M^T M = I, but the four coefficients ride on the first channel use
+        # only, so Heff^T Heff carries the cross terms of h_1 and h_2
+        embed = np.vstack([np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64)])
+        code_map = STCodeMap(name="alamouti", n=2, k=4, int_part=embed,
+                             theta_part=np.zeros_like(embed), scale_denom_sq=1)
+        assert wiretap._design_gram_error(code_map) is None
+        draws = np.random.default_rng(0).standard_normal((1, 1, 2, 2))
+        heff = wiretap._effective_channels(code_map, draws)[0]
+        gram = heff.T @ heff
+        assert np.max(np.abs(gram - np.trace(gram) / 4 * np.eye(4))) > 0.1
+
+    def test_decided_from_the_blocks_not_the_name(self):
+        # alamouti's columns permuted and negated: still a design, under another
+        # name, and sliced to the product kernels' decisions
+        a = alamouti_map().int_part[:, [2, 0, 3, 1]] * np.array([1, -1, 1, 1])
+        code_map = STCodeMap(name="custom", n=2, k=4, int_part=a,
+                             theta_part=np.zeros_like(a), scale_denom_sq=2)
+        gram_error = wiretap._design_gram_error(code_map)
+        assert gram_error == 80 * np.finfo(float).eps
+        rng = np.random.default_rng(1)
+        heff = wiretap._effective_channels(code_map, rng.standard_normal((300, 2, 2, 2)))
+        gram = np.einsum("bji,bjl->bil", heff, heff)
+        g = np.trace(gram, axis1=1, axis2=2) / 4
+        assert np.all(np.linalg.norm(gram - g[:, None, None] * np.eye(4), 2, axis=(1, 2))
+                      <= gram_error * g)
+        y = rng.standard_normal((300, 8)) * 3
+        assert np.array_equal(decoder.orthogonal_words(heff, y, 4, gram_error),
+                              decoder.codebook_rows(decoder.exhaustive_argmin(heff, y, 4), 4, 4))
 
 
 def no_draw(*args):
