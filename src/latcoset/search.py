@@ -317,7 +317,7 @@ def _climb_trials(m: np.ndarray, moves: list) -> np.ndarray:
 def _lex(basis: np.ndarray) -> tuple:
     # ties go to the lexicographically smallest flattened basis so the
     # winner is schedule independent
-    return tuple(int(x) for x in basis.ravel())
+    return tuple(basis.ravel().tolist())
 
 
 def _balanced_diagonal(k: int, n: int) -> np.ndarray | None:

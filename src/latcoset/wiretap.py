@@ -19,8 +19,8 @@ from .channel import _real_expand, snr_to_sigma
 from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, orthogonal_words, sphere_decode)
 from .errors import CapacityError, CodebookTooLarge, NotASublattice, RankDeficientChannel
-from .lattice import (ENUMERATION_CAP, IntegerLattice, _integer_runs, coset_label,
-                      label_operator, shortest_shell)
+from .lattice import (ENUMERATION_CAP, IntegerLattice, _GramPastFloats, _integer_runs,
+                      _reduced_head, coset_label, label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -492,52 +492,110 @@ def _det_form(u, v):
             u[0] * v[7] + u[1] * v[6] - u[4] * v[3] - u[5] * v[2])
 
 
+#: :func:`_det_form`'s four products per part: part p (0 Re, 1 Im) is
+#: sum_j u[_DET_U[j]] * _DET_SIGN[p, j] * v[_DET_V[p, j]]
+_DET_U = [0, 1, 4, 5]
+_DET_V = np.array([[6, 7, 2, 3], [7, 6, 3, 2]])
+_DET_SIGN = np.array([[1, -1, -1, 1], [1, 1, -1, -1]])
+
+
+def _short_first(basis: np.ndarray) -> np.ndarray:
+    """``basis`` with its columns in ascending squared norm, ties kept in
+    order.  The enumeration's last level, whose runs the bound sums in
+    closed form, then steps along the shortest column, and the fewest
+    partial vectors survive the levels above it."""
+    return basis[:, np.argsort(np.einsum("ij,ij->j", basis, basis), kind="stable")]
+
+
 def _bound_terms(code: CosetCode, trunc: float, cap: int):
     """(||x||^2 as int64, |det X|^2) of one point x of each +-pair of the
     sublattice with 0 < ||x||^2 <= trunc, one pair of arrays per block of
     the enumeration's level-0 runs, read off without forming their points
     or codewords.
 
-    A run's points are x = x_c + u b_0, with b_0 the first basis column and
-    x_c the point at the run's rounded center (z_0 = c), so
+    The basis is enumerated with its columns shortest first
+    (:func:`_short_first`).  Where floats cannot hold its Gram matrix, the
+    head of its exactly reduced basis (:func:`_reduced_head`) is, as it
+    spans the same points of norm <= trunc.  A run's points are
+    x = x_c + u b_0, with b_0 the first column and x_c the point at the
+    run's rounded center (z_0 = c), so
     ||x||^2 = ||x_c||^2 + u (2 <x_c, b_0> + u ||b_0||^2) and
     det X = alpha + beta u + det0 u^2, where alpha = det X_c, det0 is the
     determinant of b_0's codeword and beta the mixed term.  Centering keeps
     alpha and beta near the size of the run's own determinants, which
-    limits float cancellation.  The codewords X_c come from one float
-    product of M B on the coefficients.  The norms are exact: int64 modulo
-    2^64, as :func:`_fincke_pohst_runs` carries the partial norms, and a
-    point within the radius has a norm below 2^62.
+    limits float cancellation.  One float product of the coefficients
+    gives, per run, the codeword factors of alpha (:data:`_DET_U`) and
+    beta; each point then gathers its run's alpha and beta once.  The norms
+    are exact: int64 modulo 2^64, as :func:`_fincke_pohst_runs` carries the
+    partial norms, and a point within the radius has a norm below 2^62.
     """
-    basis = code.sub.B
+    basis = _short_first(code.sub.B)
     gram = basis.T @ basis  # int64: exact modulo 2^64
+    try:
+        blocks = _integer_runs(basis, trunc, cap, gram)
+    except _GramPastFloats:
+        basis = _short_first(_reduced_head(code.sub, math.floor(trunc)))
+        if not basis.shape[1]:  # no nonzero point within trunc
+            return
+        gram = basis.T @ basis
+        blocks = _integer_runs(basis, trunc, cap, gram)
     b00 = gram[0, 0]
     mb = code.map.M @ basis
     y0 = mb[:, 0]
     eye = np.eye(len(y0))
     lin = np.add(_det_form(eye, y0[:, None]), _det_form(y0[:, None], eye))  # beta = lin @ X_c
-    w = np.vstack([mb, lin @ mb])[:, ::-1]  # columns k-1 .. 0, matching [runs.Z; c]
-    det0 = _det_form(y0, y0)
+    w = np.vstack([mb[_DET_U], (mb[_DET_V] * _DET_SIGN[..., None]).reshape(8, -1),
+                   lin @ mb])[:, ::-1]  # columns s-1 .. 0, matching [runs.Z; c]
+    det0 = np.array(_det_form(y0, y0))[:, None]
     limit = math.floor(trunc)
-    for block, runs in enumerate(_integer_runs(basis, trunc, cap, gram)):
-        counts = runs.counts
+    zc = np.empty((len(gram), 0))  # [runs.Z; c] as floats, reused while wide enough
+    for block, runs in enumerate(blocks):
+        n, counts = len(runs.counts), runs.counts
         c = np.rint(-runs.proj / runs.r00).astype(np.int64)
         inner_p = gram[0, 1:][::-1] @ runs.Z  # <x_p, b_0> of the partial vectors x_p
         inner_c = inner_p + b00 * c
         norm_c = runs.norms + c * (inner_p + inner_c)
-        y = w @ np.vstack([runs.Z, c])
-        alpha = _det_form(y, y)
+        if zc.shape[1] < n:
+            zc = np.empty((len(gram), n))
+        np.copyto(zc[:-1, :n], runs.Z)
+        zc[-1, :n] = c
+        y = w @ zc[:, :n]
+        coef = np.empty((4, n))  # (Re, Im) of alpha, then of beta, per run
+        prods = y[4:12].reshape(2, 4, n)
+        prods *= y[:4]
+        prods.sum(axis=1, out=coef[:2])
+        coef[2:] = y[12:]
 
-        starts = np.cumsum(counts) - counts
-        u = np.arange(counts.sum()) + np.repeat(runs.lo - c - starts, counts)
-        norms = np.repeat(norm_c, counts) + u * (np.repeat(2 * inner_c, counts) + b00 * u)
+        rep = np.arange(n).repeat(counts)  # the run of each point
+        u = np.arange(len(rep))
+        u += (runs.lo - c - (counts.cumsum() - counts))[rep]
+        norms = norm_c[rep] + u * (2 * inner_c[rep] + b00 * u)
         keep = norms <= limit
         if block == 0:
             keep[0] = False  # x = 0: the zero partial vector's run starts at z_0 = c = 0
+        if not keep.all():
+            rep, u, norms = rep[keep], u[keep], norms[keep]
+        det = coef.take(rep, axis=1)
         uf = u.astype(float)
-        re, im = (np.repeat(a, counts) + uf * (np.repeat(b, counts) + d * uf)
-                  for a, b, d in zip(alpha, y[-2:], det0))
-        yield norms[keep], (re * re + im * im)[keep]
+        det[2:] += det0 * uf
+        det[2:] *= uf
+        det[:2] += det[2:]
+        det[:2] *= det[:2]
+        yield norms, det[0] + det[1]
+
+
+def _reciprocal_power(base: np.ndarray, e: int) -> np.ndarray:
+    """base^-e for an integer e >= 1, in place: a reciprocal, then squarings
+    and products by binary powering (two squarings for e = 4), at about half
+    the cost of ``base ** -e``."""
+    x = np.reciprocal(base, out=base)
+    acc = None
+    while e > 1:
+        if e & 1:
+            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
+        np.multiply(x, x, out=x)
+        e >>= 1
+    return x if acc is None else np.multiply(acc, x, out=acc)
 
 
 def _gamma(sigma_e_sq: float, mode: str) -> float:
@@ -589,7 +647,9 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
         if not trunc > 0:
             raise ValueError(too_short)
     keys = [(float(sigma_e_sq), mode) for sigma_e_sq in sigmas for mode in modes]
-    gammas = [_gamma(sigma_e_sq, mode) for sigma_e_sq, mode in keys]
+    gammas = np.array([_gamma(sigma_e_sq, mode) for sigma_e_sq, mode in keys])
+    finite = gammas < math.inf  # an infinite gamma's terms are their limit 0
+    gamma = gammas[finite, None]
     sums = np.zeros((len(keys), 2))  # (whole ball, outer shell) per report
     points, least = 0, math.inf  # points of one sign, least norm
     try:
@@ -598,13 +658,15 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
                 continue
             points += len(norms)
             least = min(least, int(norms.min()))
-            outer = (2 * norms > trunc).astype(float)
-            norms = norms.astype(float)
-            for row, gamma in zip(sums, gammas):
-                if gamma < math.inf:
-                    with np.errstate(over="ignore"):  # a term past floats is its limit 0
-                        terms = (1.0 + gamma * (norms + gamma * det_sq)) ** (-(n_r + 2))
-                    row += terms.sum(), terms @ outer
+            with np.errstate(over="ignore"):  # a term past floats is its limit 0
+                base = det_sq * gamma
+                base += norms
+                base *= gamma
+                base += 1.0
+            terms = _reciprocal_power(base, n_r + 2)
+            # row by row, so each report's sums do not depend on the others
+            sums[finite, 0] += terms.sum(axis=1)
+            sums[finite, 1] += (terms * (2 * norms > trunc)).sum(axis=1)
     except CapacityError:
         # a truncation <= lambda_1^2 is reported as such even where its own
         # enumeration cannot run

@@ -259,12 +259,17 @@ def test_criterion_09_bound_orderings():
     over the dual lattice, equal-covolume sums agree to ~40 digits (the
     shortest dual vector of the three, L1's of length 1/8, gives a
     correction of order exp(-2*pi*(1/8)*sqrt(2/gamma)) ~ e^-111).  The golden partial sums at
-    R = 64 follow the point counts and reorder with every R in 64..180;
-    convergence needs more than ENUMERATION_CAP = 1e7 points, so both golden
-    clauses stay at R = 64 and stay red.
+    R = 64 follow the point counts and reorder with every R in 64..180.
+    Measured with the cap raised, no enumeration reaches convergence: at
+    R = 2048 L'1 takes 8.7e9 points in 344 s and its pow2 ``outer_share`` is
+    still 0.175, and the pow2n ``outer_share`` stays ~0.93 through R = 1024
+    (gamma R = 0.1, every term still ~1, points growing as R^4).  So both
+    golden clauses stay at R = 64 and stay red.
     """
-    partial = ("partial sum, follows the point count; reorders with every R, "
-               "converging needs > 1e7 points")
+    partial = ("partial sum, follows the point count; reorders with every R; "
+               "unconverged where measured: L'1 at R = 2048 takes 8.7e9 points "
+               "(344 s) with pow2 outer_share still 0.175, and pow2n outer_share "
+               "stays ~0.93 through R = 1024")
     causes = {
         ("alamouti", "pow2"): "converged sum",
         ("alamouti", "pow2n"): "equal-covolume sums agree to ~40 digits "

@@ -740,16 +740,22 @@ class TestBound:
         assert ecdp_bound_report(c, 1.0, truncation_r_sq=12.5).points_used > 0
 
     def test_capacity_error_keeps_the_coding_gain_check_first(self):
-        # a Gram matrix past floats: the enumeration fails, but a truncation
-        # below lambda_1^2 is still a configuration error, as the check came first
+        # a Gram matrix past floats: a truncation below lambda_1^2 is still a
+        # configuration error, and one above it enumerates the head of the
+        # exactly reduced basis, 2e_0, 2e_1, 2e_2, which spans the ball of R = 5
         big = 2 ** 40
         sub = IntegerLattice(np.array([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 2 * big + 2],
                                        [0, 0, 0, 2 * big]], dtype=np.int64))
         c = CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4), sub=sub)
         with pytest.raises(ValueError, match="must exceed the first coding gain"):
             ecdp_bound_report(c, 1.0, truncation_r_sq=3.0)
-        with pytest.raises(lattice.CapacityError):
-            ecdp_bound_report(c, 1.0, truncation_r_sq=5.0)
+        rep = ecdp_bound_report(c, 1.0, truncation_r_sq=5.0)
+        # alamouti terms depend on ||x||^2 alone: 6 of diag(2, 2, 2, 2)'s 8 points
+        plain = ecdp_bound_report(CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4),
+                                            sub=IntegerLattice(np.diag([2, 2, 2, 2]))),
+                                  1.0, truncation_r_sq=5.0)
+        assert (rep.points_used, plain.points_used) == (6, 8)
+        assert rep.value == pytest.approx(0.75 * plain.value, rel=1e-15)
 
     def test_only_the_zero_partial_vectors_run(self, monkeypatch):
         # at R = 20 the ball of diag(2, 6, 6, 6) holds 2 e_0 and 4 e_0 only
@@ -770,6 +776,55 @@ class TestBound:
             assert rep.points_used == 4
             assert rep.value == pytest.approx(
                 brute_force_bound(c, 20.0, rep.sigma_e_sq, rep.exponent_mode, 3), rel=1e-12)
+
+    def test_short_columns_run_at_the_last_level(self, monkeypatch):
+        # L'1 = diag(4, 4, 4, 4, 4, 2, 2, 2): enumerated in this column order,
+        # from its spacing-2 coordinates down, 27 808 partial vectors reach
+        # level 0; shortest columns first, 14 093 do
+        runs = []  # level-0 runs (partial vectors) per enumeration
+        real = lattice._fincke_pohst_runs
+
+        def recorded(*args):
+            blocks = list(real(*args))
+            runs.append(sum(block.Z.shape[1] for block in blocks))
+            return iter(blocks)
+
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
+        rep = ecdp_bound_report(coset("golden", "L'1", 4), 100.0, 128.0)
+        assert runs == [14093] and rep.points_used == 133718
+
+    @pytest.mark.parametrize("family,source", [
+        ("golden", "L'1"), ("golden", "L'2"), ("golden", "L'3"),
+        ("golden", 7), ("golden", 8), ("alamouti", 9), ("alamouti", 10)])
+    def test_invariant_under_basis_changes(self, family, source):
+        # the bound is a sum over the lattice's points: permuting the basis
+        # columns or changing the basis by a unimodular matrix keeps
+        # points_used and moves values in their last bits only
+        rng = np.random.default_rng(source if isinstance(source, int) else 0)
+        k = 8 if family == "golden" else 4
+        if isinstance(source, int):  # a random Hermite form 2H
+            sub = random_sublattice_with_index(k, 32 if k == 8 else 16, rng)
+        else:
+            sub = builtin_sublattice(source)
+        u = np.eye(k, dtype=np.int64)
+        for _ in range(10):  # column moves c_i += f c_j, f = +-1
+            i, j = rng.choice(k, 2, replace=False)
+            u[:, i] += rng.choice([-1, 1]) * u[:, j]
+        trunc = 72.0 if k == 8 else 160.0
+        sigmas, modes = [0.3, 5.0, 100.0], ["pow2n", "pow2"]
+        code_map = golden_map() if k == 8 else alamouti_map()
+
+        def reports(basis):
+            c = CosetCode(map=code_map, alphabet=PAMAlphabet(4), sub=IntegerLattice(basis))
+            return ecdp_bound_reports(c, sigmas, modes, trunc, 2)
+
+        expected = reports(sub.B)
+        changed = sub.B @ u
+        for basis in (sub.B[:, rng.permutation(k)], changed, changed[:, rng.permutation(k)]):
+            for rep, exp in zip(reports(basis), expected):
+                assert rep.points_used == exp.points_used > 0
+                assert rep.value == pytest.approx(exp.value, rel=1e-13)
+                assert rep.outer_share == pytest.approx(exp.outer_share, rel=1e-13)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), family=st.sampled_from(["alamouti", "golden"]),
