@@ -10,7 +10,7 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       IntegerLattice, PAMAlphabet, RankDeficientChannel,
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
-                      sphere_decode)
+                      snr_to_sigma, sphere_decode)
 from latcoset.decoder import (_codebook_features, _gemm_terms, _halves, _pair_rows,
                               _residual_distances, _two_level_argmin, _two_level_terms,
                               _with_ones, codebook, exhaustive_argmin, orthogonal_words)
@@ -139,7 +139,7 @@ class TestKernel:
     @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
            n=st.integers(1, 6), snr_db=st.sampled_from([-60.0, 0.0, 20.0]),
            integer=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    # golden 4-PAM goes to the two-level kernel in blocks of 64 problems,
+    # golden 4-PAM goes to the two-level kernel in blocks of 128 problems,
     # alamouti 8-PAM (4096 words) in one block of 256
     @example(code="golden", m=4, n=130, snr_db=-60.0, integer=False, seed=11)
     @example(code="golden", m=4, n=130, snr_db=0.0, integer=True, seed=12)
@@ -242,6 +242,106 @@ class TestKernel:
                          sub=IntegerLattice(2 * np.eye(8, dtype=np.int64)))
         with pytest.raises(CodebookTooLarge):
             ecdp_monte_carlo(code, [0.0], 1, 0, decoder="exhaustive")
+
+
+def golden_trials(rng, n, snr_db, m=4, n_r=2):
+    """Heff and y of ``n`` golden trials as the Monte-Carlo engine forms them."""
+    code_map = golden_map()
+    heff = wiretap._effective_channels(code_map, rng.standard_normal((n, n_r, 2, 2)))
+    z = PAMAlphabet(m).symbols[rng.integers(0, m, (n, 8))].astype(float)
+    sigma_sq = snr_to_sigma(snr_db, code_map, PAMAlphabet(m)).sigma_sq
+    y = (np.einsum("bik,bk->bi", heff, z)
+         + np.sqrt(sigma_sq / 2) * rng.standard_normal((n, 4 * n_r)))
+    return heff, y
+
+
+def fixed_order(make):
+    """A stand-in for :func:`decoder._column_order` giving ``make(b, k)``."""
+    return lambda heff: make(heff.shape[0], heff.shape[2])
+
+
+COLUMN_ORDERS = {
+    "identity": fixed_order(lambda b, k: np.tile(np.arange(k), (b, 1))),
+    "reversed": fixed_order(lambda b, k: np.tile(np.arange(k)[::-1], (b, 1))),
+    "random": fixed_order(lambda b, k: np.random.default_rng(b).permuted(
+        np.tile(np.arange(k), (b, 1)), axis=1)),
+}
+
+
+class TestColumnOrder:
+    @pytest.mark.parametrize("case,seed", [("golden -60 dB", 21), ("golden 0 dB", 22),
+                                           ("golden 20 dB", 23), ("golden integer", 24),
+                                           ("alamouti 8-PAM integer", 25)])
+    def test_any_order_gives_the_same_decisions(self, case, seed, monkeypatch):
+        # 130 golden problems cross the kernel's block boundary at 128; the
+        # integer channels with half-integer outputs are full of exact ties
+        rng = np.random.default_rng(seed)
+        if case.endswith("integer"):
+            m, k = (4, 8) if case.startswith("golden") else (8, 4)
+            heff = rng.integers(-2, 3, (130, 8, k)).astype(float)
+            y = rng.integers(-6, 7, (130, 8)) / 2.0
+        else:
+            m = 4
+            heff, y = golden_trials(rng, 130, float(case.split()[1]))
+        want = residual_argmin(heff, y, m)
+        assert np.array_equal(exhaustive_argmin(heff, y, m), want)
+        for name, order in COLUMN_ORDERS.items():
+            monkeypatch.setattr(decoder, "_column_order", order)
+            assert np.array_equal(exhaustive_argmin(heff, y, m), want), name
+
+    def test_bottom_columns_are_the_weak_ones_after_projection(self):
+        # norms 2, 2.5, 1.5 and 3.04, but column 3 is 0.5 away from the span
+        # of column 2: sorted QR takes 2 and then 3, where sorting the norms
+        # would take 2 and 0; the top columns keep ascending order
+        heff = np.zeros((1, 4, 4))
+        heff[0, 2, 0], heff[0, 3, 1], heff[0, 0, 2] = 2.0, 2.5, 1.5
+        heff[0, :2, 3] = 3.0, 0.5
+        assert decoder._column_order(heff).tolist() == [[2, 3, 0, 1]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", [None, *COLUMN_ORDERS])
+    def test_edge_channels(self, order, monkeypatch):
+        # golden with n_r = 1 (d = 4 < k), zero channels, a zero column and
+        # duplicate columns: zero pivots in the order, ties in the decisions
+        if order is not None:
+            monkeypatch.setattr(decoder, "_column_order", COLUMN_ORDERS[order])
+        rng = np.random.default_rng(8)
+        heff, y = golden_trials(rng, 12, 0.0, n_r=1)
+        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
+        heff, y = golden_trials(rng, 12, 10.0)
+        heff[:3] = 0.0
+        y[0] = 0.0
+        heff[3, :, 5] = 0.0
+        heff[4:8, :, 2] = heff[4:8, :, 6]
+        heff[6:12, :, 1] = heff[6:12, :, 0]
+        heff[10:12, :, 7] = heff[10:12, :, 0]
+        got = exhaustive_argmin(heff, y, 4)
+        assert got[:3].tolist() == [0, 0, 0]
+        # swapping the symbols of duplicate columns ties in exact arithmetic,
+        # so the reference is the kernel's own residual form, rounding included
+        assert np.array_equal(got, decoder._residual_argmin(heff, y, codebook(4, 8).astype(float)))
+        # integer duplicates tie exactly: the first word of the tie in any arithmetic
+        heff = rng.integers(-2, 3, (12, 8, 8)).astype(float)
+        heff[:, :, 4:] = heff[:, :, :4]
+        y = rng.integers(-6, 7, (12, 8)) / 2.0
+        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
+
+    @pytest.mark.parametrize("snr_db,completed", [(0.0, 7967), (20.0, 590)])
+    def test_completion_count(self, snr_db, completed, monkeypatch):
+        # (problem, top word) pairs completed over the bottom words on one
+        # 256-trial golden 4-PAM batch, the greedy leaves and rechecks
+        # included; the fixed order 0..7 completed 12 275 and 1 635
+        rows = []
+        pair_rows = decoder._pair_rows
+
+        def spy(terms, zt, trial, top):
+            rows.append(len(trial))
+            return pair_rows(terms, zt, trial, top)
+
+        monkeypatch.setattr(decoder, "_pair_rows", spy)
+        heff, y = golden_trials(np.random.default_rng(2026), 256, snr_db)
+        decoder.exhaustive_argmin(heff, y, 4)
+        assert sum(rows) == completed
 
 
 def quaternion_block(a, b, c, d):
