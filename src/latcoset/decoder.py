@@ -1,9 +1,10 @@
 """Maximum-likelihood decoding of finite ST codebooks.
 
-Two interchangeable routes: an exhaustive search (the oracle) and a
-box-constrained sphere decoder.  Both return the argmin of
-||y - Heff z||^2 over z in S^k with ties broken lexicographically, so their
-outputs are bit-identical wherever the oracle is feasible.
+Two interchangeable routes, an exhaustive search (the oracle) and a
+box-constrained sphere decoder, return the argmin of ||y - Heff z||^2 over
+z in S^k.  Exact ties resolve lexicographically only where the float
+residual form is exact (integer channels); elsewhere the exhaustive kernels
+follow its rounding and :func:`sphere_decode` compares QR-domain floats.
 
 The exhaustive route is batched over problems.  For an orthogonal design,
 where Heff^T Heff = g I for every channel, :func:`orthogonal_words` slices
@@ -539,8 +540,8 @@ def sphere_decode(problem: DecodingProblem) -> np.ndarray:
     QR-reduces the channel and walks symbols at each level in increasing
     partial-distance order, shrinking the radius at every leaf.  The first
     leaf reached is the alphabet-clamped Babai point, so the search always
-    starts with a finite radius.  Output matches :func:`ml_decode_exhaustive`
-    including lexicographic tie-breaking.
+    starts with a finite radius.  Output matches :func:`ml_decode_exhaustive`,
+    lexicographic ties included where the distances are exact.
 
     Raises RankDeficientChannel when Heff is numerically rank deficient,
     which it always is with fewer rows than columns.

@@ -393,10 +393,11 @@ def _slices(counts: np.ndarray) -> list[slice]:
 
 
 def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None):
-    """Levels s-1 .. 1 of :func:`_enumerate_coefficients`'s enumeration,
-    and the z_0 run each surviving partial vector allows at level 0, as an
-    iterator of :class:`_Runs` blocks.  The Cholesky factor is taken on the
-    call (np.linalg.LinAlgError when that fails); the blocks come lazily.
+    """Levels s-1 .. 1 of the layered Fincke-Pohst enumeration of one z != 0
+    of each +-pair with z^T g z <= r_sq (+ slack), the one whose last nonzero
+    entry is positive, and the z_0 run each surviving partial vector allows
+    at level 0: an iterator of :class:`_Runs` blocks, which come lazily.  The
+    Cholesky factor of ``g`` is taken on the call (LinAlgError on failure).
 
     Each level runs breadth-first over its partial vectors.  Where a level
     holds more than ``_BLOCK`` candidates, its partial vectors are split
@@ -480,67 +481,79 @@ def _coefficients(blocks) -> np.ndarray:
     return Z[::-1, 1:].T
 
 
-def _enumerate_coefficients(g: np.ndarray, r_sq: float, cap: int) -> np.ndarray:
-    """One integer coefficient vector z != 0 of each +-pair with
-    z^T g z <= r_sq (+ slack): the one whose last nonzero entry is positive.
-
-    Layered Fincke-Pohst on the Cholesky factor of the float Gram matrix
-    ``g`` (np.linalg.LinAlgError when that fails); the caller applies the
-    exact (or toleranced) radius filter afterwards.  The levels run from the
-    last coordinate down (:func:`_fincke_pohst_runs`), so the partial vector
-    whose coefficients are all zero so far (always the first) takes
-    z_i >= 0 only; its interval is symmetric about 0.  ``cap`` counts points
-    of both signs.
-    """
-    return _coefficients(_fincke_pohst_runs(g, r_sq, cap))
-
-
-def _reduced_head(lat: IntegerLattice, r_sq: int) -> np.ndarray:
-    """Columns spanning every point of ``lat`` of norm <= r_sq: the head of
-    its exactly LLL-reduced basis (:func:`_integral_lll`).
+def _reduced_head(lat: IntegerLattice, r_sq: int) -> tuple[np.ndarray, int]:
+    """The head of the exactly LLL-reduced basis of ``lat`` (:func:`_integral_lll`),
+    which spans its points of norm <= r_sq, and the head's Gram determinant.
 
     A point's last nonzero coefficient in the reduced basis picks a
-    Gram-Schmidt vector no longer than the point, so trailing vectors whose
-    Gram-Schmidt norm exceeds r_sq take coefficient 0 and are dropped.
-    CapacityError is raised when a head column's norm reaches 2^62.
+    Gram-Schmidt vector no longer than the point, so trailing vectors but the
+    first whose Gram-Schmidt norm exceeds r_sq take coefficient 0 and are
+    dropped.  CapacityError is raised when a head column's norm reaches 2^62.
     """
     b, d = _integral_lll(lat.B.T.tolist())
     j = len(b)
-    while j and d[j] > r_sq * d[j - 1]:
+    while j > 1 and d[j] > r_sq * d[j - 1]:
         j -= 1
     if any(sum(x * x for x in v) >= _INT64_NORM_LIMIT for v in b[:j]):
         raise CapacityError("a reduced basis vector is beyond exact int64 norms (2^62)")
-    return np.array(b[:j], dtype=np.int64).reshape(j, lat.k).T
+    return np.array(b[:j], dtype=np.int64).T, d[j]
 
 
-class _GramPastFloats(CapacityError):
-    """The exact Gram matrix of a basis has entries that floats cannot hold."""
+def _enumeration_basis(lat: IntegerLattice, r_sq) -> np.ndarray:
+    """The basis an integer enumeration of ``lat`` to squared radius r runs
+    in: ``lat.B`` where floats keep every point, else the head of its exactly
+    reduced basis (:func:`_reduced_head`), which holds the same points;
+    CapacityError where that fails too, or r reaches 2^62 (int64 norms).
+
+    Floats keep every point when G = B^T B is float-exact (:func:`_float_gram`)
+    and the squared orthogonality defect delta^2 = prod_i G_ii / det G passes
+    an exact test.  For real z, Cramer's rule and Hadamard's inequality give
+    |z_i| <= delta ||B z|| / ||b_i||, so sum_i |z_i| ||b_i|| <= k delta ||B z||.
+    The float Cholesky factor has R^T R = G + E with
+    |E_ij| <= (k + 1) eps ||b_i|| ||b_j|| (Higham, *Accuracy and Stability*,
+    Thm 10.3), and a tested partial norm is the least z^T (G + E) z over real
+    leading coefficients: it moves by (k + 1) k^2 delta^2 eps r to first
+    order, plus O(k eps r) in the interval arithmetic of
+    :func:`_fincke_pohst_runs`.  Doubled as in ``decoder.py``, that must stay
+    within the margin the enumeration adds: 1e-9 max(r, 1), plus 1/2 for
+    integer norms.
+    """
+    if r_sq >= _INT64_NORM_LIMIT:
+        raise CapacityError(f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
+    basis, gram_det = lat.B, lat.det * lat.det
+    while True:
+        g, k = _float_gram(basis), basis.shape[1]
+        # delta^2 <= margin / error, exactly: both floats as integer ratios
+        p, q = (1e-9 * max(r_sq, 1.0) + 0.5).as_integer_ratio()
+        u, v = (2 * (k + 1) * k * k * 2.0 ** -52 * r_sq).as_integer_ratio()
+        if g is not None and math.prod(int(x) for x in g.diagonal()) * u * q <= p * v * gram_det:
+            return basis
+        if basis is not lat.B:
+            raise CapacityError("floats cannot enumerate the reduced basis exactly")
+        basis, gram_det = _reduced_head(lat, math.floor(r_sq))
+
+
+def _float_gram(basis: np.ndarray) -> np.ndarray | None:
+    """The Gram matrix G of integer columns as floats, exactly; None where
+    floats cannot hold it.  A diagonal computed below 2^53 is exact, and then
+    so is every product and partial sum, as |G_ij| <= max_i G_ii."""
+    bf = basis.astype(float)
+    if (g := bf.T @ bf).diagonal().max() < 2.0 ** 53:
+        return g
+    g = basis.astype(object).T @ basis.astype(object)
+    return g.astype(float) if all(float(x) == x for x in g.flat) else None
 
 
 def _integer_runs(basis: np.ndarray, r_sq, cap: int, gram=None):
-    """:func:`_fincke_pohst_runs` of the integer lattice spanned by the
-    independent columns of ``basis``, to squared radius r_sq (+ 1/2: norms
-    are integers, so half a unit of float margin loses no shell), carrying
-    exact norms when given ``gram``: an iterator of its blocks."""
-    if r_sq >= _INT64_NORM_LIMIT:
-        raise CapacityError(f"squared radius {r_sq} is beyond exact int64 norms (2^62)")
-    b = basis.astype(object)
-    g = b.T @ b
-    if any(float(x) != x for x in g.flat):
-        raise _GramPastFloats("the Gram matrix has entries that floats cannot hold exactly")
+    """:func:`_fincke_pohst_runs` of the lattice spanned by ``basis``, as
+    :func:`_enumeration_basis` returns it, to squared radius r_sq (+ 1/2:
+    norms are integers, so half a unit of float margin loses no shell),
+    carrying exact norms when given ``gram``: an iterator of its blocks."""
     try:
-        return _fincke_pohst_runs(g.astype(float), float(r_sq) + 0.5, cap, gram)
+        return _fincke_pohst_runs(_float_gram(basis), float(r_sq) + 0.5, cap, gram)
     except np.linalg.LinAlgError as exc:
         raise CapacityError(
             "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
-
-
-def _integer_half(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
-    """The points of norm <= r_sq of the integer lattice spanned by the
-    independent columns of ``basis``, one of each +-pair: the one whose last
-    nonzero coefficient is positive.  The radius test is exact."""
-    pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
-    return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
 
 
 def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
@@ -550,9 +563,11 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     if not r_sq > 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
-        return _integer_half(lat.B, r_sq, cap)
+        basis = _enumeration_basis(lat, r_sq)
+        pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
+        return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
     try:
-        Z = _enumerate_coefficients(gram(lat), float(r_sq), cap)
+        Z = _coefficients(_fincke_pohst_runs(gram(lat), float(r_sq), cap))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("Gram matrix is not positive definite") from exc
     pts = Z @ lat.basis.T
@@ -565,12 +580,12 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
 
     Both x and -x appear: first one point of each pair, the one whose last
     nonzero basis coefficient is positive, then their negations in the same
-    order.  For integer lattices the radius test is exact; for real
-    lattices it is taken with relative tolerance REL_TOL.  Raises
-    CapacityError when the point count would exceed ``cap``, and for an
-    integer lattice when the radius reaches 2^62, past which exact int64
-    norms could wrap, or when floats cannot carry its exact Gram matrix
-    through the Cholesky factorization.
+    order.  For integer lattices the radius test is exact, in the basis
+    :func:`_enumeration_basis` picks; for real lattices it is taken with
+    relative tolerance REL_TOL.  Raises CapacityError when the point count
+    would exceed ``cap``, and for an integer lattice when the radius reaches
+    2^62, past which exact int64 norms could wrap, or when floats cannot
+    carry even its exactly reduced basis.
     """
     half = _half_shorter_than(lat, r_sq, cap)
     return np.concatenate([half, -half])
@@ -600,21 +615,15 @@ def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int
 
     One enumeration at the smaller of the shortest basis column's squared
     norm and the ceiling of Minkowski's first-theorem bound, since each
-    radius holds a shortest vector.  A basis whose Gram matrix floats cannot
-    hold is reduced exactly first, and the head of the reduced basis
-    (:func:`_reduced_head`) is enumerated up to its shortest column.  The
-    lattice is well-rounded exactly when the rank is k.
+    radius holds a shortest vector.  Where the enumeration runs in a reduced
+    basis (:func:`_enumeration_basis`), the radius is cut to its shortest
+    column too.  The lattice is well-rounded exactly when the rank is k.
     """
     _require_integer(lat)
     k = lat.k
     r = min(_min_column_norm(lat.B), _minkowski_radius_sq(k, abs(lat.det)))
-    try:
-        pts = _half_shorter_than(lat, r, cap)
-    except _GramPastFloats:
-        head = _reduced_head(lat, r)
-        pts = _integer_half(head, min(r, _min_column_norm(head)), cap)
-    if not len(pts):  # float rounding on an ill-conditioned Gram matrix
-        raise CapacityError("enumeration lost the shortest vectors of this basis")
+    r = min(r, _min_column_norm(_enumeration_basis(lat, r)))
+    pts = _half_shorter_than(lat, r, cap)
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
     l1 = int(norms.min())
     return l1, len(independent_rows(pts[norms == l1], k))
@@ -623,11 +632,11 @@ def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int
 def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> SuccessiveMinima:
     """Exact squared successive minima via enumeration with growing radius.
 
-    The radius starts at the squared norm of the shortest basis column and
-    doubles until the enumerated points span the full rank.
+    The radius starts at the shortest column's squared norm in the basis of
+    :func:`_enumeration_basis` and doubles until the points span the rank.
     """
     _require_integer(lat)
-    r = _min_column_norm(lat.B)
+    r = _min_column_norm(_enumeration_basis(lat, _min_column_norm(lat.B)))
     while True:
         pts = _half_shorter_than(lat, r, cap)
         norms = np.sum(pts.astype(np.int64) ** 2, axis=1)

@@ -18,9 +18,9 @@ import numpy as np
 from .channel import _real_expand, snr_to_sigma
 from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
                       exhaustive_argmin, orthogonal_words, sphere_decode)
-from .errors import CapacityError, CodebookTooLarge, NotASublattice, RankDeficientChannel
-from .lattice import (ENUMERATION_CAP, IntegerLattice, _GramPastFloats, _integer_runs,
-                      _reduced_head, coset_label, label_operator, shortest_shell)
+from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
+from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
+                      coset_label, label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -400,10 +400,11 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     (strategy ``exhaustive``) and holds at most ``CHUNK_TRIALS`` trials in
     all (trials times SNR points): starting and stopping a pool costs
     ~11 ms, more than such a job takes.  The per-trial ``sphere`` strategy
-    costs 0.3-37 ms per trial and pools from two tasks.  ``numpy.random``
-    is imported just before the pool starts: forked workers then inherit
-    it, where each would otherwise import it again (~15 ms) on its first
-    draw.  Results do not depend on ``workers``.
+    costs 0.3 ms (golden, 20 dB) to 1.3 s (8-PAM, -10 dB) per trial and
+    pools from two tasks.  ``numpy.random`` is imported just before the
+    pool starts: forked workers then inherit it, where each would otherwise
+    import it again (~15 ms) on its first draw.  Results do not depend on
+    ``workers``.
     """
     _check_count("trials", trials)
     _check_count("workers", workers)
@@ -513,10 +514,8 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
     the enumeration's level-0 runs, read off without forming their points
     or codewords.
 
-    The basis is enumerated with its columns shortest first
-    (:func:`_short_first`).  Where floats cannot hold its Gram matrix, the
-    head of its exactly reduced basis (:func:`_reduced_head`) is, as it
-    spans the same points of norm <= trunc.  A run's points are
+    The basis :func:`_enumeration_basis` picks is enumerated with its
+    columns shortest first (:func:`_short_first`).  A run's points are
     x = x_c + u b_0, with b_0 the first column and x_c the point at the
     run's rounded center (z_0 = c), so
     ||x||^2 = ||x_c||^2 + u (2 <x_c, b_0> + u ||b_0||^2) and
@@ -529,16 +528,9 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
     are exact: int64 modulo 2^64, as :func:`_fincke_pohst_runs` carries the
     partial norms, and a point within the radius has a norm below 2^62.
     """
-    basis = _short_first(code.sub.B)
+    basis = _short_first(_enumeration_basis(code.sub, trunc))
     gram = basis.T @ basis  # int64: exact modulo 2^64
-    try:
-        blocks = _integer_runs(basis, trunc, cap, gram)
-    except _GramPastFloats:
-        basis = _short_first(_reduced_head(code.sub, math.floor(trunc)))
-        if not basis.shape[1]:  # no nonzero point within trunc
-            return
-        gram = basis.T @ basis
-        blocks = _integer_runs(basis, trunc, cap, gram)
+    blocks = _integer_runs(basis, trunc, cap, gram)
     b00 = gram[0, 0]
     mb = code.map.M @ basis
     y0 = mb[:, 0]
@@ -652,27 +644,20 @@ def ecdp_bound_reports(code: CosetCode, sigmas, modes,
     gamma = gammas[finite, None]
     sums = np.zeros((len(keys), 2))  # (whole ball, outer shell) per report
     points, least = 0, math.inf  # points of one sign, least norm
-    try:
-        for norms, det_sq in _bound_terms(code, trunc, cap):
-            if not len(norms):
-                continue
-            points += len(norms)
-            least = min(least, int(norms.min()))
-            with np.errstate(over="ignore"):  # a term past floats is its limit 0
-                base = det_sq * gamma
-                base += norms
-                base *= gamma
-                base += 1.0
-            terms = _reciprocal_power(base, n_r + 2)
-            # row by row, so each report's sums do not depend on the others
-            sums[finite, 0] += terms.sum(axis=1)
-            sums[finite, 1] += (terms * (2 * norms > trunc)).sum(axis=1)
-    except CapacityError:
-        # a truncation <= lambda_1^2 is reported as such even where its own
-        # enumeration cannot run
-        if truncation_r_sq is not None and not trunc > first_coding_gain(code.map, code.sub):
-            raise ValueError(too_short) from None
-        raise
+    for norms, det_sq in _bound_terms(code, trunc, cap):
+        if not len(norms):
+            continue
+        points += len(norms)
+        least = min(least, int(norms.min()))
+        with np.errstate(over="ignore"):  # a term past floats is its limit 0
+            base = det_sq * gamma
+            base += norms
+            base *= gamma
+            base += 1.0
+        terms = _reciprocal_power(base, n_r + 2)
+        # row by row, so each report's sums do not depend on the others
+        sums[finite, 0] += terms.sum(axis=1)
+        sums[finite, 1] += (terms * (2 * norms > trunc)).sum(axis=1)
     # trunc > lambda_1^2 exactly when a point shorter than trunc was enumerated
     if not least < trunc:
         raise ValueError(too_short)

@@ -309,6 +309,21 @@ class TestBound:
             assert (code, out) == (2, "")
             assert "--sigma-e-sq" in err and "--snr" in err
 
+    def test_catalog_bases_are_enumerated_unreduced(self, capsys, monkeypatch):
+        # every catalog basis and its half pass the float gate of
+        # lattice._enumeration_basis, so no exact reduction runs
+        def refused(vectors):
+            raise AssertionError("a catalog basis was reduced")
+
+        monkeypatch.setattr(lattice, "_integral_lll", refused)
+        golden = ["--code", "golden", "--lattices", "L'1,L'2,L'3"]
+        for argv in (["analyze", "--code", "alamouti", "--lattices", "L1,L2,L3,L4,L5"],
+                     ["analyze", "--code", "golden", "--lattices", "L'1,L'2,L'3,M1,M2,M3"],
+                     ["bound", *golden, "--sigma-e-sq", "0.5"],
+                     ["bound", *golden, "--sigma-e-sq", "0.5", "--truncation", "128"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "") and parse_csv(out)
+
     def test_capacity_exits_4(self, capsys):
         code, _, err = run_cli(["bound", "--code", "alamouti", "--pam", "4",
                                 "--lattices", "L1", "--sigma-e-sq", "10",

@@ -20,6 +20,9 @@ from latcoset.search import random_sublattice_with_index
 
 TWO_Z4 = IntegerLattice(2 * np.eye(4, dtype=np.int64))
 
+#: the 8 nonzero points of Z^2 of squared norm <= 2, sorted
+Z2_BALL_2 = sorted(p for p in itertools.product((-1, 0, 1), repeat=2) if p != (0, 0))
+
 
 def brute_force_points(B, r_sq, max_box=2_000_000):
     """Independent enumeration oracle: coefficient box guaranteed to cover
@@ -508,20 +511,27 @@ class TestInt64Edge:
         lat = IntegerLattice(np.diag([2 ** 30, 2 ** 30]))
         assert successive_minima(lat).lambda_sq == (2 ** 60, 2 ** 60)
 
-    def test_gram_beyond_float_raises_capacity_error(self):
+    def test_gram_beyond_float_is_reduced_exactly(self):
         # (2^27 + 1)^2 + 1 > 2^53: the float Gram matrix is not the exact
-        # one, and its Cholesky factorization fails on a nonsingular basis
+        # one; the exactly reduced basis (1, 1), (2^(e-1), -2^(e-1)) is
+        # enumerated instead
         for e in range(27, 31):
             lat = IntegerLattice(np.array([[2 ** e, 2 ** e + 1], [0, 1]]))
-            with pytest.raises(CapacityError):
-                enumerate_shorter_than(lat, 2)
+            assert sorted(map(tuple, enumerate_shorter_than(lat, 2).tolist())) == \
+                [(-1, -1), (1, 1)]
 
-    def test_failed_cholesky_raises_capacity_error(self):
+    def test_failed_cholesky_basis_is_reduced_exactly(self):
         # an exact, float-representable Gram matrix whose float Cholesky
-        # factorization fails though the basis is nonsingular
+        # factorization fails though the basis is nonsingular: a basis of Z^2
         lat = IntegerLattice(np.array([[2 ** 20, 2 ** 20 - 1], [1, 1]]))
-        with pytest.raises(CapacityError):
-            enumerate_shorter_than(lat, 2)
+        assert sorted(map(tuple, enumerate_shorter_than(lat, 2).tolist())) == Z2_BALL_2
+
+    def test_reduced_gram_beyond_float_raises_capacity_error(self):
+        # reduction leaves diag(2^27 + 1, 2^27 + 1) as it is, and its Gram
+        # matrix is still not float-exact
+        lat = IntegerLattice(np.diag([2 ** 27 + 1, 2 ** 27 + 1]))
+        with pytest.raises(CapacityError, match="floats"):
+            enumerate_shorter_than(lat, 2 ** 55)
 
     def test_gram_within_float_is_exact(self):
         lat = IntegerLattice(np.array([[2 ** 26, 2 ** 26 + 1], [0, 1]]))
@@ -581,9 +591,20 @@ class TestExactReduction:
             if int_det(small) == 0:
                 continue
             lat = IntegerLattice(_skew(small, rng, until_float_gram=True).astype(np.int64))
-            with pytest.raises(CapacityError, match="floats"):
-                enumerate_shorter_than(lat, 4)
+            assert sorted(map(tuple, enumerate_shorter_than(lat, 4).tolist())) == sorted(
+                map(tuple, enumerate_shorter_than(IntegerLattice(small), 4).tolist()))
             assert shortest_shell(lat) == shortest_shell(IntegerLattice(small))
+
+    @pytest.mark.parametrize("e", [14, 17, 20, 24])
+    def test_skewed_basis_of_z2_is_reduced_first(self, e):
+        # [[N, N - 1], [N + 1, N]] spans Z^2; enumerated in floats at r = 2
+        # it lost all but +-(1, 1) (N = 2^20) or failed its Cholesky factor
+        n = 2 ** e
+        lat = IntegerLattice(np.array([[n, n - 1], [n + 1, n]]))
+        assert sorted(map(tuple, enumerate_shorter_than(lat, 2).tolist())) == Z2_BALL_2
+        assert shortest_shell(lat) == (1, 2) and is_well_rounded(lat)
+        # the minima start from the reduced basis, not from a 2^(2e+1) column
+        assert successive_minima(lat).lambda_sq == (1, 1)
 
     def test_huge_last_minimum_is_cut(self):
         # diag(2, 2, 2 (2^40 + 1)): the reduced basis keeps its long last

@@ -757,6 +757,23 @@ class TestBound:
         assert (rep.points_used, plain.points_used) == (6, 8)
         assert rep.value == pytest.approx(0.75 * plain.value, rel=1e-15)
 
+    @pytest.mark.parametrize("e", [14, 17, 20, 24])
+    def test_skewed_basis_of_2z4_reads_its_bound(self, e):
+        # 2([[N, N - 1], [N + 1, N]] + I_2) spans 2Z^4, whose basis floats
+        # cannot enumerate: the bound runs in its exactly reduced basis
+        n = 2 ** e
+        skew = np.eye(4, dtype=np.int64)
+        skew[:2, :2] = [[n, n - 1], [n + 1, n]]
+
+        def reports(basis):
+            c = CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4), sub=IntegerLattice(basis))
+            return ecdp_bound_reports(c, [0.5, 100.0], ["pow2n", "pow2"])
+
+        for rep, plain in zip(reports(2 * skew), reports(2 * np.eye(4, dtype=np.int64))):
+            assert (rep.points_used, rep.truncation_r_sq) == \
+                (plain.points_used, plain.truncation_r_sq)
+            assert rep.value == pytest.approx(plain.value, rel=1e-12)
+
     def test_only_the_zero_partial_vectors_run(self, monkeypatch):
         # at R = 20 the ball of diag(2, 6, 6, 6) holds 2 e_0 and 4 e_0 only
         widths = []  # one list of block widths per enumeration
