@@ -1,20 +1,18 @@
 """Maximum-likelihood decoding of finite ST codebooks.
 
-Two interchangeable routes, an exhaustive search (the oracle) and a
-box-constrained sphere decoder, return the argmin of ||y - Heff z||^2 over
-z in S^k.  Exact ties resolve lexicographically only where the float
-residual form is exact (integer channels); elsewhere the exhaustive kernels
-follow its rounding and :func:`sphere_decode` compares QR-domain floats.
+Every route returns words: for ``heff`` (b, d, k) and ``y`` (b, d), the
+(b, k) int64 argmins of ||y - Heff z||^2 over z in S^k.  Exact ties resolve
+lexicographically only where the float residual form is exact (integer
+channels); elsewhere the batched kernels follow its rounding and
+:func:`sphere_decode` compares QR-domain floats.
 
-The exhaustive route is batched over problems.  For an orthogonal design,
-where Heff^T Heff = g I for every channel, :func:`orthogonal_words` slices
-each coordinate: z_i is the symbol nearest (Heff^T y)_i / g, clamped to the
-box, at any m; trials with a coordinate too near a decision boundary for its
-float bound are re-decided by the residual form over the 2^j words beside
-those boundaries.  The caller decides the design property once per code map.
-Other channels go to :func:`exhaustive_argmin`, which has two kernels, chosen
-by codebook size.  Up to ``_GEMM_LIMIT`` words it scores every word with
-one matrix product, using the expansion
+:func:`orthogonal_words` slices each coordinate of an orthogonal design
+(Heff^T Heff = g I for every channel, decided by the caller once per code
+map): z_i is the symbol nearest (Heff^T y)_i / g, clamped to the box, at
+any m.  :func:`sphere_words` runs the per-trial :func:`sphere_decode` and
+sends a rank-deficient channel to :func:`exhaustive_words`, which has two
+kernels, chosen by codebook size.  Up to ``_GEMM_LIMIT`` words it scores
+every word with one matrix product, using the expansion
 ||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
 (Agrell, Eriksson, Vardy & Zeger, "Closest point search in lattices",
 IEEE Trans. IT 2002): the codebook side is cached per (m, k), the problem
@@ -23,15 +21,11 @@ products of two columns of [Heff | y].  Beyond it a two-level search
 orders each problem's columns by sorted QR (the weakest half at the
 bottom), takes a QR of [Heff | y] in that order, prunes the top half of
 the coordinates against the radius of the greedy leaf and completes each
-surviving top word over the bottom half, holding only the two half
-codebooks; the order moves no decision.  It scores in the
-same product form, per half: rows [vech(G), c, const] from the Gram matrix
-of R's columns times the cached half-codebook features with a row of ones,
-within E / 2 = (2d(k + 1) + (k + 3)^2) eps A^2 of the exact distances (A
-is ||y|| plus the largest symbol times the sum of Heff's column norms).  In
-both, problems whose best candidates the kernel cannot separate within its
-rounding bound are re-decided by the residual form sum (y - Heff z)^2, so
-decisions are the residual form's.
+surviving top word over the bottom half, all in the same product form
+with the cached features of the two half codebooks.  Both kernels share
+one rounding bound, E of :func:`_slack`, and every batched route sends
+what its bound cannot settle to one recheck, :func:`_residual_pick`: the
+residual form sum (y - Heff z)^2, ties to the smallest flat index.
 """
 
 from __future__ import annotations
@@ -94,26 +88,23 @@ def codebook(m: int, k: int) -> np.ndarray:
 def _codebook_features(m: int, k: int):
     """Cached codebook side of the product kernels for S^k.
 
-    :func:`exhaustive_argmin` uses it for the whole codebook, the two-level
-    kernel for the two half codebooks.
+    The one-product kernel of :func:`exhaustive_words` uses it for the whole
+    codebook, the two-level kernel for the two half codebooks.
 
     Returns the float codebook (N, k); the features (n_f, N), n_f =
     k(k+1)/2 + k, rows w * vech(z z^T) (upper triangle, row-major, w = 1 on
-    the diagonal and 2 off it) and then -2 z, all exact in float; the column
-    pairs of [Heff | y] whose products, summed over the rows, give
-    [vech(G), c], where G = Heff^T Heff and c = Heff^T y; and the weights
-    (zmax, ..., zmax, 1) that turn |[Heff | y]| into the rows of the error
-    scale S.
+    the diagonal and 2 off it) and then -2 z, all exact in float; and the
+    column pairs of [Heff | y] whose products, summed over the rows, give
+    [vech(G), c], where G = Heff^T Heff and c = Heff^T y.
     """
     zf = codebook(m, k).astype(float)
     iu, ju = np.triu_indices(k)
     w = np.where(iu == ju, 1.0, 2.0)
     feats = np.concatenate([zf[:, iu] * zf[:, ju] * w, -2.0 * zf], axis=1).T.copy()
     gram_idx = (np.concatenate([iu, np.arange(k)]), np.concatenate([ju, np.full(k, k)]))
-    scale_weights = np.append(np.full(k, m - 1.0), 1.0)
     zf.setflags(write=False)
     feats.setflags(write=False)
-    return zf, feats, gram_idx, scale_weights
+    return zf, feats, gram_idx
 
 
 def _residual_distances(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
@@ -122,42 +113,69 @@ def _residual_distances(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.n
     return np.sum((y[:, None, :] - cand) ** 2, axis=2)
 
 
-def _residual_argmin(heff: np.ndarray, y: np.ndarray, zf: np.ndarray) -> np.ndarray:
-    """First argmin of sum (y - Heff z)^2 over the rows of ``zf``, per problem."""
-    n = heff.shape[0]
-    block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
-    out = np.empty(n, dtype=np.int64)
-    for off in range(0, n, block):
-        dist = _residual_distances(heff[off:off + block], y[off:off + block], zf)
-        out[off:off + block] = np.argmin(dist, axis=1)
+def _flat_index(words: np.ndarray, m: int) -> np.ndarray:
+    """Rows of ``codebook(m, k)`` holding the (n, k) words."""
+    k = words.shape[1]
+    return ((words + (m - 1)) // 2).astype(np.int64) @ m ** np.arange(k - 1, -1, -1)
+
+
+def _residual_pick(heff: np.ndarray, y: np.ndarray, words: np.ndarray, m: int) -> np.ndarray:
+    """Per problem, the row of ``words`` (c candidates, any order) of least
+    sum (y - Heff z)^2, ties to the smallest flat index in ``codebook(m, k)``,
+    as (b, k) int64 words; problems go in blocks of (b, c) within
+    ``_BLOCK_ELEMENTS``."""
+    flat = _flat_index(words, m)
+    zf = words.astype(float)
+    out = np.empty((heff.shape[0], words.shape[1]), dtype=np.int64)
+    block = max(1, _BLOCK_ELEMENTS // words.shape[0])
+    for off in range(0, heff.shape[0], block):
+        res = _residual_distances(heff[off:off + block], y[off:off + block], zf)
+        out[off:off + block] = words[np.lexsort((np.broadcast_to(flat, res.shape), res))[:, 0]]
     return out
 
 
-def _gemm_terms(heff: np.ndarray, y: np.ndarray, m: int):
-    """Problem side of :func:`exhaustive_argmin` for a batch of problems.
+def _slack(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """The rounding bound E of both product kernels, per problem of a batch.
+
+    E = (4d(k + 1) + 2(k + 3)^2) eps A^2, with d rows in Heff, zmax = m - 1
+    the largest symbol and A = ||y|| + zmax sum_i a_i, a_i the norm of
+    column i of Heff.  The scores of either kernel and the residual form lie
+    within E / 2 of the exact distances; for the two-level kernel see
+    :func:`_two_level_words`.  For the one product, twice the textbook
+    bounds of its dot products and sums give (2(d + k) + n_f + 8) eps S with
+    n_f features and S = ||v||^2, v_i = |y_i| + zmax sum_a |Heff_ia|; a Gram
+    entry enters with gamma_d sum_i |a_i b_i|, which holds for its d
+    products summed in any order.  S <= A^2 by the triangle inequality, and
+    E's constant is larger for every d, k >= 1.  A looser E only sends more
+    problems to :func:`_residual_pick`, so no decision depends on it.
+    """
+    _, d, k = heff.shape
+    a = np.linalg.norm(y, axis=1) + (m - 1) * np.linalg.norm(heff, axis=1).sum(axis=1)
+    return (4 * d * (k + 1) + 2 * (k + 3) ** 2) * _EPS * a * a
+
+
+def _gemm_terms(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Problem side of the one-product kernel of :func:`exhaustive_words`.
 
     Returns lhs (b, n_f), rows [vech(G), c] with G = Heff^T Heff and
     c = Heff^T y in the order of the features of :func:`_codebook_features`,
-    so that lhs @ features is ||y - Heff z||^2 - ||y||^2 for every word; and
-    the error bound E of :func:`exhaustive_argmin` per problem.  Each entry
-    of lhs is the sum over the d rows of the products of two columns of
+    so that lhs @ features is ||y - Heff z||^2 - ||y||^2 for every word.
+    Each entry is the sum over the d rows of the products of two columns of
     [Heff | y], formed for the whole batch with the problems along the last
     axis.
     """
     n, d, k = heff.shape
-    _, feats, (rows, cols), scale_weights = _codebook_features(m, k)
+    rows, cols = _codebook_features(m, k)[2]
     hy = np.empty((d, k + 1, n))
     hy[:, :k] = heff.transpose(1, 2, 0)
     hy[:, k] = y.T
     terms = hy[:, rows]
     terms *= hy[:, cols]
-    bound = scale_weights @ np.abs(hy)
-    scale = np.einsum("in,in->n", bound, bound)
-    return terms.sum(axis=0).T, (2 * (d + k) + feats.shape[0] + 8) * _EPS * scale
+    return terms.sum(axis=0).T
 
 
-def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Flat codebook index of the ML decision for each problem of a batch.
+def exhaustive_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """The ML word of each problem of a batch, as (b, k) int64 rows.
 
     ``heff`` is (b, d, k), ``y`` is (b, d) and the codebook is
     ``codebook(m, k)``.  :func:`_gemm_terms` gives each problem's
@@ -166,60 +184,36 @@ def exhaustive_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     ||y - Heff z||^2 - ||y||^2 for a block of problems and every word.
     argmin returns the first minimum, the lexicographic tie-break on the
     ordered codebook.  Blocks keep (b, N) within ``_BLOCK_ELEMENTS``.
-
-    The product loses accuracy to cancellation, so it only decides rows
-    where one candidate is clearly best.  With d rows in Heff, n_f features,
-    zmax the largest symbol and S = sum_i (|y_i| + zmax sum_a |Heff_ia|)^2,
-    the product and the residual form sum (y - Heff z)^2 (less ||y||^2)
-    each lie within E / 2 of their exact values, E = (2(d + k) + n_f + 8) eps S,
-    over twice the textbook bounds of their dot products and sums.  A Gram
-    entry sum_i a_i b_i enters with the dot-product bound gamma_d sum_i |a_i b_i|,
-    which holds for the d products summed in any order, so E covers the row
-    sums of :func:`_gemm_terms` as it covers any other order.  A problem is
-    near a tie when the minimum of its scores without its best one (set to
-    inf) lies within 2E of the best, the same predicate as a second score
-    within 2E; such problems are re-decided by the residual form, so every
-    decision is the residual form's, bit for bit.
+    The product loses accuracy to cancellation, so a problem whose scores
+    without its best one (set to inf) reach within 2E of the best, E of
+    :func:`_slack`, is re-decided by :func:`_residual_pick` over the
+    codebook; every decision is the residual form's, bit for bit.
 
     Codebooks of more than ``_GEMM_LIMIT`` words go to
-    :func:`_two_level_argmin`, which returns the same decisions.
+    :func:`_two_level_words`, which returns the same decisions.
     """
     n, _, k = heff.shape
     if k > 1 and m ** k > _GEMM_LIMIT:
-        return _two_level_argmin(heff, y, m)
-    zf, feats = _codebook_features(m, k)[:2]
-    lhs, slack = _gemm_terms(heff, y, m)
-    block = max(1, _BLOCK_ELEMENTS // zf.shape[0])
-    out = np.empty(n, dtype=np.int64)
+        return _two_level_words(heff, y, m)
+    feats = _codebook_features(m, k)[1]
+    lhs = _gemm_terms(heff, y, m)
+    slack = _slack(heff, y, m)
+    block = max(1, _BLOCK_ELEMENTS // feats.shape[1])
+    best = np.empty(n, dtype=np.int64)
     near = np.empty(n, dtype=bool)
     for off in range(0, n, block):
         dist = lhs[off:off + block] @ feats
-        best = np.argmin(dist, axis=1)
-        pick = (np.arange(best.shape[0]), best)
+        at = np.argmin(dist, axis=1)
+        pick = (np.arange(at.shape[0]), at)
         lim = dist[pick] + 2 * slack[off:off + block]
         dist[pick] = np.inf
-        out[off:off + block] = best
+        best[off:off + block] = at
         # initial=inf: the same minimum by numpy's faster reduction loop
         near[off:off + block] = dist.min(axis=1, initial=np.inf) <= lim
+    words = codebook(m, k)[best]
     if near.any():
-        out[near] = _residual_argmin(heff[near], y[near], zf)
-    return out
-
-
-def _halves(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Codebooks of the bottom (first k // 2) and top coordinates of S^k.
-
-    Bottom word i_b and top word i_t make row i_b m^(k - k // 2) + i_t of
-    ``codebook(m, k)``.
-    """
-    return codebook(m, k // 2), codebook(m, k - k // 2)
-
-
-def codebook_rows(flat: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Rows ``flat`` of ``codebook(m, k)``, read off the two half codebooks."""
-    bottom, top = _halves(m, k)
-    i_b, i_t = np.divmod(flat, top.shape[0])
-    return np.concatenate([bottom[i_b], top[i_t]], axis=-1)
+        words[near] = _residual_pick(heff[near], y[near], codebook(m, k), m)
+    return words
 
 
 def _with_ones(feats: np.ndarray) -> np.ndarray:
@@ -252,7 +246,7 @@ def _two_level_terms(heff, y, m) -> _TwoLevelTerms:
     The bottom side keeps Gram entries only: :func:`_pair_rows` forms
     R_bb^T r_b = R_bb^T y_b - R_bb^T R_bt z_t for the pairs it is asked for.
     """
-    b, d, k = heff.shape
+    b, _, k = heff.shape
     kb, kt = k // 2, k - k // 2
     r = np.linalg.qr(np.concatenate([heff, y[:, :, None]], axis=2), mode="r")
     if r.shape[1] < k:  # fewer rows than coefficients: pad R with zero rows
@@ -261,15 +255,13 @@ def _two_level_terms(heff, y, m) -> _TwoLevelTerms:
     gram = r.transpose(0, 2, 1) @ r
     low = r[:, kb:, kb:]
     gram_t = low.transpose(0, 2, 1) @ low
-    _, feats_t, (rows, cols), _ = _codebook_features(m, kt)
+    _, feats_t, (rows, cols) = _codebook_features(m, kt)
     rows, cols = np.append(rows, kt), np.append(cols, kt)
     lhs = np.concatenate([gram_t[:, rows, cols], gram[:, rows + kb, cols + kb]])
     scores = lhs @ _with_ones(feats_t)
     iu, ju = np.triu_indices(kb)
     head = np.concatenate([gram[:, iu, ju], gram[:, :kb, k], np.zeros((b, 1))], axis=1)
-    a = np.linalg.norm(y, axis=1) + (m - 1) * np.linalg.norm(heff, axis=1).sum(axis=1)
-    slack = (4 * d * (k + 1) + 2 * (k + 3) ** 2) * _EPS * a * a
-    return _TwoLevelTerms(scores[:b], scores[b:], head, gram[:, :kb, kb:k], slack)
+    return _TwoLevelTerms(scores[:b], scores[b:], head, gram[:, :kb, kb:k], _slack(heff, y, m))
 
 
 def _pair_rows(terms: _TwoLevelTerms, zt, trial, top) -> np.ndarray:
@@ -286,8 +278,8 @@ def _pair_rows(terms: _TwoLevelTerms, zt, trial, top) -> np.ndarray:
     return rows
 
 
-def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """:func:`exhaustive_argmin` by a two-level search over the half codebooks.
+def _two_level_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """:func:`exhaustive_words` by a two-level search over the half codebooks.
 
     The radius-pruned closest-point search of Agrell, Eriksson,
     Vardy & Zeger (IEEE Trans. IT 2002) with the alphabet box of Viterbo &
@@ -297,17 +289,15 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     The greedy leaf (the best top word and its best bottom word) gives a
     radius; only top words with T within the radius plus 2E survive, and
     each survivor is completed over all bottom words as
-    T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2, and (z_b, z_t)
-    maps to its row of ``codebook(m, k)`` by :func:`_flat_index`.  Every
+    T + ||r_b||^2 - 2 <R_bb^T r_b, z_b> + ||R_bb z_b||^2.  Every
     score is a product of per-problem rows with the cached features of a
     half codebook (:func:`_codebook_features`, with a row of ones for the
     constant), as in the one-product kernel: T and base for all top words
     of a block of problems in one product, the completions of a block of
     survivor pairs in another (:func:`_pair_rows`).
 
-    With d rows in Heff, zmax the largest symbol, a_i the norm of column i
-    of Heff and A = ||y|| + zmax sum_i a_i, the computed scores (plus c),
-    the computed T and the residual form sum (y - Heff z)^2 each lie within
+    With A and E as in :func:`_slack`, the computed scores (plus c), the
+    computed T and the residual form sum (y - Heff z)^2 each lie within
     E / 2 = (2d(k + 1) + (k + 3)^2) eps A^2 of their exact values.  The
     first term is the Householder QR's backward error (Higham's bound with
     the constant taken as 2 units of roundoff); R keeps the column norms of
@@ -320,8 +310,8 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     for every k >= 2.  The residual form's error, (2k + d + 3) eps A^2 at
     first order, is also below E / 2.  So pruning past 2E never drops the residual
     form's argmin, and a problem whose second-best candidate lies within 2E
-    of its best is re-decided by the residual form over those candidates,
-    ties to the smallest flat index.  Problems go in blocks of
+    of its best is re-decided by :func:`_residual_pick` over those
+    candidates (:func:`_recheck`).  Problems go in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k - k // 2)`` and survivor pairs in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.
 
@@ -337,17 +327,16 @@ def _two_level_argmin(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     which E's constant absorbs), so the pruning and near-tie arguments
     above hold for every order; a problem with one candidate within 2E of
     its best has that candidate as the residual form's argmin whatever the
-    order, and the chosen word is put back in the original coordinates
-    before its flat index is read.  :func:`_recheck` scores its candidates
-    on the original Heff with the words in the original order and breaks
-    ties by the original flat index, so near ties get the residual form's
+    order, and the chosen word is put back in the original coordinates.
+    :func:`_recheck` scores its candidates on the original Heff with the
+    words in the original order, so near ties get the residual form's
     decision, rounding included, as with no reordering.
     """
     k = heff.shape[2]
     zb, feats_b = _codebook_features(m, k // 2)[:2]
     zt = _codebook_features(m, k - k // 2)[0]
     feats_b = _with_ones(feats_b)
-    out = np.empty(heff.shape[0], dtype=np.int64)
+    out = np.empty((heff.shape[0], k), dtype=np.int64)
     block = max(1, _TWO_LEVEL_BLOCK // zt.shape[0])
     for off in range(0, heff.shape[0], block):
         out[off:off + block] = _two_level_block(heff[off:off + block], y[off:off + block],
@@ -381,14 +370,8 @@ def _column_order(heff: np.ndarray) -> np.ndarray:
     return np.argsort(rank, axis=1, kind="stable")
 
 
-def _flat_index(words: np.ndarray, m: int) -> np.ndarray:
-    """Rows of ``codebook(m, k)`` holding the (n, k) float words."""
-    k = words.shape[1]
-    return ((words + (m - 1)) // 2).astype(np.int64) @ m ** np.arange(k - 1, -1, -1)
-
-
 def _two_level_block(heff, y, m, zb, zt, feats_b):
-    """Flat indices of :func:`_two_level_argmin` for one block of problems."""
+    """The words of :func:`_two_level_words` for one block of problems, as floats."""
     order = _column_order(heff)
     terms = _two_level_terms(np.take_along_axis(heff, order[:, None, :], axis=2), y, m)
     b = terms.tscore.shape[0]
@@ -419,20 +402,19 @@ def _two_level_block(heff, y, m, zb, zt, feats_b):
     first = np.minimum.reduceat(np.where(v1 == lo[trial], np.arange(n_pairs), n_pairs), starts)
     words = np.empty((b, order.shape[1]))
     np.put_along_axis(words, order, np.concatenate([zb[a1[first]], zt[top[first]]], axis=1), 1)
-    out = _flat_index(words, m)
     for p in np.flatnonzero(near):
-        out[p] = _recheck(heff[p], y[p], m, terms, top[trial == p], feats_b, zb, zt, p,
-                          order[p], lim[p], step)
-    return out
+        words[p] = _recheck(heff[p], y[p], m, terms, top[trial == p], feats_b, zb, zt, p,
+                            order[p], lim[p], step)
+    return words
 
 
 def _recheck(heff, y, m, terms, tops, feats_b, zb, zt, p, order, lim, step):
-    """Residual-form argmin of one problem over its candidates scored within ``lim``.
+    """:func:`_residual_pick` of one problem over its candidates scored within ``lim``.
 
     ``heff`` and ``y`` are the problem's own, in the original coordinates;
     the kernel's words come in ``order`` and are put back before scoring.
     """
-    best = (np.inf, -1)
+    best = np.empty((0, order.size))
     for off in range(0, tops.shape[0], step):
         t = tops[off:off + step]
         i, j = np.nonzero(_pair_rows(terms, zt, np.full(t.shape[0], p), t) @ feats_b <= lim)
@@ -440,15 +422,12 @@ def _recheck(heff, y, m, terms, tops, feats_b, zb, zt, p, order, lim, step):
             continue
         words = np.empty((i.size, order.size))
         words[:, order] = np.concatenate([zb[j], zt[t[i]]], axis=1)
-        res = _residual_distances(heff[None], y[None], words)[0]
-        flat = _flat_index(words, m)
-        pick = np.lexsort((flat, res))[0]
-        best = min(best, (float(res[pick]), int(flat[pick])))
-    return best[1]
+        best = _residual_pick(heff[None], y[None], np.concatenate([best, words]), m)
+    return best[0]
 
 
 def orthogonal_words(heff: np.ndarray, y: np.ndarray, m: int, gram_error: float) -> np.ndarray:
-    """The words of :func:`exhaustive_argmin` for channels of an orthogonal design.
+    """The words of :func:`exhaustive_words` for channels of an orthogonal design.
 
     ``heff`` is (b, d, k) and ``y`` is (b, d); each Heff^T Heff must lie
     within ``gram_error`` g of g I in spectral norm, g = ||Heff||_F^2 / k.
@@ -464,7 +443,7 @@ def orthogonal_words(heff: np.ndarray, y: np.ndarray, m: int, gram_error: float)
     past b's two neighbouring symbols at least 6 g while |u_i - b| <= 1/2.
     With zmax = m - 1 and A = ||y|| + zmax k sqrt(g), at least ||y|| plus
     zmax times the sum of Heff's column norms, and gamma_n taken as n eps as
-    in :func:`_two_level_argmin`, three errors can hide that gain:
+    in :func:`_two_level_words`, three errors can hide that gain:
     - the residual forms of the two words compared, each within
       (2k + d + 3) eps A^2 of its exact value;
     - the Gram term, which moves by at most 2k zmax^2 ``gram_error`` g
@@ -478,11 +457,11 @@ def orthogonal_words(heff: np.ndarray, y: np.ndarray, m: int, gram_error: float)
     b - 1 or b + 1 there.  The test uses twice that bound,
     T = ((2k + 5d + 7) eps + ``gram_error``) A^2, which absorbs the rounding
     of g and A, with A^2 <= 2 (||y||^2 + zmax^2 k^2 g).  A trial with j
-    coordinates within T is re-decided by the residual form over those 2^j
-    words, ties to the smallest flat index.  A trial with g = 0 has Heff = 0,
+    coordinates within T is re-decided by :func:`_residual_pick` over those
+    2^j words.  A trial with g = 0 has Heff = 0,
     where every word ties, and gets the first word; one with 2T >= g (noise
     some 10^6 times the signal, or a non-finite input) goes to
-    :func:`exhaustive_argmin`.  Like the module's other bounds this one
+    :func:`exhaustive_words`.  Like the module's other bounds this one
     assumes no underflow.
     """
     n, d, k = heff.shape
@@ -507,31 +486,28 @@ def _settle(heff, y, m, words, bound, near, odd, g):
     for p in np.flatnonzero(near.any(axis=1) & ~odd):
         cols = np.flatnonzero(near[p])
         cand = np.repeat(words[p][None], 1 << cols.size, axis=0)
-        # ascending on the near coordinates, the others fixed: ascending flat index
         cand[:, cols] = bound[p, cols].astype(np.int64) + grid_rows((-1, 1), cols.size)
-        res = _residual_distances(heff[p][None], y[p][None], cand.astype(float))[0]
-        words[p] = cand[np.argmin(res)]
+        words[p] = _residual_pick(heff[p][None], y[p][None], cand, m)[0]
     words[g == 0] = 1 - m
     rest = np.flatnonzero(odd & (g != 0))
     if rest.size:
-        words[rest] = codebook_rows(exhaustive_argmin(heff[rest], y[rest], m), m, heff.shape[2])
+        words[rest] = exhaustive_words(heff[rest], y[rest], m)
 
 
 def ml_decode_exhaustive(problem: DecodingProblem,
                          cap: int = DEFAULT_CODEBOOK_CAP) -> np.ndarray:
-    """Brute-force ML decision over the full codebook S^k.
+    """Brute-force ML decision over the full codebook S^k (:func:`exhaustive_words`).
 
-    Ties are broken by lexicographic order on the coefficient vector.
-    Raises CodebookTooLarge when |S|^k exceeds ``cap``.
+    Exact ties are broken by lexicographic order on the coefficient vector
+    where the float residual form is exact (integer channels); elsewhere the
+    decision follows its rounding.  Raises CodebookTooLarge when |S|^k
+    exceeds ``cap``.
     """
-    m = problem.alphabet.m
-    k = problem.Heff.shape[1]
-    total = m ** k
+    total = problem.alphabet.m ** problem.Heff.shape[1]
     if total > cap:
         raise CodebookTooLarge(
             f"|S|^k = {total} exceeds the exhaustive-decoding cap {cap}")
-    flat = exhaustive_argmin(problem.Heff[None], problem.y[None], m)
-    return codebook_rows(flat, m, k)[0]
+    return exhaustive_words(problem.Heff[None], problem.y[None], problem.alphabet.m)[0]
 
 
 def sphere_decode(problem: DecodingProblem) -> np.ndarray:
@@ -582,3 +558,20 @@ def sphere_decode(problem: DecodingProblem) -> np.ndarray:
 
     visit(k - 1, 0.0)
     return best["z"]
+
+
+def sphere_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """:func:`sphere_decode` of each problem of a batch, as (b, k) int64 words.
+
+    A trial whose channel :func:`sphere_decode` finds rank deficient (always
+    so with fewer rows than columns) is decoded by :func:`exhaustive_words`,
+    with no codebook cap, so it gets the exhaustive strategy's answer.
+    """
+    alphabet = PAMAlphabet(m)
+    out = np.empty((heff.shape[0], heff.shape[2]), dtype=np.int64)
+    for i in range(heff.shape[0]):
+        try:
+            out[i] = sphere_decode(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
+        except RankDeficientChannel:
+            out[i] = exhaustive_words(heff[i:i + 1], y[i:i + 1], m)[0]
+    return out

@@ -563,9 +563,7 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     if not r_sq > 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
-        basis = _enumeration_basis(lat, r_sq)
-        pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
-        return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
+        return _half_in_basis(_enumeration_basis(lat, r_sq), r_sq, cap)
     try:
         Z = _coefficients(_fincke_pohst_runs(gram(lat), float(r_sq), cap))
     except np.linalg.LinAlgError as exc:
@@ -573,6 +571,13 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     pts = Z @ lat.basis.T
     norms = np.sum(pts * pts, axis=1)
     return pts[norms <= r_sq * (1.0 + REL_TOL)]
+
+
+def _half_in_basis(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
+    """The integer branch of :func:`_half_shorter_than`, enumerated in a basis
+    :func:`_enumeration_basis` picked at a squared radius of r_sq or more."""
+    pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
+    return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
 
 
 def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
@@ -615,15 +620,19 @@ def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int
 
     One enumeration at the smaller of the shortest basis column's squared
     norm and the ceiling of Minkowski's first-theorem bound, since each
-    radius holds a shortest vector.  Where the enumeration runs in a reduced
-    basis (:func:`_enumeration_basis`), the radius is cut to its shortest
-    column too.  The lattice is well-rounded exactly when the rank is k.
+    radius holds a shortest vector, in the basis :func:`_enumeration_basis`
+    picks there, with the radius cut to that basis's shortest column too.
+    The basis serves the cut radius r' <= r: the gate's error term is linear
+    in r while its margin keeps its 1/2, so a basis that passes at r passes
+    at r', and a reduced head taken at floor(r) spans every point of norm
+    <= r'.  The lattice is well-rounded exactly when the rank is k.
     """
     _require_integer(lat)
     k = lat.k
     r = min(_min_column_norm(lat.B), _minkowski_radius_sq(k, abs(lat.det)))
-    r = min(r, _min_column_norm(_enumeration_basis(lat, r)))
-    pts = _half_shorter_than(lat, r, cap)
+    basis = _enumeration_basis(lat, r)
+    r = min(r, _min_column_norm(basis))
+    pts = _half_in_basis(basis, r, cap)
     norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
     l1 = int(norms.min())
     return l1, len(independent_rows(pts[norms == l1], k))

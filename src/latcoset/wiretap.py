@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import _real_expand, snr_to_sigma
-from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, DecodingProblem, codebook_rows,
-                      exhaustive_argmin, orthogonal_words, sphere_decode)
-from .errors import CodebookTooLarge, NotASublattice, RankDeficientChannel
+from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, exhaustive_words, orthogonal_words,
+                      sphere_words)
+from .errors import CodebookTooLarge, NotASublattice
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
                       coset_label, label_operator, shortest_shell)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
@@ -175,15 +175,6 @@ def _chunk_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-def _decode_one(problem: DecodingProblem) -> np.ndarray:
-    """Sphere decoding, or on a rank-deficient channel the exhaustive kernel (no cap)."""
-    try:
-        return sphere_decode(problem)
-    except RankDeficientChannel:
-        m, k = problem.alphabet.m, problem.Heff.shape[1]
-        return codebook_rows(exhaustive_argmin(problem.Heff[None], problem.y[None], m), m, k)[0]
-
-
 class _CosetTests(NamedTuple):
     """The message tests of a job's codes; see :func:`_coset_tests`."""
 
@@ -312,8 +303,9 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq:
     Draw order is fixed: symbol indices, channel block, noise block.  Heff
     is one product of the channel draws with :func:`_channel_map`.  The
     ``exhaustive`` strategy slices each coordinate (:func:`orthogonal_words`)
-    for an orthogonal design (:func:`_design_gram_error`) and runs the
-    product kernels of :func:`exhaustive_argmin` for any other map.  Both
+    for an orthogonal design (:func:`_design_gram_error`) and runs
+    :func:`exhaustive_words` for any other map; ``sphere`` runs
+    :func:`sphere_words`.  All three return the decoded words.  Both
     success tests read D = (z_hat - z)/2: the word is right when D = 0, the
     message when D lies in the code's half sublattice, the same predicate
     as equal coset labels (:func:`_message_successes`; ``tests`` comes from
@@ -334,12 +326,11 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq:
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
     if strategy == "sphere":
-        zhat = np.array([_decode_one(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
-                         for i in range(n_trials)])
+        zhat = sphere_words(heff, y, m)
     elif (gram_error := _design_gram_error(code_map)) is not None:
         zhat = orthogonal_words(heff, y, m, gram_error)
     else:
-        zhat = codebook_rows(exhaustive_argmin(heff, y, m), m, k)
+        zhat = exhaustive_words(heff, y, m)
     half_diff = (zhat - z) >> 1
     word = n_trials - int(np.count_nonzero(half_diff.any(axis=1)))
     return (word, *_message_successes(tests, half_diff))
@@ -388,7 +379,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     the blocks of its channel map), by per-coordinate slicing at any m
     (:func:`orthogonal_words`, ~0.1-0.5 us per trial in chunks of 64-1024),
     and every other map by the batched product kernels of
-    :func:`exhaustive_argmin`.  Both give the residual form's decisions,
+    :func:`exhaustive_words`.  Both give the residual form's decisions,
     lexicographic ties included.
     Each code's half sublattice and label operator are built once per
     sublattice basis and shared by later jobs.

@@ -11,9 +11,11 @@ from latcoset import (ChannelParams, CodebookTooLarge, CosetCode, DecodingProble
                       alamouti_map, ecdp_monte_carlo, golden_map,
                       ml_decode_exhaustive, realify, sample_channel,
                       snr_to_sigma, sphere_decode)
-from latcoset.decoder import (_codebook_features, _gemm_terms, _halves, _pair_rows,
-                              _residual_distances, _two_level_argmin, _two_level_terms,
-                              _with_ones, codebook, exhaustive_argmin, orthogonal_words)
+from latcoset.decoder import (_codebook_features, _gemm_terms, _pair_rows, _residual_distances,
+                              _residual_pick, _slack, _two_level_terms, _two_level_words,
+                              _with_ones, codebook, exhaustive_words, orthogonal_words,
+                              sphere_words)
+from latcoset.stcode import grid_rows
 
 
 def random_problem(rng, code_map, m, sigma_sq=1.0):
@@ -54,9 +56,7 @@ class TestExhaustive:
             y = rng.standard_normal(8)
             direct = ml_decode_exhaustive(
                 DecodingProblem(y=y, Heff=h, alphabet=alphabet))
-            flat = _two_level_argmin(h[None], y[None], 4)[0]
-            grid = codebook(4, 4)
-            assert np.array_equal(grid[flat], direct)
+            assert np.array_equal(_two_level_words(h[None], y[None], 4)[0], direct)
 
     def test_split_path_exact_ties_pick_the_lexicographically_first_word(self):
         # 10-PAM, k = 8: the lifted cap runs the two-level kernel.  Heff = h I
@@ -75,6 +75,11 @@ def residual_argmin(heff, y, m):
     zf = codebook(m, heff.shape[2]).astype(float)
     return np.array([np.argmin(np.sum((yi - zf @ hi.T) ** 2, axis=1))
                      for hi, yi in zip(heff, y)])
+
+
+def residual_words(heff, y, m):
+    """The codebook words of :func:`residual_argmin`."""
+    return codebook(m, heff.shape[2])[residual_argmin(heff, y, m)]
 
 
 def exact_distances(heff, y, words):
@@ -115,7 +120,7 @@ def check_two_level_bound(heff, y, m, rng):
     exact distances, and T(z_t) + c at most E/2 above any completion of z_t;
     checked on the greedy top word and two random ones of each problem."""
     k = heff.shape[2]
-    zb, zt = (half.astype(float) for half in _halves(m, k))
+    zb, zt = (codebook(m, half).astype(float) for half in (k // 2, k - k // 2))
     feats_b = _with_ones(_codebook_features(m, k // 2)[1])
     terms = _two_level_terms(heff, y, m)
     for p in range(heff.shape[0]):
@@ -157,7 +162,7 @@ class TestKernel:
                         for _ in range(n)]
             heff = np.array([p.Heff for p in problems])
             y = np.array([p.y for p in problems])
-        assert np.array_equal(exhaustive_argmin(heff, y, m), residual_argmin(heff, y, m))
+        assert np.array_equal(exhaustive_words(heff, y, m), residual_words(heff, y, m))
 
     def test_exact_ties_pick_the_lexicographically_first_word(self):
         # Heff = h I, y = 2h: every coordinate is midway between the symbols 1
@@ -167,8 +172,24 @@ class TestKernel:
         h = 2.0 ** 30 + np.arange(1, 64, 2)
         heff = h[:, None, None] * np.eye(2)
         y = 2.0 * np.repeat(h[:, None], 2, axis=1)
-        got = exhaustive_argmin(heff, y, 4)
-        assert np.array_equal(codebook(4, 2)[got], np.ones((len(h), 2), dtype=np.int64))
+        got = exhaustive_words(heff, y, 4)
+        assert np.array_equal(got, np.ones((len(h), 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("m,k", [(2, 8), (4, 4), (4, 2)])
+    def test_residual_pick_ignores_candidate_order(self, m, k):
+        # integer channels with half-integer outputs tie exactly: the smallest
+        # flat index wins whatever the order of the candidates
+        rng = np.random.default_rng(m + k)
+        heff = rng.integers(-2, 3, (40, 8, k)).astype(float)
+        y = rng.integers(-6, 7, (40, 8)) / 2.0
+        words = codebook(m, k)
+        want = residual_words(heff, y, m)
+        for cand in (words, words[::-1], rng.permutation(words)):
+            assert np.array_equal(_residual_pick(heff, y, cand, m), want)
+        # Heff = I and y = 2: every word of {1, 3}^k ties, and (1, ..., 1) comes first
+        tied = rng.permutation(grid_rows((1, 3), k))
+        got = _residual_pick(np.eye(k)[None], np.full((1, k), 2.0), tied, 4)
+        assert got.tolist() == [[1] * k]
 
     @pytest.mark.parametrize("code,m", [("alamouti", 4), ("golden", 2)])
     @pytest.mark.parametrize("snr_db", range(-60, 61, 20))
@@ -181,8 +202,8 @@ class TestKernel:
         heff = np.array([p.Heff for p in problems])
         y = np.array([p.y for p in problems])
         zf, feats = _codebook_features(m, code_map.k)[:2]
-        lhs, slack = _gemm_terms(heff, y, m)
-        scores = lhs @ feats
+        slack = _slack(heff, y, m)
+        scores = _gemm_terms(heff, y, m) @ feats
         residual = _residual_distances(heff, y, zf)
         words = codebook(m, code_map.k)
         for p in range(len(problems)):
@@ -231,7 +252,7 @@ class TestKernel:
                          @ code_map.M for _ in range(20)])
         z = rng.choice([-3, -1, 1, 3], (20, 8))
         y = np.einsum("bik,bk->bi", heff, z) + rng.standard_normal(heff.shape[:2])
-        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
+        assert np.array_equal(exhaustive_words(heff, y, 4), residual_words(heff, y, 4))
 
     def test_forced_exhaustive_cap_raises_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -283,11 +304,11 @@ class TestColumnOrder:
         else:
             m = 4
             heff, y = golden_trials(rng, 130, float(case.split()[1]))
-        want = residual_argmin(heff, y, m)
-        assert np.array_equal(exhaustive_argmin(heff, y, m), want)
+        want = residual_words(heff, y, m)
+        assert np.array_equal(exhaustive_words(heff, y, m), want)
         for name, order in COLUMN_ORDERS.items():
             monkeypatch.setattr(decoder, "_column_order", order)
-            assert np.array_equal(exhaustive_argmin(heff, y, m), want), name
+            assert np.array_equal(exhaustive_words(heff, y, m), want), name
 
     def test_bottom_columns_are_the_weak_ones_after_projection(self):
         # norms 2, 2.5, 1.5 and 3.04, but column 3 is 0.5 away from the span
@@ -307,7 +328,7 @@ class TestColumnOrder:
             monkeypatch.setattr(decoder, "_column_order", COLUMN_ORDERS[order])
         rng = np.random.default_rng(8)
         heff, y = golden_trials(rng, 12, 0.0, n_r=1)
-        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
+        assert np.array_equal(exhaustive_words(heff, y, 4), residual_words(heff, y, 4))
         heff, y = golden_trials(rng, 12, 10.0)
         heff[:3] = 0.0
         y[0] = 0.0
@@ -315,16 +336,16 @@ class TestColumnOrder:
         heff[4:8, :, 2] = heff[4:8, :, 6]
         heff[6:12, :, 1] = heff[6:12, :, 0]
         heff[10:12, :, 7] = heff[10:12, :, 0]
-        got = exhaustive_argmin(heff, y, 4)
-        assert got[:3].tolist() == [0, 0, 0]
+        got = exhaustive_words(heff, y, 4)
+        assert got[:3].tolist() == [[-3] * 8] * 3
         # swapping the symbols of duplicate columns ties in exact arithmetic,
         # so the reference is the kernel's own residual form, rounding included
-        assert np.array_equal(got, decoder._residual_argmin(heff, y, codebook(4, 8).astype(float)))
+        assert np.array_equal(got, _residual_pick(heff, y, codebook(4, 8), 4))
         # integer duplicates tie exactly: the first word of the tie in any arithmetic
         heff = rng.integers(-2, 3, (12, 8, 8)).astype(float)
         heff[:, :, 4:] = heff[:, :, :4]
         y = rng.integers(-6, 7, (12, 8)) / 2.0
-        assert np.array_equal(exhaustive_argmin(heff, y, 4), residual_argmin(heff, y, 4))
+        assert np.array_equal(exhaustive_words(heff, y, 4), residual_words(heff, y, 4))
 
     @pytest.mark.parametrize("snr_db,completed", [(0.0, 7967), (20.0, 590)])
     def test_completion_count(self, snr_db, completed, monkeypatch):
@@ -340,7 +361,7 @@ class TestColumnOrder:
 
         monkeypatch.setattr(decoder, "_pair_rows", spy)
         heff, y = golden_trials(np.random.default_rng(2026), 256, snr_db)
-        decoder.exhaustive_argmin(heff, y, 4)
+        decoder.exhaustive_words(heff, y, 4)
         assert sum(rows) == completed
 
 
@@ -466,6 +487,46 @@ class TestOrthogonalWords:
                  + np.sqrt(10 ** (-snr_db / 10) / 2) * rng.standard_normal((n, 4 * n_r)))
         got = orthogonal_words(heff, y, m, ALAMOUTI_GRAM_ERROR)
         assert np.array_equal(got, oracle_words(heff, y, m))
+
+
+def quaternion_channels(rng, n, n_r):
+    """``n`` integer orthogonal-design channels of ``n_r`` stacked quaternion blocks."""
+    return np.array([np.vstack([quaternion_block(*rng.integers(-3, 4, 4)) for _ in range(n_r)])
+                     for _ in range(n)])
+
+
+class TestRoutesAgree:
+    # integer channels with y = Heff v, v integer, or half-integer outputs:
+    # full of exact ties, which every route must settle to the same word
+
+    @pytest.mark.parametrize("n_r", [1, 2])
+    def test_sliced_and_exhaustive(self, n_r):
+        rng = np.random.default_rng(30 + n_r)
+        heff = quaternion_channels(rng, 60, n_r)
+        y = np.einsum("bik,bk->bi", heff, rng.integers(-4, 5, (60, 4)).astype(float))
+        y[30:] = rng.integers(-6, 7, (30, 4 * n_r)) / 2.0
+        got = orthogonal_words(heff, y, 4, 0.0)
+        assert np.array_equal(got, exhaustive_words(heff, y, 4))
+        assert np.array_equal(got, residual_words(heff, y, 4))
+
+    def test_one_product_and_two_level(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        heff = rng.integers(-2, 3, (150, 8, 8)).astype(float)
+        y = rng.integers(-6, 7, (150, 8)) / 2.0
+        gemm = exhaustive_words(heff, y, 2)
+        monkeypatch.setattr(decoder, "_GEMM_LIMIT", 1)
+        assert np.array_equal(exhaustive_words(heff, y, 2), gemm)
+        assert np.array_equal(gemm, residual_words(heff, y, 2))
+
+    def test_sphere_and_exhaustive_on_one_receive_antenna(self):
+        # golden with n_r = 1: 4 rows for 8 coefficients, so every trial is
+        # rank deficient and goes to the two-level kernel
+        rng = np.random.default_rng(34)
+        heff = rng.integers(-2, 3, (12, 4, 8)).astype(float)
+        y = rng.integers(-6, 7, (12, 4)) / 2.0
+        got = sphere_words(heff, y, 4)
+        assert np.array_equal(got, exhaustive_words(heff, y, 4))
+        assert np.array_equal(got, residual_words(heff, y, 4))
 
 
 class TestSphere:

@@ -3,8 +3,9 @@
 Each case runs the CLI in process and compares the sha256 of its stdout
 with a digest recorded from an earlier build, so a change to the draw,
 channel, decoding or labelling kernels that moves any decision, or a CSV
-byte, fails here.  The cases cover alamouti 2/4/8-PAM and golden 2/4-PAM,
-every ``--decoder``, both metrics, 1, 2 and 3 receive antennas, 1, 2 and 3
+byte, fails here.  The cases cover alamouti 2/4/8-PAM and golden
+2/4/6-PAM, every ``--decoder`` and ``auto``'s sphere route past the
+codebook cap, both metrics, 1, 2 and 3 receive antennas, 1, 2 and 3
 workers, and lattice files whose label operator needs Python integers
 (object dtype) listed with catalog lattices.
 """
@@ -94,6 +95,9 @@ CASES = [
     ("--code alamouti --pam 4 --lattices L1,L2,L5 --snr=-10,0,10,20 --trials 1500 "
      "--seed 20 --n-r 3 --workers 2",
      "2c77539125caf161588fd5f2d4a7a91ed639d157cb2a86b93519cdd9e0bbad53"),
+    # golden 6-PAM has 1.7e6 words, past the exhaustive cap: auto's sphere route
+    ("--code golden --pam 6 --lattices L'2,L'3 --snr 0,20 --trials 40 --seed 21",
+     "c45f760e1ab0f44df6eed729c8d10abe70e828fc291c6068ce383268ca4b66fb"),
 ]
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latcoset import (CosetCode, DecodingProblem, IntegerLattice, NotASublattice, PAMAlphabet,
+from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
                       RankDeficientChannel, STCodeMap, alamouti_map,
                       bob_cer_monte_carlo, builtin_sublattice, design_report,
                       ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
@@ -193,7 +193,7 @@ class TestMonteCarlo:
         def rank_deficient(problem):
             raise RankDeficientChannel("forced")
 
-        monkeypatch.setattr("latcoset.wiretap.sphere_decode", rank_deficient)
+        monkeypatch.setattr("latcoset.decoder.sphere_decode", rank_deficient)
         c = coset("alamouti", "L2", 4)
         snrs = [-5.0, 5.0, 15.0]
         s = ecdp_monte_carlo(c, snrs, 700, seed=13, decoder="sphere")
@@ -387,7 +387,7 @@ class TestOrthogonalDesign:
                       <= gram_error * g)
         y = rng.standard_normal((300, 8)) * 3
         assert np.array_equal(decoder.orthogonal_words(heff, y, 4, gram_error),
-                              decoder.codebook_rows(decoder.exhaustive_argmin(heff, y, 4), 4, 4))
+                              decoder.exhaustive_words(heff, y, 4))
 
 
 def no_draw(*args):
@@ -453,11 +453,9 @@ def old_chunk_counts(code_map, alphabet, labelers, sigma_sq, n_r, seed, point_id
         n_trials, 2 * n_r * t_uses, k)
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
     if strategy == "exhaustive":
-        zhat = decoder.codebook_rows(decoder.exhaustive_argmin(heff, y, m), m, k)
+        zhat = decoder.exhaustive_words(heff, y, m)
     else:
-        zhat = np.array([wiretap._decode_one(DecodingProblem(y=y[i], Heff=heff[i],
-                                                             alphabet=alphabet))
-                         for i in range(n_trials)])
+        zhat = decoder.sphere_words(heff, y, m)
     counts = [int(np.count_nonzero(np.all(zhat == z, axis=1)))]
     t = (np.concatenate([zhat, z]) - 1) // 2
     for labeler in labelers:
@@ -951,15 +949,16 @@ class TestDesignReport:
         assert rep.first_coding_gain == 32
 
     def test_one_successive_minima_computation(self, monkeypatch):
-        # WR, lambda_1^2 and the coding gain come from one enumeration
+        # WR, lambda_1^2 and the coding gain come from one enumeration; every
+        # integer enumeration runs _half_in_basis
         calls = []
-        real = lattice._half_shorter_than
+        real = lattice._half_in_basis
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lattice, "_half_shorter_than", counted)
+        monkeypatch.setattr(lattice, "_half_in_basis", counted)
         rep = design_report(coset("golden", "L'2", 4))
         assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
         assert len(calls) == 1
