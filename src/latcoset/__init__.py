@@ -27,7 +27,7 @@ from .stcode import (Codeword, PAMAlphabet, STCodeMap, alamouti_map,
                      golden_map, min_determinant, vectorize)
 from .wiretap import (BoundReport, CosetCode, DesignReport, ECDPCurve,
                       ECDPPoint, RateReport, bob_cer_monte_carlo, design_report,
-                      ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
+                      design_reports, ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
                       ecdp_monte_carlo, message_of, rates, wilson_interval)
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "CosetCode", "RateReport", "ECDPCurve", "ECDPPoint", "BoundReport",
     "DesignReport", "rates", "message_of", "ecdp_monte_carlo",
     "bob_cer_monte_carlo", "ecdp_bound", "ecdp_bound_report", "ecdp_bound_reports",
-    "design_report", "wilson_interval",
+    "design_report", "design_reports", "wilson_interval",
     # search
     "SearchConfig", "SearchReport", "random_sublattice_with_index",
     "search_wr_sublattice",

@@ -28,7 +28,7 @@ from .errors import (CapacityError, CodebookTooLarge, NoFeasibleCandidate,
 from .lattice import IntegerLattice
 from .search import SearchConfig, search_wr_sublattice
 from .stcode import PAMAlphabet, code_map_by_name
-from .wiretap import CosetCode, design_report, ecdp_bound_reports, simulate_curves
+from .wiretap import CosetCode, design_reports, ecdp_bound_reports, simulate_curves
 
 _VERSION_LINE = f"# latcoset v{__version__}"
 
@@ -116,9 +116,14 @@ def _curve_csv(curve, value_col: str) -> str:
 
 def cmd_analyze(args) -> int:
     lines = [_VERSION_LINE, "name,index,wr,lambda1_sq,r,r_i,r_c"]
-    for source in args.lattices:
-        name, lat = _load_lattice(source)
-        rep = design_report(_coset_code(args, name, lat))
+    named = []
+    try:
+        for source in args.lattices:
+            name, lat = _load_lattice(source)
+            named.append((name, _coset_code(args, name, lat)))
+    finally:  # the lattices before one that fails to load report their errors first
+        reports = design_reports([code for _, code in named])
+    for (name, _), rep in zip(named, reports):
         lines.append(",".join([name, str(rep.index), _fmt(rep.wr),
                                str(rep.lambda1_sq), _fmt(rep.rates.r),
                                _fmt(rep.rates.r_i), _fmt(rep.rates.r_c)]))

@@ -109,6 +109,53 @@ def independent_rows(rows, limit: int | None = None) -> list[int]:
     return kept
 
 
+def _bareiss(a: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of each matrix
+    of the int64 stack ``a`` (b, m, w), in place, pivoting in its first
+    ``cols`` columns: (rank of those columns, last pivot) per matrix.
+
+    Step s keeps a nonzero diagonal entry as its pivot.  Where the entry is
+    0 it takes the first nonzero entry of the trailing block (rows s..,
+    columns s..cols-1) column by column, its row and column swapped into
+    place, which is the first nonzero entry below it when column s has one.
+    Where none is left the matrix's rank is s: it is cleared and goes on
+    with pivot 1, so its entries stay 0.  Every entry stays a minor of the
+    row- and column-permuted matrix and every product one of two such
+    minors, which the caller bounds within int64.  On [M | I] with M square
+    and nonsingular no column moves, the last pivot is +-det M and the right
+    block +-adj(M), the sign that of the row permutation.
+    """
+    b, m = a.shape[:2]
+    steps = min(m, cols)
+    rank = np.full(b, steps)
+    prev = np.ones((b, 1, 1), dtype=np.int64)
+    for s in range(steps):
+        zero = (a[:, s, s] == 0).nonzero()[0]
+        if len(zero):  # the first nonzero entry of the trailing block, column by column
+            held = (a[zero, s:, s:cols] != 0).transpose(0, 2, 1).reshape(len(zero), -1)
+            first = held.argmax(axis=1)
+            c, r = np.divmod(first, m - s)
+            moved = c.nonzero()[0]
+            if len(moved):
+                f, c = zero[moved], s + c[moved]
+                a[f, :, s], a[f, :, c] = a[f, :, c], a[f, :, s]
+            moved = r.nonzero()[0]
+            if len(moved):
+                f, r = zero[moved], s + r[moved]
+                a[f, s], a[f, r] = a[f, r], a[f, s]
+            end = zero[~held[np.arange(len(zero)), first]]
+            if len(end):
+                rank[end] = np.minimum(rank[end], s)
+                a[end] = 0
+                a[end, s, s] = 1
+        row = a[:, s, s:].copy()
+        p = row[:, :1, None]
+        a[:, :, s:] = (p * a[:, :, s:] - a[:, :, s, None] * row[:, None]) // prev
+        a[:, s, s:] = row
+        prev = p
+    return rank, prev[:, 0, 0]
+
+
 def _integral_lll(vectors: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """LLL-reduce (delta = 3/4) independent integer vectors exactly, on
     Python integers: de Weger's integral LLL (Cohen, *A Course in
@@ -240,6 +287,12 @@ class IntegerLattice:
         return self.B.shape[0]
 
     @cached_property
+    def _reduced(self) -> tuple[list[list[int]], list[int]]:
+        """:func:`_integral_lll` of the basis columns, run once: the reduced
+        basis does not depend on the radius its head is cut at."""
+        return _integral_lll(self.B.T.tolist())
+
+    @cached_property
     def smith(self) -> "SmithDecomposition":
         return smith_normal_form(self.B)
 
@@ -343,11 +396,14 @@ class _Runs:
     survive levels s-1 .. 1, and the run lo, lo + 1, ..., lo + count - 1
     of z_0 values each allows by the float radius test's interval.
 
-    ``Z`` holds one partial vector per column, z_{s-1} in row 0.  Column 0
-    of the first block is the zero partial vector, whose run starts at
-    z_0 = 0.  ``q`` and ``proj`` are the float partial norms and level-0
-    offsets, and ``norms`` the exact partial norms ||B z_p||^2 when the
-    enumeration carried them.
+    ``Z`` holds one partial vector per column, z_{s-1} in row 0.  A
+    lattice's zero partial vector is its first column, in the first block
+    that holds that lattice, and its run starts at z_0 = 0.  ``q`` and
+    ``proj`` are the float partial norms and level-0 offsets, and ``norms``
+    the exact partial norms ||B z_p||^2 when the enumeration carried them.
+    For a stack of lattices ``lat`` is the lattice of each column, and
+    ``r00`` and ``bound`` are per column; for one lattice ``lat`` is None
+    and both are numbers.
     """
 
     Z: np.ndarray
@@ -355,18 +411,22 @@ class _Runs:
     counts: np.ndarray
     q: np.ndarray
     proj: np.ndarray
-    r00: float
-    bound: float
+    r00: float | np.ndarray
+    bound: float | np.ndarray
     norms: np.ndarray | None = None
+    lat: np.ndarray | None = None
 
 
 def _grow(Z, q, proj, rii, lo, counts, bound):
     """Extend every partial vector by each value of its run that passes the
     float radius test: (grown Z, its partial norms, parent column and new
-    coefficient of each grown column)."""
+    coefficient of each grown column).  ``rii`` and ``bound`` are numbers,
+    or arrays with one entry per partial vector."""
     # ndarray methods: the np.* wrappers cost ~0.5 us a call on small levels
     rep = np.arange(len(q)).repeat(counts)
     zi = np.arange(len(rep)) + (lo - (counts.cumsum() - counts)).repeat(counts)
+    if isinstance(rii, np.ndarray):
+        rii, bound = rii[rep], bound[rep]
     t = rii * zi + proj[rep]
     qn = q[rep] + t * t
     keep = (qn <= bound).nonzero()[0]
@@ -392,24 +452,36 @@ def _slices(counts: np.ndarray) -> list[slice]:
     return parts
 
 
-def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None):
-    """Levels s-1 .. 1 of the layered Fincke-Pohst enumeration of one z != 0
-    of each +-pair with z^T g z <= r_sq (+ slack), the one whose last nonzero
-    entry is positive, and the z_0 run each surviving partial vector allows
-    at level 0: an iterator of :class:`_Runs` blocks, which come lazily.  The
-    Cholesky factor of ``g`` is taken on the call (LinAlgError on failure).
+def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
+    """Levels s-1 .. 1 of the layered Fincke-Pohst enumeration, for each
+    lattice of a stack, of one z != 0 of each +-pair with z^T g z <= r_sq
+    (+ slack), the one whose last nonzero entry is positive, and the z_0
+    run each surviving partial vector allows at level 0: an iterator of
+    :class:`_Runs` blocks, which come lazily.
+
+    ``g`` stacks the lattices' Gram matrices (L, s, s), one basis width for
+    all, and ``r_sq`` holds their squared radii.  Each lattice keeps its own
+    Cholesky factor, taken on the call (LinAlgError where one fails),
+    radius, zero partial vector, where its half of the enumeration starts,
+    and cap: one enumeration of the stack lists each lattice's points as
+    its own enumeration would, lattice by lattice, and raises where one of
+    them alone would.  (A stack forms its row products per column, so a
+    candidate within an ulp of the float radius test could fall the other
+    way; the integer callers keep points by their exact norms.)  Every
+    partial vector carries its lattice's index (``_Runs.lat``); a stack of
+    one carries none and runs the plain single-lattice products.
 
     Each level runs breadth-first over its partial vectors.  Where a level
     holds more than ``_BLOCK`` candidates, its partial vectors are split
     into contiguous slices that are grown and descended one at a time, so
     the blocks list the paths in the same lexicographic order as one
-    breadth-first pass would.  The cap counts each level's candidates over
-    all blocks, the runs included: they hold ``total`` candidates of the
-    half, 2 total - 1 of the full enumeration.  A larger cap costs time,
-    not memory.
+    breadth-first pass would.  The cap counts each lattice's candidates of
+    each level over all blocks, the runs included: they hold ``total``
+    candidates of the half, 2 total - 1 of the full enumeration.  A larger
+    cap costs time, not memory.
 
-    Given ``gram``, B^T B of an integer basis B computed in int64, the exact
-    norm of each partial vector x is carried as ``proj`` is:
+    Given ``gram``, B^T B of each integer basis B computed in int64 (L, s, s),
+    the exact norm of each partial vector x is carried as ``proj`` is:
     ||x + z_i b_i||^2 = ||x||^2 + z_i (2 <x, b_i> + z_i ||b_i||^2), with one
     int64 row product for <x, b_i> per level.  int64 sums and products wrap
     modulo 2^64, which commutes with both, so every carried norm, and every
@@ -417,80 +489,124 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq: float, cap: int, gram=None):
     int64 on the way (as they do for long basis columns), and exact outright
     when below 2^63.
     """
-    s = g.shape[0]
-    R = np.linalg.cholesky(g).T  # upper triangular, positive diagonal
-    slack = 1e-9 * max(r_sq, 1.0)
-    bound = r_sq + slack
-    seen = [0] * s  # candidates of each level over the blocks so far
+    n_lat, s = g.shape[:2]
+    R = np.linalg.cholesky(g).transpose(0, 2, 1)  # upper triangular, positive diagonal
+    bounds = [r + 1e-9 * max(r, 1.0) for r in map(float, r_sq)]
+    seen = [0] * s  # candidates of each level (per lattice of a stack) over the blocks so far
+    if n_lat == 1:  # numbers and plain row products: a lone lattice pays nothing for the stack
+        R, bounds, gram = R[0], bounds[0], None if gram is None else gram[0]
+    else:
+        bounds = np.array(bounds)
 
-    def grow(i, Z, q, proj, lo, counts, norms):  # the partial vectors of level i - 1
-        grown, qn, rep, zi = _grow(Z, q, proj, R[i, i], lo, counts, bound)
+    def cut(x, part):  # the columns ``part`` of a per-column array; a number or None as it is
+        return x[part] if isinstance(x, np.ndarray) else x
+
+    def row(mat, i, Z, lat):  # <row i of each column's matrix past the diagonal, the column>
+        if lat is None:
+            return mat[i, i + 1:][::-1] @ Z
+        return np.einsum("nj,jn->n", mat[lat, i, i + 1:][:, ::-1], Z)
+
+    def grow(i, Z, q, proj, rii, bound, lo, counts, norms, lat, zeros):
+        # the partial vectors of level i - 1; a zero partial vector's first
+        # child (z_i = 0) is its level's zero partial vector, so a lone
+        # lattice's stays column 0
+        grown, qn, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound)
         if norms is not None:
-            inner = gram[i, i + 1:][::-1] @ Z
-            norms = norms[rep] + zi * (2 * inner[rep] + gram[i, i] * zi)
-        return grown, qn, norms
+            gii = gram[i, i] if lat is None else gram[lat, i, i][rep]
+            norms = norms[rep] + zi * (2 * row(gram, i, Z, lat)[rep] + gii * zi)
+        if lat is not None and len(zeros):
+            zeros = rep.searchsorted(zeros)
+        return grown, qn, norms, None if lat is None else lat[rep], zeros
 
-    def descend(i, Z, q, norms, first):
+    def descend(i, Z, q, norms, lat, zeros):
         # Z holds the coefficients chosen at levels s-1 .. i + 1, one row per
-        # level (most significant first) and one column per partial vector;
-        # q holds the accumulated squared norm.  Column 0 is the zero partial
-        # vector when ``first``.
+        # level (most significant first) and one column per partial vector,
+        # its lattice's columns together and in stack order; q holds the
+        # accumulated squared norm.  ``zeros`` indexes the columns that are
+        # their lattice's zero partial vector: an index array for a stack, a
+        # slice of column 0 or of none for a lone lattice (basic indexing is
+        # the cheaper)
         while len(q):  # a slice whose candidates all fail ends here
-            proj = R[i, i + 1:][::-1] @ Z
-            rii = R[i, i]
-            rem = np.maximum(bound - q, 0.0)
-            half = np.sqrt(rem) / rii
-            center = -proj / rii
+            proj = row(R, i, Z, lat)
+            rii, bound = (R[i, i], bounds) if lat is None else (R[lat, i, i], bounds[lat])
+            # every q passed its own bound in _grow, so bound - q >= 0; and as
+            # half >= 0 the interval's ends are ordered (rounding is
+            # monotone), so hi >= lo - 1 and no count is negative
+            half = np.sqrt(bound - q) / rii
+            center = proj / -rii  # -proj / rii exactly, one array operation fewer
             lo = np.ceil(center - half - 1e-12).astype(np.int64)
             hi = np.floor(center + half + 1e-12).astype(np.int64)
-            if first:
-                lo[0] = 0  # the zero partial vector: one sign of each pair
-            counts = np.maximum(hi - lo + 1, 0)
+            lo[zeros] = 0  # a zero partial vector (center 0, hi >= 0): one sign of each pair
+            counts = hi - lo + 1
             total = int(counts.sum())
-            seen[i] += total
-            if 2 * seen[i] - 1 > cap:
+            if lat is None:
+                seen[i] += total
+                worst = seen[i]
+            else:
+                seen[i] = seen[i] + np.bincount(lat, counts, n_lat).astype(np.int64)
+                worst = int(seen[i].max())
+            if 2 * worst - 1 > cap:
                 raise CapacityError(
                     f"enumeration exceeded the cap of {cap} points; "
                     "reduce the radius or raise the cap")
             parts = [slice(None)] if total <= _BLOCK else _slices(counts)
             if i == 0:
                 for part in parts:
-                    yield _Runs(Z[:, part], lo[part], counts[part], q[part], proj[part],
-                                rii, bound, None if norms is None else norms[part])
+                    yield _Runs(Z[:, part], *(cut(x, part) for x in
+                                              (lo, counts, q, proj, rii, bound, norms, lat)))
                 return
             if len(parts) == 1:  # one block: stay breadth-first
-                Z, q, norms = grow(i, Z, q, proj, lo, counts, norms)
+                Z, q, norms, lat, zeros = grow(i, Z, q, proj, rii, bound, lo, counts, norms,
+                                               lat, zeros)
                 i -= 1
                 continue
             for part in parts:
-                child = grow(i, Z[:, part], q[part], proj[part], lo[part], counts[part],
-                             None if norms is None else norms[part])
-                yield from descend(i - 1, *child, first and part.start == 0)
+                a, b = part.start, part.stop
+                if lat is None:  # a lone lattice's zero partial vector is column 0
+                    held = zeros if a == 0 else slice(0)
+                else:
+                    held = zeros[(zeros >= a) & (zeros < b)] - a
+                child = grow(i, Z[:, part], *(cut(x, part) for x in
+                                              (q, proj, rii, bound, lo, counts, norms, lat)),
+                             held)
+                yield from descend(i - 1, *child)
             return
 
-    norms = None if gram is None else np.zeros(1, dtype=np.int64)
-    return descend(s - 1, np.zeros((0, 1), dtype=np.int64), np.zeros(1), norms, True)
+    lat = None if n_lat == 1 else np.arange(n_lat)
+    norms = None if gram is None else np.zeros(n_lat, dtype=np.int64)
+    return descend(s - 1, np.zeros((0, n_lat), dtype=np.int64), np.zeros(n_lat), norms, lat,
+                   slice(1) if lat is None else np.arange(n_lat))
 
 
-def _coefficients(blocks) -> np.ndarray:
+def _coefficients(blocks) -> tuple[np.ndarray, np.ndarray | None]:
     """The level-0 expansion of an enumeration's blocks: one coefficient row
     per point that passes the float radius test, in natural order, the zero
-    vector (the first) dropped."""
-    Z = np.concatenate([_grow(b.Z, b.q, b.proj, b.r00, b.lo, b.counts, b.bound)[0]
-                        for b in blocks], axis=1)
-    return Z[::-1, 1:].T
+    vectors dropped, and the lattice of each row (None for a lone lattice,
+    whose zero vector is the first)."""
+    grown, lats = [], []
+    for b in blocks:
+        Z, _, rep, _ = _grow(b.Z, b.q, b.proj, b.r00, b.lo, b.counts, b.bound)
+        grown.append(Z)
+        if b.lat is not None:
+            lats.append(b.lat[rep])
+    Z = np.concatenate(grown, axis=1)
+    if not lats:
+        return Z[::-1, 1:].T, None
+    nonzero = Z.any(axis=0)
+    return Z[::-1, nonzero].T, np.concatenate(lats)[nonzero]
 
 
 def _reduced_head(lat: IntegerLattice, r_sq: int) -> tuple[np.ndarray, int]:
-    """The head of the exactly LLL-reduced basis of ``lat`` (:func:`_integral_lll`),
-    which spans its points of norm <= r_sq, and the head's Gram determinant.
+    """The head of the exactly LLL-reduced basis of ``lat`` (:func:`_integral_lll`,
+    run once per lattice), which spans its points of norm <= r_sq, and the
+    head's Gram determinant.
 
     A point's last nonzero coefficient in the reduced basis picks a
     Gram-Schmidt vector no longer than the point, so trailing vectors but the
     first whose Gram-Schmidt norm exceeds r_sq take coefficient 0 and are
     dropped.  CapacityError is raised when a head column's norm reaches 2^62.
     """
-    b, d = _integral_lll(lat.B.T.tolist())
+    b, d = lat._reduced
     j = len(b)
     while j > 1 and d[j] > r_sq * d[j - 1]:
         j -= 1
@@ -544,13 +660,15 @@ def _float_gram(basis: np.ndarray) -> np.ndarray | None:
     return g.astype(float) if all(float(x) == x for x in g.flat) else None
 
 
-def _integer_runs(basis: np.ndarray, r_sq, cap: int, gram=None):
-    """:func:`_fincke_pohst_runs` of the lattice spanned by ``basis``, as
-    :func:`_enumeration_basis` returns it, to squared radius r_sq (+ 1/2:
-    norms are integers, so half a unit of float margin loses no shell),
-    carrying exact norms when given ``gram``: an iterator of its blocks."""
+def _integer_runs(bases: np.ndarray, r_sq, cap: int, gram=None):
+    """:func:`_fincke_pohst_runs` of the lattices spanned by a stack of bases
+    of one shape (L, k, s), as :func:`_enumeration_basis` returns them, each
+    to its squared radius in r_sq (+ 1/2: norms are integers, so half a unit
+    of float margin loses no shell), carrying exact norms when given
+    ``gram`` (L, s, s): an iterator of its blocks."""
     try:
-        return _fincke_pohst_runs(_float_gram(basis), float(r_sq) + 0.5, cap, gram)
+        return _fincke_pohst_runs(np.array([_float_gram(b) for b in bases]),
+                                  [float(r) + 0.5 for r in r_sq], cap, gram)
     except np.linalg.LinAlgError as exc:
         raise CapacityError(
             "float Cholesky failed on the exact Gram matrix of a nonsingular basis") from exc
@@ -563,9 +681,9 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     if not r_sq > 0:
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
-        return _half_in_basis(_enumeration_basis(lat, r_sq), r_sq, cap)
+        return _half_in_basis(_enumeration_basis(lat, r_sq)[None], [r_sq], cap)[0]
     try:
-        Z = _coefficients(_fincke_pohst_runs(gram(lat), float(r_sq), cap))
+        Z = _coefficients(_fincke_pohst_runs(gram(lat)[None], [float(r_sq)], cap))[0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("Gram matrix is not positive definite") from exc
     pts = Z @ lat.basis.T
@@ -573,11 +691,20 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     return pts[norms <= r_sq * (1.0 + REL_TOL)]
 
 
-def _half_in_basis(basis: np.ndarray, r_sq, cap: int) -> np.ndarray:
-    """The integer branch of :func:`_half_shorter_than`, enumerated in a basis
-    :func:`_enumeration_basis` picked at a squared radius of r_sq or more."""
-    pts = _coefficients(_integer_runs(basis, r_sq, cap)) @ basis.T
-    return pts[np.einsum("ij,ij->i", pts, pts) <= r_sq]
+def _half_in_basis(bases: np.ndarray, r_sq, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integer branch of :func:`_half_shorter_than` for a stack of bases
+    of one shape (L, k, s), each picked by :func:`_enumeration_basis` at a
+    squared radius of its entry of r_sq or more, in one enumeration: the
+    points of each lattice in turn, and the lattice of each point."""
+    Z, lat = _coefficients(_integer_runs(bases, r_sq, cap))
+    if lat is None:
+        pts = Z @ bases[0].T
+        keep = np.einsum("ij,ij->i", pts, pts) <= r_sq[0]
+        return pts[keep], np.zeros(int(keep.sum()), dtype=np.intp)
+    parts = np.split(Z, lat.searchsorted(np.arange(1, len(bases))))  # lattice by lattice
+    pts = np.concatenate([z @ basis.T for z, basis in zip(parts, bases)])
+    keep = np.einsum("ij,ij->i", pts, pts) <= np.asarray(r_sq)[lat]
+    return pts[keep], lat[keep]
 
 
 def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.ndarray:
@@ -612,30 +739,93 @@ def _require_integer(lat) -> None:
 
 
 def _min_column_norm(basis: np.ndarray) -> int:
+    """The least squared column norm, exactly: in floats where every column's
+    is below 2^53, which keeps each term and partial sum exact (rounding is
+    monotone, so a norm from 2^53 up never reads below it)."""
+    f = basis.astype(float)
+    norms = np.einsum("ij,ij->j", f, f)
+    if norms.max() < 2.0 ** 53:
+        return int(norms.min())
     return min(sum(x * x for x in col) for col in basis.T.tolist())
 
 
-def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
-    """(lambda_1^2, rank of the lattice vectors of norm lambda_1^2), exactly.
+def _shell_ranks(shells: list[np.ndarray], l1s: list[int]) -> list[int]:
+    """The rank of each shell, rows of one squared norm l1 each, exactly.
 
-    One enumeration at the smaller of the shortest basis column's squared
-    norm and the ceiling of Minkowski's first-theorem bound, since each
-    radius holds a shortest vector, in the basis :func:`_enumeration_basis`
-    picks there, with the radius cut to that basis's shortest column too.
-    The basis serves the cut radius r' <= r: the gate's error term is linear
-    in r while its margin keeps its 1/2, so a basis that passes at r passes
-    at r', and a reduced head taken at floor(r) spans every point of norm
-    <= r'.  The lattice is well-rounded exactly when the rank is k.
+    By Hadamard's inequality every t x t minor of such rows is at most
+    l1^(t/2) in magnitude, so :func:`_bareiss` keeps every product within
+    l1^min(rows, columns) and every entry it forms within int64 while that
+    stays below 2^62.  The shells that pass are ranked by one elimination of
+    their stack, padded with zero rows and columns; the others by
+    :func:`independent_rows` on Python integers.
     """
-    _require_integer(lat)
-    k = lat.k
-    r = min(_min_column_norm(lat.B), _minkowski_radius_sq(k, abs(lat.det)))
-    basis = _enumeration_basis(lat, r)
-    r = min(r, _min_column_norm(basis))
-    pts = _half_in_basis(basis, r, cap)
-    norms = np.sum(pts.astype(np.int64) ** 2, axis=1)
-    l1 = int(norms.min())
-    return l1, len(independent_rows(pts[norms == l1], k))
+    ranks = [None] * len(shells)
+    fits = []
+    for i, (shell, l1) in enumerate(zip(shells, l1s)):
+        if l1 ** min(shell.shape) < 1 << 62:
+            fits.append(i)
+        else:
+            ranks[i] = len(independent_rows(shell.tolist(), shell.shape[1]))
+    if fits:
+        a = np.zeros((len(fits), max(len(shells[i]) for i in fits),
+                      max(shells[i].shape[1] for i in fits)), dtype=np.int64)
+        for j, i in enumerate(fits):
+            a[j, :shells[i].shape[0], :shells[i].shape[1]] = shells[i]
+        for i, rank in zip(fits, _bareiss(a, a.shape[2])[0].tolist()):
+            ranks[i] = rank
+    return ranks
+
+
+def shortest_shells(lats, cap: int = ENUMERATION_CAP) -> list[tuple[int, int]]:
+    """(lambda_1^2, rank of the lattice vectors of norm lambda_1^2) of each
+    lattice, exactly; :func:`shortest_shell` is its batch of one.
+
+    Each lattice is enumerated at the smaller of its shortest basis column's
+    squared norm and the ceiling of Minkowski's first-theorem bound, since
+    each radius holds a shortest vector, in the basis
+    :func:`_enumeration_basis` picks there, with the radius cut to that
+    basis's shortest column too.  The basis serves the cut radius r' <= r:
+    the gate's error term is linear in r while its margin keeps its 1/2, so a
+    basis that passes at r passes at r', and a reduced head taken at
+    floor(r) spans every point of norm <= r'.  The lattices whose bases have
+    one shape are enumerated together, one :func:`_fincke_pohst_runs` per
+    shape, and every shell is ranked in one elimination
+    (:func:`_shell_ranks`).  A lattice is well-rounded exactly when its rank
+    is k.  Errors are those of the lattices one by one, the first in order:
+    each lattice keeps its own cap, and the lattices before one whose basis
+    cannot be enumerated are enumerated before its error is raised.
+    """
+    picked = []  # (basis, radius) of each lattice
+    try:
+        for lat in lats:
+            _require_integer(lat)
+            r = min(_min_column_norm(lat.B), _minkowski_radius_sq(lat.k, abs(lat.det)))
+            basis = _enumeration_basis(lat, r)
+            picked.append((basis, min(r, _min_column_norm(basis))))
+    finally:  # an earlier lattice's enumeration error comes first
+        groups = {}
+        for i, (basis, _) in enumerate(picked):
+            groups.setdefault(basis.shape, []).append(i)
+        l1s, shells = [None] * len(picked), [None] * len(picked)
+        for members in groups.values():
+            pts, owner = _half_in_basis(np.stack([picked[i][0] for i in members]),
+                                        [picked[i][1] for i in members], cap)
+            norms = np.einsum("ij,ij->i", pts, pts)
+            # every lattice holds a point: its radius is lambda_1^2 or more
+            least = np.minimum.reduceat(norms, owner.searchsorted(np.arange(len(members))))
+            on = norms == least[owner]
+            cuts = owner[on].searchsorted(np.arange(1, len(members)))
+            for i, l1, shell in zip(members, least.tolist(), np.split(pts[on], cuts)):
+                l1s[i], shells[i] = l1, shell
+    return list(zip(l1s, _shell_ranks(shells, l1s)))
+
+
+def shortest_shell(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
+    """(lambda_1^2, rank of the lattice vectors of norm lambda_1^2), exactly:
+    :func:`shortest_shells` of the one lattice, one enumeration at the
+    smaller of its shortest basis column's squared norm and Minkowski's
+    bound.  The lattice is well-rounded exactly when the rank is k."""
+    return shortest_shells([lat], cap)[0]
 
 
 def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> SuccessiveMinima:
@@ -643,6 +833,8 @@ def successive_minima(lat: IntegerLattice, cap: int = ENUMERATION_CAP) -> Succes
 
     The radius starts at the shortest column's squared norm in the basis of
     :func:`_enumeration_basis` and doubles until the points span the rank.
+    A basis that needs reduction is reduced once per lattice, whatever the
+    number of doublings.
     """
     _require_integer(lat)
     r = _min_column_norm(_enumeration_basis(lat, _min_column_norm(lat.B)))

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NoFeasibleCandidate
-from .lattice import (IntegerLattice, _half_shorter_than, _minkowski_radius_sq,
-                      independent_rows, shortest_shell)
+from .lattice import (IntegerLattice, _bareiss, _half_shorter_than, _minkowski_radius_sq,
+                      independent_rows, shortest_shell, shortest_shells)
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -219,32 +219,14 @@ def _shell_hits(ops: np.ndarray, n: int, table: tuple[np.ndarray, list]) -> list
 
 
 def _adjugates(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(+-adj(M), |det M|) for each M of the stack: fraction-free
-    Gauss-Jordan elimination of [M | I] with row pivoting (Bareiss 1968).
-    Entries stay minors of the row-permuted [M | I] and products within the
-    square of the largest, which the caller bounds; the sign is that of the
-    row permutation, and the last pivot is +-det M.  A singular M reads det 0
-    and is cleared, so its adjugate reads 0 too."""
-    b, k = ms.shape[:2]
+    """(+-adj(M), |det M|) for each M of the stack, from one
+    :func:`_bareiss` elimination of [M | I].  Entries stay minors of the
+    permuted [M | I] and products within the square of the largest, which
+    the caller bounds.  A singular M reads det 0 and adjugate 0."""
+    k = ms.shape[1]
     a = np.concatenate([ms, np.broadcast_to(np.eye(k, dtype=np.int64), ms.shape)], axis=2)
-    prev = np.ones((b, 1, 1), dtype=np.int64)
-    singular = np.zeros(b, dtype=bool)
-    for s in range(k):
-        pivot = s + np.argmax(a[:, s:, s] != 0, axis=1)
-        moved = np.flatnonzero(pivot != s)
-        if len(moved):
-            a[moved, s], a[moved, pivot[moved]] = a[moved, pivot[moved]], a[moved, s]
-        zero = a[:, s, s] == 0
-        if zero.any():  # no pivot left in column s: clear M, go on with pivot 1
-            singular |= zero
-            a[singular] = 0
-            a[singular, s, s] = 1
-        row = a[:, s, s:].copy()
-        p = row[:, :1, None]
-        a[:, :, s:] = (p * a[:, :, s:] - a[:, :, s, None] * row[:, None]) // prev
-        a[:, s, s:] = row
-        prev = p
-    return a[:, :, k:], np.where(singular, 0, np.abs(prev[:, 0, 0]))
+    rank, pivot = _bareiss(a, k)
+    return a[:, :, k:], np.where(rank == k, np.abs(pivot), 0)
 
 
 def _block_shells(ms: np.ndarray, n: int,
@@ -257,9 +239,10 @@ def _block_shells(ms: np.ndarray, n: int,
     (:func:`_adjugates`, :func:`_shell_hits`), tested against ``table``,
     which must hold every shortest vector (the search passes the table of
     :func:`_hermite_ceiling`).  Without one, the table's radius is the
-    block's largest min(shortest column of 2M, Minkowski ceiling).  Each 2M is
-    enumerated by :func:`shortest_shell` instead when the table would pass
-    ``_TABLE_CAP`` or int64 cannot be shown to hold the arithmetic.
+    block's largest min(shortest column of 2M, Minkowski ceiling).  The
+    block's lattices 2M are enumerated together by :func:`shortest_shells`
+    instead when the table would pass ``_TABLE_CAP`` or int64 cannot be
+    shown to hold the arithmetic.
     """
     k = ms.shape[1]
     sq = ms.astype(float) ** 2
@@ -274,7 +257,7 @@ def _block_shells(ms: np.ndarray, n: int,
         col = int((ms * ms).sum(axis=1).min(axis=1).max())
         table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
     if table is None:
-        return [shortest_shell(IntegerLattice(2 * m)) for m in ms]
+        return shortest_shells([IntegerLattice(2 * m) for m in ms])
     return _shell_hits(_adjugates(ms)[0] % n, n, table)
 
 

@@ -20,7 +20,7 @@ from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, exhaustive_words, orthogonal_w
                       sphere_words)
 from .errors import CodebookTooLarge, NotASublattice
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
-                      coset_label, label_operator, shortest_shell)
+                      coset_label, label_operator, shortest_shells)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
@@ -521,7 +521,7 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
     """
     basis = _short_first(_enumeration_basis(code.sub, trunc))
     gram = basis.T @ basis  # int64: exact modulo 2^64
-    blocks = _integer_runs(basis, trunc, cap, gram)
+    blocks = _integer_runs(basis[None], [trunc], cap, gram[None])
     b00 = gram[0, 0]
     mb = code.map.M @ basis
     y0 = mb[:, 0]
@@ -687,10 +687,15 @@ class DesignReport:
     rates: RateReport
 
 
+def design_reports(codes) -> list[DesignReport]:
+    """One table row of diagnostics per coset code, read off one exact
+    :func:`shortest_shells` call for all of their sublattices (the map is an
+    isometry: coding gain = lambda_1^2)."""
+    return [DesignReport(index=code.index, wr=rank == code.sub.k, lambda1_sq=l1,
+                         first_coding_gain=l1, rates=rates(code))
+            for code, (l1, rank) in zip(codes, shortest_shells([c.sub for c in codes]))]
+
+
 def design_report(code: CosetCode) -> DesignReport:
-    """One table row of diagnostics for a coset code, read off one exact
-    shortest-shell enumeration (the map is an isometry: coding gain =
-    lambda_1^2)."""
-    l1, rank = shortest_shell(code.sub)
-    return DesignReport(index=code.index, wr=rank == code.sub.k, lambda1_sq=l1,
-                        first_coding_gain=l1, rates=rates(code))
+    """The one row of :func:`design_reports` for one coset code."""
+    return design_reports([code])[0]

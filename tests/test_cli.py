@@ -105,6 +105,38 @@ class TestAnalyze:
                               "--lattices", str(path)], capsys)
         assert code == 3
 
+    def test_one_enumeration_for_all_lattices(self, capsys, monkeypatch):
+        calls = []
+        real = lattice._fincke_pohst_runs
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs", counted)
+        code, out, _ = run_cli(["analyze", "--code", "golden", "--pam", "4",
+                                "--lattices", "L'1,L'2,L'3,M1,M2,M3"], capsys)
+        assert code == 0
+        assert [(r["name"], r["wr"], r["lambda1_sq"]) for r in parse_csv(out)] == [
+            ("L'1", "no", "4"), ("L'2", "yes", "12"), ("L'3", "yes", "16"),
+            ("M1", "yes", "16"), ("M2", "yes", "64"), ("M3", "yes", "104")]
+        assert len(calls) == 1 and len(calls[0][0]) == 6  # one stack of six Gram matrices
+
+    @pytest.mark.parametrize("bad", ["missing.json", "L99", "M1"])
+    def test_the_first_lattice_in_error_is_reported(self, bad, tmp_path, capsys):
+        # as when the lattices were analyzed one at a time: the radius of
+        # 2^33 I_4 reaches exact int64 norms (exit 4), and a lattice that
+        # does not load, or does not fit the code, exits 2
+        huge = tmp_path / "huge.json"
+        huge.write_text(IntegerLattice(2 ** 33 * np.eye(4, dtype=np.int64)).to_json())
+        bad = str(tmp_path / bad) if bad.endswith(".json") else bad
+        for order, expected in [([huge, bad], 4), ([bad, huge], 2)]:
+            code, out, err = run_cli(["analyze", "--code", "alamouti", "--pam", "4",
+                                      "--lattices", ",".join(["L1", *map(str, order)])],
+                                     capsys)
+            assert (code, out) == (expected, "")
+            assert ("int64" in err) == (expected == 4)
+
 
 class TestSimulate:
     def test_basic_curve(self, tmp_path, capsys):

@@ -221,6 +221,7 @@ class TestBlocks:
         shells = [shortest_shell(lat) for lat in lats]
         monkeypatch.setattr(lattice, "_BLOCK", block)
         assert [shortest_shell(lat) for lat in lats] == shells
+        assert lattice.shortest_shells(lats) == shells  # slices that mix lattices
 
     @pytest.mark.parametrize("name,r_sq", [("L2", 100), ("L'3", 24)])
     def test_cap_raises_as_with_one_block(self, name, r_sq, monkeypatch):
@@ -595,6 +596,24 @@ class TestExactReduction:
                 map(tuple, enumerate_shorter_than(IntegerLattice(small), 4).tolist()))
             assert shortest_shell(lat) == shortest_shell(IntegerLattice(small))
 
+    def test_minima_reduce_the_basis_once(self, monkeypatch):
+        # the gate reduces this basis at every radius the minima double to;
+        # the reduced basis does not depend on the radius, so one LLL serves
+        # them all (it ran 7 times, once per radius)
+        n = 10 ** 6
+        b = np.zeros((4, 4), dtype=np.int64)
+        b[:2, :2] = [[n, n + 1], [n - 1, n]]
+        b[2:, 2:] = [[3, 1], [1, 5]]
+        calls = []
+        real = lattice._integral_lll
+        monkeypatch.setattr(lattice, "_integral_lll", lambda v: calls.append(v) or real(v))
+        minima = successive_minima(IntegerLattice(b)).lambda_sq
+        assert len(calls) == 1
+        small = np.diag([1, 1, 1, 1]).astype(np.int64)
+        small[2:, 2:] = [[3, 1], [1, 5]]
+        assert minima == successive_minima(IntegerLattice(small)).lambda_sq == (1, 1, 10, 20)
+        assert len(calls) == 1  # the reduced basis is kept with its lattice
+
     @pytest.mark.parametrize("e", [14, 17, 20, 24])
     def test_skewed_basis_of_z2_is_reduced_first(self, e):
         # [[N, N - 1], [N + 1, N]] spans Z^2; enumerated in floats at r = 2
@@ -620,3 +639,130 @@ class TestExactReduction:
         l1 = min(norms)
         assert (l1, norms[l1]) == (24, 2)  # +-(1, -1, 2)
         assert shortest_shell(lat) == (24, 1)
+
+
+def _oracle_shell(basis):
+    """(lambda_1^2, rank, size) of the shortest shell of the lattice of
+    ``basis`` from brute-forced points, the rank exact in sympy and the size
+    counting one point of each +-pair; None where the oracle's box is too
+    big."""
+    sympy = pytest.importorskip("sympy")
+    r = min(int((basis.astype(object) ** 2).sum(axis=0).min()),
+            lattice._minkowski_radius_sq(len(basis), abs(int_det(basis))))
+    pts = brute_force_points(basis, r, max_box=200_000)
+    if pts is None:
+        return None
+    l1 = min(sum(v * v for v in p) for p in pts)
+    shell = [p for p in pts if sum(v * v for v in p) == l1]
+    return l1, sympy.Matrix(shell).rank(), len(shell) // 2
+
+
+@st.composite
+def shell_stacks(draw):
+    """A stack of up to 5 lattices, each with its oracle :func:`_oracle_shell`:
+    small bases as drawn, on skewed bases the gate reduces, with a long
+    vector the reduced head drops, and 2^20 D U, whose shells of two pairs
+    or more pass the int64 guard of the elimination."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lats, oracles = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["plain", "skewed", "narrow", "scaled"]))
+        small = draw(small_bases())
+        if kind == "scaled":  # D U with D = diag(1 or 2), U unimodular: shells of many pairs
+            k = len(small)
+            small = np.diag(rng.integers(1, 3, size=k)) @ (
+                np.eye(k, dtype=np.int64) + np.tril(rng.integers(-1, 2, size=(k, k)), -1))
+        oracle = _oracle_shell(small)
+        assume(oracle is not None)
+        if kind == "skewed" and len(small) > 1:
+            basis = _skew(small, rng, until_float_gram=True)
+        elif kind == "narrow":  # a coordinate of length 2^40 + 1: floats cannot hold its Gram
+            k = len(small)
+            basis = np.zeros((k + 1, k + 1), dtype=np.int64)
+            basis[:k, :k], basis[k, k] = small, 2 ** 40 + 1
+        elif kind == "scaled":
+            basis, oracle = small * 2 ** 20, (oracle[0] * 2 ** 40, *oracle[1:])
+        else:
+            basis = small
+        lats.append(IntegerLattice(np.array(basis, dtype=np.int64)))
+        oracles.append(oracle)
+    return lats, oracles
+
+
+class TestShortestShells:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=shell_stacks())
+    def test_random_stacks_against_brute_force(self, stack):
+        lats, oracles = stack
+        # Hadamard: the elimination of a shell of size m holds l1^min(m, k)
+        past_guard = sum(l1 ** min(size, lat.k) >= 1 << 62 for lat, (l1, _, size) in
+                         zip(lats, oracles))
+        expected = [(l1, rank) for l1, rank, _ in oracles]
+        ranked = []
+        real = lattice.independent_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "independent_rows",
+                          lambda rows, limit=None: ranked.append(rows) or real(rows, limit))
+            assert lattice.shortest_shells(lats) == expected
+        assert len(ranked) == past_guard  # those shells alone take the fallback
+        assert [shortest_shell(lat) for lat in lats] == expected
+
+    def test_shells_past_the_guard_are_ranked_on_python_integers(self):
+        lats = [IntegerLattice(2 ** e * np.eye(3, dtype=np.int64)) for e in (10, 11, 20)]
+        ranked = []
+        real = lattice.independent_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "independent_rows",
+                          lambda rows, limit=None: ranked.append(rows) or real(rows, limit))
+            # 2^20 I_3: 2^120 past 2^62; 2^11 I_3: 2^66, also past; 2^10 I_3 is not
+            assert lattice.shortest_shells(lats) == [(2 ** 20, 3), (2 ** 22, 3), (2 ** 40, 3)]
+        assert len(ranked) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(bases=st.lists(small_bases(), min_size=2, max_size=4), cap=st.integers(1, 40))
+    def test_cap_raises_as_for_each_lattice_alone(self, bases, cap):
+        lats = [IntegerLattice(b) for b in bases]
+
+        def outcome(f):
+            try:
+                return f()
+            except CapacityError as exc:
+                return str(exc)
+
+        alone = [outcome(lambda: shortest_shell(lat, cap)) for lat in lats]
+        errors = [a for a in alone if isinstance(a, str)]
+        assert outcome(lambda: lattice.shortest_shells(lats, cap)) == (
+            errors[0] if errors else alone)
+
+    def test_a_stack_may_pass_the_cap_its_lattices_keep(self):
+        # each lattice keeps its own cap: together they hold more candidates
+        lats = [builtin_sublattice(name) for name in ["L'1", "L'2", "L'3", "M1", "M2", "M3"]]
+        shells = [shortest_shell(lat) for lat in lats]
+        cap = 1
+        while True:
+            try:
+                [shortest_shell(lat, cap) for lat in lats]
+                break
+            except CapacityError:
+                cap += 1
+        assert lattice.shortest_shells(lats, cap) == shells
+        with pytest.raises(CapacityError, match=f"cap of {cap - 1} points"):
+            lattice.shortest_shells(lats, cap - 1)
+
+    def test_empty_stack(self):
+        assert lattice.shortest_shells([]) == []
+
+
+class TestElimination:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (6, 4), (9, 8)])
+    def test_rank_of_rectangular_stacks(self, shape):
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(sum(shape))
+        a = rng.integers(-3, 4, size=(200, *shape))
+        a[::4, :, 1:] = 0  # rank 1 at most, and zero columns to skip
+        a[1::5, 0] = a[1::5, -1]  # a repeated row
+        a[2::7] *= rng.integers(0, 2, size=(1, 1, shape[1]))  # zero columns at random
+        a[3::9] = 0
+        expected = [sympy.Matrix(m.tolist()).rank() for m in a]
+        rank, _ = lattice._bareiss(a.copy(), shape[1])
+        assert rank.tolist() == expected

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latcoset.lattice as lattice
 import latcoset.search as search
 from latcoset import (CapacityError, IntegerLattice, NoFeasibleCandidate, SearchConfig,
                       index_in_superlattice, is_well_rounded,
@@ -264,7 +265,7 @@ class TestBlockEvaluation:
         expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
         assert any(rank == k for _, rank in expected)
         # the table path alone: no per-candidate enumeration
-        monkeypatch.setattr(search, "shortest_shell", None)
+        monkeypatch.setattr(search, "shortest_shells", None)
         assert search._block_shells(hs, n) == expected
 
     @settings(max_examples=120, deadline=None)
@@ -289,7 +290,7 @@ class TestBlockEvaluation:
             expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
             # the table path alone: no per-trial enumeration
             with monkeypatch.context() as patch:
-                patch.setattr(search, "shortest_shell", None)
+                patch.setattr(search, "shortest_shells", None)
                 assert search._block_shells(trials, n) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
@@ -305,7 +306,7 @@ class TestBlockEvaluation:
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
             assert search._block_shells(ms, n) == expected
             with monkeypatch.context() as patch:  # the table path alone
-                patch.setattr(search, "shortest_shell", None)
+                patch.setattr(search, "shortest_shells", None)
                 assert search._block_shells(ms, n) == expected
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
@@ -324,14 +325,42 @@ class TestBlockEvaluation:
                 under, s = past, s + 1
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in (under, past)]
             calls = []
-            real = search.shortest_shell
+            real = search.shortest_shells
             with monkeypatch.context() as patch:
-                patch.setattr(search, "shortest_shell",
-                              lambda lat: calls.append(lat) or real(lat))
+                patch.setattr(search, "shortest_shells",
+                              lambda lats: calls.append(lats) or real(lats))
                 assert search._block_shells(under[None], n) == expected[:1]
                 assert calls == []
                 assert search._block_shells(past[None], n) == expected[1:]
                 assert len(calls) == 1
+                # a block past the bound: one enumeration of all its lattices
+                assert search._block_shells(np.stack([past, past, under]), n) == \
+                    expected[1:] * 2 + expected[:1]
+                assert len(calls) == 2 and len(calls[1]) == 3
+
+    @pytest.mark.parametrize("n", [30030, 10 ** 5])
+    def test_block_past_the_table_cap_is_enumerated_once(self, monkeypatch, n):
+        # the table of Minkowski's radius would pass _TABLE_CAP: the block's
+        # lattices are enumerated together, one enumeration for each width of
+        # the bases the gate picks (a few Hermite forms are reduced to a
+        # narrower head)
+        rng = np.random.default_rng(n)
+        hs = search._hermite_forms(4, search._factorize(n), 40, rng)
+        assert search._short_vectors(4, _minkowski_radius_sq(4, n << 4)) is None
+        expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+        runs = []
+        real = lattice._fincke_pohst_runs
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs",
+                            lambda *args: runs.append(len(args[0])) or real(*args))
+        assert search._block_shells(hs, n) == expected
+
+        def width(h):
+            lat = IntegerLattice(2 * h)
+            r = min(lattice._min_column_norm(lat.B), _minkowski_radius_sq(4, abs(lat.det)))
+            return lattice._enumeration_basis(lat, r).shape[1]
+
+        widths = collections.Counter(map(width, hs))
+        assert sorted(runs) == sorted(widths.values()) and widths[4] > 30
 
     def test_climb_trial_past_int64_raises(self):
         m = np.array([[2 ** 61, 0], [2 ** 61, 1]], dtype=np.int64)
@@ -498,7 +527,7 @@ class TestRestartDraws:
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
             assert search._block_shells(ms, n, table) == expected
             with monkeypatch.context() as patch:  # the table path alone
-                patch.setattr(search, "shortest_shell", None)
+                patch.setattr(search, "shortest_shells", None)
                 # the search's ceiling table, and the block's own radius
                 assert search._block_shells(ms, n, table) == expected
                 assert search._block_shells(ms, n) == expected
@@ -535,7 +564,7 @@ class TestRestartDraws:
         # lambda_1^2 = 32, Hermite's ceiling, with L3's 24 minimal vectors
         hs = _all_hnfs(4, 32)
         assert len(hs) == 97155
-        monkeypatch.setattr(search, "shortest_shell", None)
+        monkeypatch.setattr(search, "shortest_shells", None)
         shells = [s for c in range(0, len(hs), 8192) for s in search._block_shells(hs[c:c + 8192], 32)]
         wr = collections.Counter(l1 for l1, rank in shells if rank == 4)
         assert wr == {24: 324, 28: 8, 32: 1}

@@ -963,6 +963,23 @@ class TestDesignReport:
         assert (rep.wr, rep.lambda1_sq, rep.first_coding_gain) == (True, 12, 12)
         assert len(calls) == 1
 
+    def test_reports_of_many_codes_are_those_of_each(self, monkeypatch):
+        codes = [coset(family, name, 4) for family, names in
+                 [("alamouti", ["L1", "L2", "L3", "L4", "L5"]),
+                  ("golden", ["L'1", "L'2", "L'3", "M1", "M2", "M3"])] for name in names]
+        codes.append(CosetCode(map=alamouti_map(), alphabet=PAMAlphabet(4),  # reduced first
+                               sub=IntegerLattice(2 * np.diag([1, 1, 1, 2 ** 40 + 1]))))
+        each = [design_report(c) for c in codes]
+        assert each[-1].lambda1_sq == 4 and not each[-1].wr
+        runs = []
+        real = lattice._fincke_pohst_runs
+        monkeypatch.setattr(lattice, "_fincke_pohst_runs",
+                            lambda *args: runs.append(len(args[0])) or real(*args))
+        assert wiretap.design_reports(codes) == each
+        # one enumeration per basis shape: k = 4, k = 8 and the reduced head
+        assert sorted(runs) == [1, 5, 6]
+        assert wiretap.design_reports([]) == []
+
     def test_golden_lp3(self):
         rep = design_report(coset("golden", "L'3", 4))
         assert (rep.index, rep.wr, rep.lambda1_sq) == (32, True, 16)
