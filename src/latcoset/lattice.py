@@ -401,9 +401,9 @@ class _Runs:
     that holds that lattice, and its run starts at z_0 = 0.  ``q`` and
     ``proj`` are the float partial norms and level-0 offsets, and ``norms``
     the exact partial norms ||B z_p||^2 when the enumeration carried them.
-    For a stack of lattices ``lat`` is the lattice of each column, and
-    ``r00`` and ``bound`` are per column; for one lattice ``lat`` is None
-    and both are numbers.
+    ``lat`` is the lattice of each column in its stack, and ``r00`` and
+    ``bound`` are that lattice's level-0 factor and radius bound: arrays,
+    or numbers where every column is of one lattice (:func:`_at`).
     """
 
     Z: np.ndarray
@@ -413,23 +413,30 @@ class _Runs:
     proj: np.ndarray
     r00: float | np.ndarray
     bound: float | np.ndarray
+    lat: int | np.ndarray
     norms: np.ndarray | None = None
-    lat: np.ndarray | None = None
+
+
+def _at(x, idx):
+    """The entries ``idx`` of an array of one entry per column of an
+    enumeration; a number, which stands for every column, as it is.  A lone
+    lattice's columns carry its index, factors and bounds as numbers, so its
+    enumeration runs on scalars, without the per-column gathers of a
+    stack."""
+    return x[idx] if isinstance(x, np.ndarray) else x
 
 
 def _grow(Z, q, proj, rii, lo, counts, bound):
     """Extend every partial vector by each value of its run that passes the
     float radius test: (grown Z, its partial norms, parent column and new
-    coefficient of each grown column).  ``rii`` and ``bound`` are numbers,
-    or arrays with one entry per partial vector."""
+    coefficient of each grown column).  ``rii`` and ``bound`` are per
+    column (:func:`_at`)."""
     # ndarray methods: the np.* wrappers cost ~0.5 us a call on small levels
     rep = np.arange(len(q)).repeat(counts)
     zi = np.arange(len(rep)) + (lo - (counts.cumsum() - counts)).repeat(counts)
-    if isinstance(rii, np.ndarray):
-        rii, bound = rii[rep], bound[rep]
-    t = rii * zi + proj[rep]
+    t = _at(rii, rep) * zi + proj[rep]
     qn = q[rep] + t * t
-    keep = (qn <= bound).nonzero()[0]
+    keep = (qn <= _at(bound, rep)).nonzero()[0]
     rep, zi = rep[keep], zi[keep]
     grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
     # the indices are in range; "raise" would copy through a buffer
@@ -465,11 +472,13 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
     radius, zero partial vector, where its half of the enumeration starts,
     and cap: one enumeration of the stack lists each lattice's points as
     its own enumeration would, lattice by lattice, and raises where one of
-    them alone would.  (A stack forms its row products per column, so a
-    candidate within an ulp of the float radius test could fall the other
-    way; the integer callers keep points by their exact norms.)  Every
-    partial vector carries its lattice's index (``_Runs.lat``); a stack of
-    one carries none and runs the plain single-lattice products.
+    them alone would.  Every partial vector carries its lattice's index
+    (``_Runs.lat``), and its row products are formed with its lattice's
+    rows; in a stack of one, one index stands for every partial vector and
+    one row product serves them all (:func:`_at`).  (A stack of several
+    forms its row products per column, so a candidate within an ulp of the
+    float radius test could fall the other way than alone; the integer
+    callers keep points by their exact norms.)
 
     Each level runs breadth-first over its partial vectors.  Where a level
     holds more than ``_BLOCK`` candidates, its partial vectors are split
@@ -491,44 +500,32 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
     """
     n_lat, s = g.shape[:2]
     R = np.linalg.cholesky(g).transpose(0, 2, 1)  # upper triangular, positive diagonal
-    bounds = [r + 1e-9 * max(r, 1.0) for r in map(float, r_sq)]
-    seen = [0] * s  # candidates of each level (per lattice of a stack) over the blocks so far
-    if n_lat == 1:  # numbers and plain row products: a lone lattice pays nothing for the stack
-        R, bounds, gram = R[0], bounds[0], None if gram is None else gram[0]
-    else:
-        bounds = np.array(bounds)
-
-    def cut(x, part):  # the columns ``part`` of a per-column array; a number or None as it is
-        return x[part] if isinstance(x, np.ndarray) else x
+    bounds = np.array([r + 1e-9 * max(r, 1.0) for r in map(float, r_sq)])
+    seen = np.zeros((s, n_lat), dtype=np.int64)  # candidates of each level and lattice so far
 
     def row(mat, i, Z, lat):  # <row i of each column's matrix past the diagonal, the column>
-        if lat is None:
-            return mat[i, i + 1:][::-1] @ Z
-        return np.einsum("nj,jn->n", mat[lat, i, i + 1:][:, ::-1], Z)
+        rows = mat[lat, i, i + 1:]
+        return rows[::-1] @ Z if rows.ndim == 1 else np.einsum("nj,jn->n", rows[:, ::-1], Z)
 
     def grow(i, Z, q, proj, rii, bound, lo, counts, norms, lat, zeros):
         # the partial vectors of level i - 1; a zero partial vector's first
-        # child (z_i = 0) is its level's zero partial vector, so a lone
-        # lattice's stays column 0
+        # child (z_i = 0) is its level's zero partial vector
         grown, qn, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound)
         if norms is not None:
-            gii = gram[i, i] if lat is None else gram[lat, i, i][rep]
+            gii = _at(gram[lat, i, i], rep)
             norms = norms[rep] + zi * (2 * row(gram, i, Z, lat)[rep] + gii * zi)
-        if lat is not None and len(zeros):
-            zeros = rep.searchsorted(zeros)
-        return grown, qn, norms, None if lat is None else lat[rep], zeros
+        return grown, qn, norms, _at(lat, rep), rep.searchsorted(zeros)
 
     def descend(i, Z, q, norms, lat, zeros):
         # Z holds the coefficients chosen at levels s-1 .. i + 1, one row per
         # level (most significant first) and one column per partial vector,
         # its lattice's columns together and in stack order; q holds the
         # accumulated squared norm.  ``zeros`` indexes the columns that are
-        # their lattice's zero partial vector: an index array for a stack, a
-        # slice of column 0 or of none for a lone lattice (basic indexing is
-        # the cheaper)
+        # their lattice's zero partial vector (a few, whatever the level's
+        # size)
         while len(q):  # a slice whose candidates all fail ends here
             proj = row(R, i, Z, lat)
-            rii, bound = (R[i, i], bounds) if lat is None else (R[lat, i, i], bounds[lat])
+            rii, bound = R[lat, i, i], bounds[lat]
             # every q passed its own bound in _grow, so bound - q >= 0; and as
             # half >= 0 the interval's ends are ordered (rounding is
             # monotone), so hi >= lo - 1 and no count is negative
@@ -539,21 +536,22 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
             lo[zeros] = 0  # a zero partial vector (center 0, hi >= 0): one sign of each pair
             counts = hi - lo + 1
             total = int(counts.sum())
-            if lat is None:
-                seen[i] += total
-                worst = seen[i]
+            if isinstance(lat, np.ndarray):
+                seen[i] += np.bincount(lat, counts, n_lat).astype(np.int64)
+                worst = seen[i].max()
             else:
-                seen[i] = seen[i] + np.bincount(lat, counts, n_lat).astype(np.int64)
-                worst = int(seen[i].max())
-            if 2 * worst - 1 > cap:
+                seen[i, lat] += total
+                worst = seen[i, lat]
+            if 2 * int(worst) - 1 > cap:
                 raise CapacityError(
                     f"enumeration exceeded the cap of {cap} points; "
                     "reduce the radius or raise the cap")
             parts = [slice(None)] if total <= _BLOCK else _slices(counts)
             if i == 0:
                 for part in parts:
-                    yield _Runs(Z[:, part], *(cut(x, part) for x in
-                                              (lo, counts, q, proj, rii, bound, norms, lat)))
+                    yield _Runs(Z[:, part], lo[part], counts[part], q[part], proj[part],
+                                _at(rii, part), _at(bound, part), _at(lat, part),
+                                None if norms is None else norms[part])
                 return
             if len(parts) == 1:  # one block: stay breadth-first
                 Z, q, norms, lat, zeros = grow(i, Z, q, proj, rii, bound, lo, counts, norms,
@@ -562,38 +560,27 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
                 continue
             for part in parts:
                 a, b = part.start, part.stop
-                if lat is None:  # a lone lattice's zero partial vector is column 0
-                    held = zeros if a == 0 else slice(0)
-                else:
-                    held = zeros[(zeros >= a) & (zeros < b)] - a
-                child = grow(i, Z[:, part], *(cut(x, part) for x in
-                                              (q, proj, rii, bound, lo, counts, norms, lat)),
-                             held)
+                child = grow(i, Z[:, part], q[part], proj[part], _at(rii, part), _at(bound, part),
+                             lo[part], counts[part], None if norms is None else norms[part],
+                             _at(lat, part), zeros[(zeros >= a) & (zeros < b)] - a)
                 yield from descend(i - 1, *child)
             return
 
-    lat = None if n_lat == 1 else np.arange(n_lat)
     norms = None if gram is None else np.zeros(n_lat, dtype=np.int64)
-    return descend(s - 1, np.zeros((0, n_lat), dtype=np.int64), np.zeros(n_lat), norms, lat,
-                   slice(1) if lat is None else np.arange(n_lat))
+    return descend(s - 1, np.zeros((0, n_lat), dtype=np.int64), np.zeros(n_lat), norms,
+                   np.arange(n_lat) if n_lat > 1 else np.intp(0), np.arange(n_lat))
 
 
-def _coefficients(blocks) -> tuple[np.ndarray, np.ndarray | None]:
+def _coefficients(blocks) -> tuple[np.ndarray, np.ndarray]:
     """The level-0 expansion of an enumeration's blocks: one coefficient row
-    per point that passes the float radius test, in natural order, the zero
-    vectors dropped, and the lattice of each row (None for a lone lattice,
-    whose zero vector is the first)."""
+    per point that passes the float radius test, in natural order, and the
+    lattice of each row.  Each lattice's first row is its zero vector."""
     grown, lats = [], []
     for b in blocks:
         Z, _, rep, _ = _grow(b.Z, b.q, b.proj, b.r00, b.lo, b.counts, b.bound)
         grown.append(Z)
-        if b.lat is not None:
-            lats.append(b.lat[rep])
-    Z = np.concatenate(grown, axis=1)
-    if not lats:
-        return Z[::-1, 1:].T, None
-    nonzero = Z.any(axis=0)
-    return Z[::-1, nonzero].T, np.concatenate(lats)[nonzero]
+        lats.append(np.full(len(rep), _at(b.lat, rep)))
+    return np.concatenate(grown, axis=1)[::-1].T, np.concatenate(lats)
 
 
 def _reduced_head(lat: IntegerLattice, r_sq: int) -> tuple[np.ndarray, int]:
@@ -683,7 +670,7 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
     if isinstance(lat, IntegerLattice):
         return _half_in_basis(_enumeration_basis(lat, r_sq)[None], [r_sq], cap)[0]
     try:
-        Z = _coefficients(_fincke_pohst_runs(gram(lat)[None], [float(r_sq)], cap))[0]
+        Z = _coefficients(_fincke_pohst_runs(gram(lat)[None], [float(r_sq)], cap))[0][1:]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("Gram matrix is not positive definite") from exc
     pts = Z @ lat.basis.T
@@ -697,13 +684,10 @@ def _half_in_basis(bases: np.ndarray, r_sq, cap: int) -> tuple[np.ndarray, np.nd
     squared radius of its entry of r_sq or more, in one enumeration: the
     points of each lattice in turn, and the lattice of each point."""
     Z, lat = _coefficients(_integer_runs(bases, r_sq, cap))
-    if lat is None:
-        pts = Z @ bases[0].T
-        keep = np.einsum("ij,ij->i", pts, pts) <= r_sq[0]
-        return pts[keep], np.zeros(int(keep.sum()), dtype=np.intp)
-    parts = np.split(Z, lat.searchsorted(np.arange(1, len(bases))))  # lattice by lattice
-    pts = np.concatenate([z @ basis.T for z, basis in zip(parts, bases)])
-    keep = np.einsum("ij,ij->i", pts, pts) <= np.asarray(r_sq)[lat]
+    ends = [0, *lat.searchsorted(np.arange(1, len(bases))).tolist(), len(Z)]
+    pts = np.concatenate([Z[a:b] @ basis.T for a, b, basis in zip(ends, ends[1:], bases)])
+    norms = np.einsum("ij,ij->i", pts, pts)
+    keep = (norms > 0) & (norms <= np.asarray(r_sq)[lat])  # the zero vectors dropped
     return pts[keep], lat[keep]
 
 
@@ -739,13 +723,6 @@ def _require_integer(lat) -> None:
 
 
 def _min_column_norm(basis: np.ndarray) -> int:
-    """The least squared column norm, exactly: in floats where every column's
-    is below 2^53, which keeps each term and partial sum exact (rounding is
-    monotone, so a norm from 2^53 up never reads below it)."""
-    f = basis.astype(float)
-    norms = np.einsum("ij,ij->j", f, f)
-    if norms.max() < 2.0 ** 53:
-        return int(norms.min())
     return min(sum(x * x for x in col) for col in basis.T.tolist())
 
 
@@ -755,17 +732,19 @@ def _shell_ranks(shells: list[np.ndarray], l1s: list[int]) -> list[int]:
     By Hadamard's inequality every t x t minor of such rows is at most
     l1^(t/2) in magnitude, so :func:`_bareiss` keeps every product within
     l1^min(rows, columns) and every entry it forms within int64 while that
-    stays below 2^62.  The shells that pass are ranked by one elimination of
-    their stack, padded with zero rows and columns; the others by
-    :func:`independent_rows` on Python integers.
+    stays below 2^62.  Where two or more shells pass, one elimination of
+    their stack, padded with zero rows and columns, ranks them all.  The
+    others are ranked on Python integers by :func:`independent_rows`, and so
+    is a lone shell: its few rows cost less there than the elimination's
+    fixed numpy cost.
     """
-    ranks = [None] * len(shells)
-    fits = []
-    for i, (shell, l1) in enumerate(zip(shells, l1s)):
-        if l1 ** min(shell.shape) < 1 << 62:
-            fits.append(i)
-        else:
-            ranks[i] = len(independent_rows(shell.tolist(), shell.shape[1]))
+    fits = [i for i, (shell, l1) in enumerate(zip(shells, l1s))
+            if l1 ** min(shell.shape) < 1 << 62]
+    if len(fits) < 2:
+        fits = []
+    held = set(fits)
+    ranks = [None if i in held else len(independent_rows(shell.tolist(), shell.shape[1]))
+             for i, shell in enumerate(shells)]
     if fits:
         a = np.zeros((len(fits), max(len(shells[i]) for i in fits),
                       max(shells[i].shape[1] for i in fits)), dtype=np.int64)
@@ -791,9 +770,14 @@ def shortest_shells(lats, cap: int = ENUMERATION_CAP) -> list[tuple[int, int]]:
     one shape are enumerated together, one :func:`_fincke_pohst_runs` per
     shape, and every shell is ranked in one elimination
     (:func:`_shell_ranks`).  A lattice is well-rounded exactly when its rank
-    is k.  Errors are those of the lattices one by one, the first in order:
-    each lattice keeps its own cap, and the lattices before one whose basis
-    cannot be enumerated are enumerated before its error is raised.
+    is k.
+
+    Errors keep the class they would have one by one (CapacityError for
+    every enumeration error), though not always the message.  Each lattice
+    keeps its own cap, and the lattices before one whose basis cannot be
+    enumerated are enumerated before that error is raised; but where several
+    lattices fail in enumeration, the error raised is the first met, group
+    by group, and a float Cholesky factor that fails fails its whole group.
     """
     picked = []  # (basis, radius) of each lattice
     try:
@@ -814,9 +798,10 @@ def shortest_shells(lats, cap: int = ENUMERATION_CAP) -> list[tuple[int, int]]:
             # every lattice holds a point: its radius is lambda_1^2 or more
             least = np.minimum.reduceat(norms, owner.searchsorted(np.arange(len(members))))
             on = norms == least[owner]
-            cuts = owner[on].searchsorted(np.arange(1, len(members)))
-            for i, l1, shell in zip(members, least.tolist(), np.split(pts[on], cuts)):
-                l1s[i], shells[i] = l1, shell
+            pts, owner = pts[on], owner[on]
+            ends = [0, *owner.searchsorted(np.arange(1, len(members))).tolist(), len(pts)]
+            for i, l1, a, b in zip(members, least.tolist(), ends, ends[1:]):
+                l1s[i], shells[i] = l1, pts[a:b]
     return list(zip(l1s, _shell_ranks(shells, l1s)))
 
 

@@ -697,6 +697,8 @@ class TestShortestShells:
         # Hadamard: the elimination of a shell of size m holds l1^min(m, k)
         past_guard = sum(l1 ** min(size, lat.k) >= 1 << 62 for lat, (l1, _, size) in
                          zip(lats, oracles))
+        if len(lats) - past_guard == 1:  # a lone shell within the guard is not stacked
+            past_guard += 1
         expected = [(l1, rank) for l1, rank, _ in oracles]
         ranked = []
         real = lattice.independent_rows
@@ -704,19 +706,30 @@ class TestShortestShells:
             patch.setattr(lattice, "independent_rows",
                           lambda rows, limit=None: ranked.append(rows) or real(rows, limit))
             assert lattice.shortest_shells(lats) == expected
-        assert len(ranked) == past_guard  # those shells alone take the fallback
+        assert len(ranked) == past_guard  # those shells alone take Python integers
         assert [shortest_shell(lat) for lat in lats] == expected
 
     def test_shells_past_the_guard_are_ranked_on_python_integers(self):
-        lats = [IntegerLattice(2 ** e * np.eye(3, dtype=np.int64)) for e in (10, 11, 20)]
+        lats = [IntegerLattice(2 ** e * np.eye(3, dtype=np.int64)) for e in (10, 11, 20, 9)]
         ranked = []
         real = lattice.independent_rows
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lattice, "independent_rows",
                           lambda rows, limit=None: ranked.append(rows) or real(rows, limit))
-            # 2^20 I_3: 2^120 past 2^62; 2^11 I_3: 2^66, also past; 2^10 I_3 is not
-            assert lattice.shortest_shells(lats) == [(2 ** 20, 3), (2 ** 22, 3), (2 ** 40, 3)]
-        assert len(ranked) == 2
+            # 2^20 I_3: 2^120 past 2^62; 2^11 I_3: 2^66, also past; 2^10 I_3
+            # and 2^9 I_3 are not, and are stacked
+            assert lattice.shortest_shells(lats) == [(2 ** 20, 3), (2 ** 22, 3), (2 ** 40, 3),
+                                                     (2 ** 18, 3)]
+            assert len(ranked) == 2
+            # a lone shell within the guard is ranked on Python integers too
+            assert lattice.shortest_shells(lats[:1]) == [(2 ** 20, 3)]
+            assert len(ranked) == 3
+            stacked = []
+            patch.setattr(lattice, "_bareiss",
+                          lambda a, cols, real=lattice._bareiss: stacked.append(len(a))
+                          or real(a, cols))
+            assert lattice.shortest_shells(lats[:1] + lats[3:]) == [(2 ** 20, 3), (2 ** 18, 3)]
+        assert len(ranked) == 3 and stacked == [2]
 
     @settings(max_examples=40, deadline=None)
     @given(bases=st.lists(small_bases(), min_size=2, max_size=4), cap=st.integers(1, 40))
