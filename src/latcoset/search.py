@@ -1,17 +1,18 @@
 """Randomized search for well-rounded sublattices of 2Z^k with a given index.
 
-Restart candidates come in two stages, a block of draws at a time.  The
-shell stage draws k vectors of one norm shell of Z^k, from Hermite's
-ceiling on lambda_1^2 down, and keeps the draws of index n: each has k
-independent vectors of that norm, so it is well-rounded exactly when the
-lattice holds no shorter vector.  Hermite restarts then draw lower
-triangular Hermite forms (diagonal product equal to the index, residues
-reduced).  That reaches every sublattice of the index when the index
-factors fully below ``_PRIME_LIMIT``; a cofactor left composite past it is
-never split across the diagonal, so the sublattices that split it are never
-drawn.  Feasible means well-rounded; candidates are ranked by their
-shortest-vector norm with a lexicographic tie-break so the winner does not
-depend on evaluation order.
+Every candidate source runs the same block steps: one vectorized draw, one
+elimination for the adjugates, one membership pass for the shortest shells.
+Restarts come in two stages.  The shell stage draws k vectors of one norm
+shell of Z^k, from Hermite's ceiling on lambda_1^2 down (odd norms only for
+odd n), and keeps the draws of index n: each has k independent vectors of
+that norm, so it is well-rounded exactly when it holds no shorter vector.
+Hermite restarts then draw lower triangular Hermite forms (diagonal product
+equal to the index, residues reduced).  That reaches every sublattice of
+the index when it factors fully below ``_PRIME_LIMIT``; a cofactor left
+composite past it is never split across the diagonal, so the sublattices
+that split it are never drawn.  Feasible means well-rounded; candidates are
+ranked by their shortest-vector norm with a lexicographic tie-break so the
+winner does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, NoFeasibleCandidate
 from .lattice import (IntegerLattice, _bareiss, _half_shorter_than, _minkowski_radius_sq,
-                      independent_rows, shortest_shell, shortest_shells)
+                      independent_rows, shortest_shells)
 
 _PRIME_LIMIT = 10 ** 6
 
@@ -74,7 +75,7 @@ class SearchConfig:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.hill_climb and self.k < 2:
-            # every move of a 1 x 1 basis has i == j, so none spends budget
+            # a move adds a multiple of one row to another
             raise ValueError("hill climbing needs k >= 2")
         # every Hermite form of det n has a diagonal entry d >= n^(1/k), and
         # its basis holds 2d
@@ -261,34 +262,35 @@ def _block_shells(ms: np.ndarray, n: int,
     return _shell_hits(_adjugates(ms)[0] % n, n, table)
 
 
-def _shell_bases(shell: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _shell_bases(shell: np.ndarray, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The bases M of ``_BLOCK`` draws of k vectors of one norm shell of Z^k
     (one of each +-pair, with replacement) as columns, kept in draw order
-    where |det M| = n.  Negating a column leaves the lattice as it is, so no
-    sign is drawn.  The caller makes sure int64 holds the elimination."""
+    where |det M| = n, and their membership operators adj(M) mod n for
+    :func:`_shell_hits`, from the one elimination that gave the
+    determinants.  Negating a column leaves the lattice as it is, so no sign
+    is drawn.  The caller makes sure int64 holds the elimination."""
     k = shell.shape[1]
     ms = shell[rng.integers(0, len(shell), size=(_BLOCK, k))].transpose(0, 2, 1)
-    return ms[_adjugates(ms)[1] == n]
+    adj, det = _adjugates(ms)
+    return ms[det == n], adj[det == n] % n
 
 
-def _climb_moves(k: int, count: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """The next ``count`` hill-climb moves (i, j, f), row j += f row i; a
-    draw with i == j is skipped and costs no budget."""
-    moves = []
-    while len(moves) < count:
-        i, j = rng.integers(0, k, size=2)
-        if i == j:
-            continue
-        moves.append((int(i), int(j), int(rng.integers(0, 2)) * 2 - 1))
-    return moves
+def _climb_moves(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The next ``count`` hill-climb moves as rows (i, j, f), row j += f row
+    i: i uniform on 0..k-1, j uniform on the other k - 1 rows and f = +-1,
+    three draws for the whole block."""
+    i = rng.integers(0, k, size=count)
+    j = (i + rng.integers(1, k, size=count)) % k
+    return np.stack([i, j, 2 * rng.integers(0, 2, size=count) - 1], axis=1)
 
 
-def _climb_trials(m: np.ndarray, moves: list) -> np.ndarray:
-    """The stack of E M for the hill-climb moves E = (i, j, f) of the
-    incumbent 2M, row j += f row i, which keeps the index.  The entries of
-    2M fit in int64, so no row sum wraps; CapacityError is raised when an
-    entry of some 2EM does not fit."""
-    i, j, f = (np.array(x) for x in zip(*moves))
+def _climb_trials(m: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """The stack of E M for the hill-climb moves E = (i, j, f), rows of
+    ``moves``, of the incumbent 2M, row j += f row i, which keeps the index.
+    The entries of 2M fit in int64, so no row sum wraps; CapacityError is
+    raised when an entry of some 2EM does not fit."""
+    i, j, f = moves.T
     rows = m[j] + f[:, None] * m[i]
     if np.abs(rows).max() > _INT64_MAX // 2:
         raise CapacityError("a candidate basis entry does not fit in int64")
@@ -303,27 +305,22 @@ def _lex(basis: np.ndarray) -> tuple:
     return tuple(basis.ravel().tolist())
 
 
-def _balanced_diagonal(k: int, n: int) -> np.ndarray | None:
-    """diag(d, ..., d) with d^k = n, when n is a perfect k-th power."""
-    d = _iroot(n, k)
-    return np.diag([d] * k).astype(np.int64) if d ** k == n else None
-
-
 def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchReport]:
     """Randomized search for a well-rounded sublattice of 2Z^k.
 
     Spends the budget on random restarts (seeded with the balanced diagonal
-    lattice when the index is a perfect k-th power), keeping the
-    well-rounded candidate with maximal lambda_1^2.  The shell stage spends
-    at most half the restarts: one block of :func:`_shell_bases` draws per
-    norm shell of the :func:`_hermite_ceiling` table, from the top down,
-    until a shell gives a well-rounded lattice of its own norm.  Hermite
-    restarts (:func:`_hermite_forms`) spend the rest.  With ``hill_climb``
-    half the budget refines the incumbent by elementary index-preserving
-    basis moves, climbing on (lambda_1^2, shell rank).  Each block's
-    shortest shells are found at once (:func:`_block_shells`); after a trial
-    is accepted the rest of its block is evaluated again, so the result is
-    that of a move-by-move climb.
+    lattice, a block of one, when the index is a perfect k-th power),
+    keeping the well-rounded candidate with maximal lambda_1^2.  The shell
+    stage spends at most half the restarts: one block of
+    :func:`_shell_bases` draws per norm shell of the :func:`_hermite_ceiling`
+    table (odd norms only for odd n), from the top down, until a shell gives
+    a well-rounded lattice of its own norm.  Hermite restarts
+    (:func:`_hermite_forms`) spend the rest.  With ``hill_climb`` half the
+    budget refines the incumbent by elementary index-preserving basis moves
+    (:func:`_climb_moves`), climbing on (lambda_1^2, shell rank).  Each
+    block's shortest shells are found at once; after a trial is accepted
+    the rest of its block is evaluated again, so the result is that of a
+    move-by-move climb.
     Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
     well-rounded candidate shows up; the exception carries the best non-WR
     lattice and the report.
@@ -360,17 +357,16 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
                 if best_wr is None or (-l1, lex) < best_wr[0]:
                     best_wr = ((-l1, lex), basis, l1, rank)
 
-    diag = _balanced_diagonal(k, n)
-    if diag is not None and remaining > 0:
-        balanced = IntegerLattice(2 * diag)
-        consider(*shortest_shell(balanced), lambda: balanced.B)
-
     # Hermite's ceiling bounds lambda_1^2 of every index-n lattice, so its
     # table serves every block; the axis points alone pass the table cap
     # when 2k n^(1/k) does
-    table = None
-    if 2 * k * _iroot(n, k) <= _TABLE_CAP:
+    root, table = _iroot(n, k), None
+    if 2 * k * root <= _TABLE_CAP:
         table = _short_vectors(k, _hermite_ceiling(k, n))
+
+    if root ** k == n:  # the balanced diagonal diag(root, ..., root)
+        diag = root * np.eye(k, dtype=np.int64)
+        consider(*_block_shells(diag[None], n, table)[0], lambda: 2 * diag)
 
     # the shell stage: k vectors of one norm shell of Z^k, from the ceiling
     # down, on at most half the restarts; a draw of another index is no
@@ -380,14 +376,16 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     for norm, start, stop in reversed(table[1] if table is not None else []):
         if share == 0 or norm ** k < n * n:  # Hadamard: |det M| <= norm^(k/2)
             break
-        if k * k * norm ** k >= 1 << 62:  # _block_shells' int64 bound, for _shell_bases
+        # at an even norm every column is even-weight mod 2, so det M is
+        # even; columns of norm ``norm`` meet _block_shells' Hadamard bound
+        if n % 2 and norm % 2 == 0 or k * k * norm ** k >= 1 << 62:
             continue
-        ms = _shell_bases(table[0][start:stop], n, rng)[:share]
+        ms, ops = (x[:share] for x in _shell_bases(table[0][start:stop], n, rng))
         if not len(ms):
             continue
         share -= len(ms)
         restarts -= len(ms)
-        shells = _block_shells(ms, n, table)
+        shells = _shell_hits(ops, n, table)
         for m, (l1, rank) in zip(ms, shells):
             consider(l1, rank, lambda m=m: 2 * m)
         if (4 * norm, k) in shells:  # well-rounded at the shell's own norm

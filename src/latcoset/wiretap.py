@@ -341,15 +341,18 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1")
 
 
-def _resolve_strategy(decoder: str, m: int, k: int) -> str:
+def _resolve_strategy(decoder: str, code_map: STCodeMap, m: int) -> str:
     if decoder not in ("auto", "sphere", "exhaustive"):
         raise ValueError("decoder must be one of auto|sphere|exhaustive")
-    if decoder == "exhaustive" and m ** k > DEFAULT_CODEBOOK_CAP:
-        raise CodebookTooLarge(f"|S|^k = {m ** k} exceeds the exhaustive-decoding "
+    words = m ** code_map.k
+    if decoder == "exhaustive" and words > DEFAULT_CODEBOOK_CAP:
+        raise CodebookTooLarge(f"|S|^k = {words} exceeds the exhaustive-decoding "
                                f"cap {DEFAULT_CODEBOOK_CAP}; use the sphere decoder")
     if decoder != "auto":
         return decoder
-    return "exhaustive" if m ** k <= DEFAULT_CODEBOOK_CAP else "sphere"
+    if words <= DEFAULT_CODEBOOK_CAP or _design_gram_error(code_map) is not None:
+        return "exhaustive"
+    return "sphere"
 
 
 def _curve(snr_db_list, successes, trials: int) -> ECDPCurve:
@@ -372,8 +375,9 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     not an integer >= 1.
 
     ``decoder`` is ``auto``, ``exhaustive`` or ``sphere``; ``auto`` is
-    ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and ``sphere``
-    beyond, and ``exhaustive`` past it raises CodebookTooLarge.  The
+    ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and for an
+    orthogonal design at any size, ``sphere`` otherwise, and ``exhaustive``
+    past the cap raises CodebookTooLarge.  The
     ``exhaustive`` strategy decodes an orthogonal design such as alamouti,
     whose Heff^T Heff is g I for every channel (decided once per map from
     the blocks of its channel map), by per-coordinate slicing at any m
@@ -405,7 +409,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
             raise ValueError("every code must use the run's code map and alphabet")
     if not all(math.isfinite(snr_db) for snr_db in snr_db_list):
         raise ValueError("SNR values must be finite")
-    strategy = _resolve_strategy(decoder, alphabet.m, code_map.k)
+    strategy = _resolve_strategy(decoder, code_map, alphabet.m)
     tests = _coset_tests([code.labeler for code in codes], alphabet.m)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     tasks = []

@@ -138,7 +138,7 @@ class TestSearch:
             assert rep.best_is_wr and rep.best_lambda1_sq == 32, seed
 
     def test_hill_climb_needs_two_dimensions(self):
-        # every move of a 1 x 1 basis has i == j and spends no budget
+        # a 1 x 1 basis has no row to add to another
         with pytest.raises(ValueError, match="k >= 2"):
             SearchConfig(k=1, target_index=4, budget=4, seed=0, hill_climb=True)
         SearchConfig(k=1, target_index=4, budget=4, seed=0)
@@ -188,8 +188,10 @@ def _sequential_search(cfg):
     for norm, start, stop in reversed(shells):
         if share == 0 or norm ** k < n * n:
             break
+        if n % 2 and norm % 2 == 0:  # every draw has an even determinant
+            continue
         got = [consider(IntegerLattice(2 * m))
-               for m in search._shell_bases(u[start:stop], n, rng)[:share]]
+               for m in search._shell_bases(u[start:stop], n, rng)[0][:share]]
         share -= len(got)
         restarts -= len(got)
         if (4 * norm, k) in got:
@@ -202,17 +204,14 @@ def _sequential_search(cfg):
         _, current, _ = best_wr if best_wr is not None else best_any
         cur = shortest_shell(current)
         while remaining > 0:
-            i, j = rng.integers(0, k, size=2)
-            if i == j:
-                continue
-            coeff = int(rng.integers(0, 2)) * 2 - 1
-            b = current.B.copy()
-            b[j, :] += coeff * b[i, :]
-            trial = IntegerLattice(b)
-            got = consider(trial)
-            remaining -= 1
-            if got > cur:
-                current, cur = trial, got
+            for i, j, f in search._climb_moves(k, min(search._BLOCK, remaining), rng):
+                b = current.B.copy()
+                b[j, :] += f * b[i, :]
+                trial = IntegerLattice(b)
+                got = consider(trial)
+                remaining -= 1
+                if got > cur:
+                    current, cur = trial, got
     _, lat, l1 = best_wr if best_wr is not None else best_any
     report = search.SearchReport(evaluated=cfg.budget, feasible=feasible,
                                  best_lambda1_sq=l1, best_is_wr=best_wr is not None)
@@ -276,7 +275,7 @@ class TestBlockEvaluation:
         rng = np.random.default_rng(seed)
         m = random_sublattice_with_index(k, n, rng).B // 2
         for mv in search._climb_moves(k, climbed, rng):  # an incumbent past a few climbs
-            m = search._climb_trials(m, [mv])[0]
+            m = search._climb_trials(m, mv[None])[0]
         trials = search._climb_trials(m, search._climb_moves(k, size, rng))
         expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
         assert search._block_shells(trials, n) == expected
@@ -284,7 +283,8 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("k,n", [(2, 32), (3, 105), (4, 32), (4, 256), (6, 105)])
     def test_climb_matches_enumeration_on_every_move(self, monkeypatch, k, n):
         rng = np.random.default_rng(k * n)
-        moves = [(i, j, f) for i in range(k) for j in range(k) if i != j for f in (-1, 1)]
+        moves = np.array([(i, j, f) for i in range(k) for j in range(k) if i != j
+                          for f in (-1, 1)])
         for _ in range(3):
             trials = search._climb_trials(random_sublattice_with_index(k, n, rng).B // 2, moves)
             expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
@@ -321,7 +321,7 @@ class TestBlockEvaluation:
             under = search._hermite_forms(k, search._factorize(n), 1, np.random.default_rng(k))[0]
             s = 0
             while k * k * hadamard_sq(past := search._climb_trials(
-                    under, [(s % k, (s + 1) % k, 1)])[0]) < 1 << 62:
+                    under, np.array([(s % k, (s + 1) % k, 1)]))[0]) < 1 << 62:
                 under, s = past, s + 1
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in (under, past)]
             calls = []
@@ -364,9 +364,10 @@ class TestBlockEvaluation:
 
     def test_climb_trial_past_int64_raises(self):
         m = np.array([[2 ** 61, 0], [2 ** 61, 1]], dtype=np.int64)
-        assert search._climb_trials(m, [(1, 0, -1)])[0].tolist() == [[0, -1], [2 ** 61, 1]]
+        moves = np.array([(1, 0, -1), (0, 1, 1)])
+        assert search._climb_trials(m, moves[:1])[0].tolist() == [[0, -1], [2 ** 61, 1]]
         with pytest.raises(CapacityError, match="int64"):
-            search._climb_trials(m, [(1, 0, -1), (0, 1, 1)])
+            search._climb_trials(m, moves)
 
     @pytest.mark.parametrize("hill_climb", [False, True])
     @pytest.mark.parametrize("index", [32, 256])
@@ -399,12 +400,13 @@ class TestBlockEvaluation:
 
     def test_restarts_make_no_per_candidate_enumeration(self, monkeypatch):
         calls = []
-        real = search.shortest_shell
-        monkeypatch.setattr(search, "shortest_shell",
-                            lambda lat, *a: calls.append(lat) or real(lat, *a))
+        for module, name in [(lattice, "shortest_shell"), (lattice, "shortest_shells"),
+                             (search, "shortest_shells")]:
+            monkeypatch.setattr(module, name, lambda *a, real=getattr(module, name):
+                                calls.append(a) or real(*a))
+        assert not hasattr(search, "shortest_shell")
         _outcome(SearchConfig(k=4, target_index=256, budget=600, seed=0))
-        assert len(calls) == 1  # the seeded diagonal
-        calls.clear()
+        assert calls == []  # the seeded diagonal is ranked as a block of one
         _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0))
         assert calls == []
         _outcome(SearchConfig(k=4, target_index=32, budget=600, seed=0, hill_climb=True))
@@ -412,13 +414,14 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("k,hill_climb,digest", [
         (16, False, "efcd8ee50ac01598bed4a12142655ca7e7c8d2cd2ae020a1b6464dc06f8c7a46"),
-        (16, True, "5baeda38071f71a7daf02ff6eb29ff3b98fdc58260d15550d3e74571ac40983b"),
+        (16, True, "a9ac069528e2fa77256ddc415e4429c693efd854603927ed8dd509407e51cfac"),
         (24, False, "f60284e7ef2729138aa67ede6735c67264b8cf52cc2aee9fcbd5e8934812219f"),
-        (24, True, "4169f120496d429b9af53b2721a093a206f6b5741c74d757406dd5d3a1de9453"),
+        (24, True, "77e82b5c860465768b2db49e8e5dbe819b11b42f3971c0738755458fcfcfd0ad"),
     ], ids=["k16", "k16-climb", "k24", "k24-climb"])
     def test_high_dimension_index_2_unchanged(self, k, hill_climb, digest):
         # digests of the best lattice's JSON, taken when the shell stage and
-        # block Hermite draws replaced the sampler of 2HV; every index-2
+        # block Hermite draws replaced the sampler of 2HV (the climbing ones
+        # when climb moves were drawn a block at a time); every index-2
         # sublattice has lambda_1^2 = 4
         with pytest.raises(NoFeasibleCandidate) as err:
             search_wr_sublattice(SearchConfig(k=k, target_index=2, budget=300, seed=0,
@@ -432,8 +435,8 @@ class TestBlockEvaluation:
         # 10^5), the int64 fallback (k = 3 at 10^9; both at k = 2 past 10^6),
         # the exact reduction of bases whose Gram matrix floats cannot hold
         # (k = 3 at 10^9 and the large primes) and exit 4 (k = 4 at 2^70); the
-        # digest was taken when the shell stage and block Hermite draws
-        # replaced the sampler of 2HV
+        # digest was taken when climb moves were drawn a block at a time and
+        # odd indices stopped drawing even-norm shells
         runs = []
         for k, index, budget, climb in [(4, 32, 400, False), (4, 32, 400, True),
                                         (4, 105, 400, True), (6, 8, 400, True),
@@ -447,7 +450,7 @@ class TestBlockEvaluation:
             runs.append([argv, code, out.out, out.err])
         assert [code for _, code, _, _ in runs] == [0, 0, 1, 1, 1, 0, 1, 1, 1, 4]
         assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == (
-            "92369353d3783529479f1e21a82833231deffdf4b642c79a1c20ed4d4a2eb87f")
+            "3b7bbb7ba066b2223bb99180f6497122f51aeeaeb21f0141c1d8012816189493")
 
     def test_index_factorized_once_per_search(self, monkeypatch):
         calls = []
@@ -518,7 +521,10 @@ class TestRestartDraws:
         u, shells = table
         drawn = [search._shell_bases(u[start:stop], n, rng)
                  for norm, start, stop in shells if norm ** k >= n * n]
-        shell_ms = np.concatenate(drawn)
+        shell_ms, shell_ops = (np.concatenate(x) for x in zip(*drawn))
+        # the shell stage ranks its draws with the operators that selected them
+        assert search._shell_hits(shell_ops, n, table) == \
+            [shortest_shell(IntegerLattice(2 * m)) for m in shell_ms]
         hermite_ms = search._hermite_forms(k, search._factorize(n), 64, rng)
         assert len(shell_ms) > 0
         for ms in (shell_ms, hermite_ms):
@@ -533,8 +539,55 @@ class TestRestartDraws:
                 assert search._block_shells(ms, n) == expected
         # a shell draw has k independent columns of its shell's norm
         for norm, start, stop in shells:
-            for m in search._shell_bases(u[start:stop], n, rng):
+            for m in search._shell_bases(u[start:stop], n, rng)[0]:
                 assert (m * m).sum(axis=0).tolist() == [norm] * k
+
+    @pytest.mark.parametrize("k,n", [(4, 105), (3, 105)])
+    def test_odd_index_draws_no_even_norm_block(self, monkeypatch, k, n):
+        # an even-norm column is even-weight mod 2, so k of them have an even det
+        norms = []
+        real = search._shell_bases
+        monkeypatch.setattr(search, "_shell_bases",
+                            lambda shell, *a: norms.append(int(shell[0] @ shell[0])) or
+                            real(shell, *a))
+        _outcome(SearchConfig(k=k, target_index=n, budget=400, seed=0))
+        assert norms and all(norm % 2 for norm in norms), norms
+
+    @pytest.mark.parametrize("k,n", [(4, 32), (4, 105)])
+    def test_one_elimination_per_shell_stage_block(self, monkeypatch, k, n):
+        counts = collections.Counter()
+        for name in ("_bareiss", "_shell_bases", "_hermite_forms"):
+            monkeypatch.setattr(search, name, lambda *a, name=name, real=getattr(search, name):
+                                counts.update([name]) or real(*a))
+        _outcome(SearchConfig(k=k, target_index=n, budget=400, seed=0))
+        assert counts["_shell_bases"] > 0
+        # a shell-stage block keeps its draws' adjugates; a Hermite block has one
+        assert counts["_bareiss"] == counts["_shell_bases"] + counts["_hermite_forms"]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_climb_moves_are_uniform(self, k):
+        draws = []
+
+        class Counted:
+            def integers(self, *args, **kwargs):
+                draws.append(args)
+                return rng.integers(*args, **kwargs)
+
+        rng, count = np.random.default_rng(k), 10 ** 5
+        moves = search._climb_moves(k, count, Counted())
+        assert len(draws) == 3 and moves.shape == (count, 3)
+        i, j, f = moves.T
+        assert not np.any(i == j)
+        if k == 2:
+            assert np.array_equal(j, 1 - i)
+        # every ordered pair i != j and each sign: Binomial(count, p) counts,
+        # each within 5 standard deviations of its mean
+        pairs = np.unique(i * k + j, return_counts=True)
+        signs = np.unique(f, return_counts=True)
+        assert pairs[0].tolist() == [a * k + b for a in range(k) for b in range(k) if a != b]
+        assert signs[0].tolist() == [-1, 1]
+        for (_, hits), p in [(pairs, 1 / (k * (k - 1))), (signs, 1 / 2)]:
+            assert np.all(np.abs(hits - count * p) < 5 * math.sqrt(count * p * (1 - p))), hits
 
     def test_hermite_draws_reach_every_diagonal_uniformly(self):
         rng = np.random.default_rng(5)

@@ -23,6 +23,7 @@ import latcoset.lattice as lattice
 import latcoset.stcode as stcode
 import latcoset.wiretap as wiretap
 from latcoset.channel import _real_expand, snr_to_sigma
+from latcoset.cli import main as cli_main
 from latcoset.search import random_sublattice_with_index
 from latcoset.wiretap import simulate_curves
 
@@ -317,6 +318,21 @@ class TestMonteCarlo:
             curve = ecdp_monte_carlo(coset("alamouti", "L2", 30), [0.0, 30.0], 300, seed=24,
                                      decoder=name)
             assert [p.trials for p in curve.points] == [300, 300]
+
+    def test_alamouti_32_pam_auto_slices(self, monkeypatch, capsys):
+        # 32^4 = 1 048 576 words, past the exhaustive cap: auto slices the
+        # orthogonal design all the same, with the recursion's decisions
+        c = coset("alamouti", "L2", 32)
+        calls = []
+        real = decoder.sphere_decode
+        monkeypatch.setattr(decoder, "sphere_decode", lambda p: calls.append(p) or real(p))
+        auto = ecdp_monte_carlo(c, [0.0, 20.0], 64, seed=1)
+        assert calls == []
+        assert ecdp_monte_carlo(c, [0.0, 20.0], 64, seed=1, decoder="sphere") == auto
+        assert len(calls) == 128
+        argv = ["simulate", "--code", "alamouti", "--pam", "32", "--lattices", "L2",
+                "--snr", "0", "--trials", "1", "--decoder", "exhaustive"]
+        assert cli_main(argv) == 2 and "cap" in capsys.readouterr().err
 
     def test_setup_is_built_once_per_sublattice(self, monkeypatch):
         calls = []
