@@ -1,7 +1,9 @@
 """Randomized search for well-rounded sublattices of 2Z^k with a given index.
 
 Every candidate source runs the same block steps: one vectorized draw, one
-elimination for the adjugates, one membership pass for the shortest shells.
+elimination for the adjugates, one membership pass for the shortest shells,
+ranks read from hit counts, and one incumbent update.  Python sees a block's
+candidates only where three or more shell vectors hit, to rank them.
 Restarts come in two stages.  The shell stage draws k vectors of one norm
 shell of Z^k, from Hermite's ceiling on lambda_1^2 down (odd norms only for
 odd n), and keeps the draws of index n: each has k independent vectors of
@@ -186,37 +188,46 @@ def _short_vectors(k: int, r: int) -> tuple[np.ndarray, list] | None:
     return u, list(zip(levels.tolist(), starts.tolist(), stops.tolist()))
 
 
-def _shell_hits(ops: np.ndarray, n: int, table: tuple[np.ndarray, list]) -> list[tuple[int, int]]:
-    """(lambda_1^2, shell rank) of each lattice of a block from its
-    membership operator: 2u lies in lattice b exactly when ops[b] u = 0
-    (mod n).
+def _shell_hits(ops: np.ndarray, n: int,
+                table: tuple[np.ndarray, list]) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_1^2, shell rank) of each lattice of a block, as two int64
+    arrays, from its membership operator: 2u lies in lattice b exactly when
+    ops[b] u = 0 (mod n).
 
     The block is tested against the short-vector ``table`` of
     :func:`_short_vectors` a norm shell at a time; a lattice leaves at its
     first shell with a hit, which gives lambda_1^2, and the rank of its hits
-    there is the shell rank.  The caller makes sure the table reaches every
-    lattice's shortest vectors and that int64 holds every product sum.
+    there is the shell rank.  One or two hits are independent, so their
+    count is their rank: the table holds one vector of each +-pair and a
+    shell's vectors share one norm, so two of them are parallel only when
+    equal up to sign.  Only three or more hits are ranked, by
+    :func:`independent_rows` once per hit pattern (a block repeats few).
+    The caller makes sure the table reaches every lattice's shortest vectors
+    and that int64 holds every product sum.
     """
     u, shells = table
     b, k = ops.shape[:2]
-    out = [None] * b
+    l1, rank = np.zeros(b, dtype=np.int64), np.zeros(b, dtype=np.int64)
     active = np.arange(b)
     for norm, start, stop in shells:
         a, shell = ops[active], u[start:stop]
         step = max(1, _BLOCK_ELEMENTS // (len(active) * k))
         hits = np.concatenate([np.all(a @ shell[c:c + step].T % n == 0, axis=1)
                                for c in range(0, len(shell), step)], axis=1)
-        found = hits.any(axis=1)
-        ranks = {}  # by hit pattern: a block repeats few of them
-        for row in np.flatnonzero(found):
+        count = hits.sum(axis=1)
+        found = count > 0
+        l1[active[found]] = 4 * norm
+        rank[active[found]] = count[found]
+        ranks = {}
+        for row in np.flatnonzero(count > 2):
             key = hits[row].tobytes()
             if key not in ranks:
                 ranks[key] = len(independent_rows(shell[hits[row]], k))
-            out[active[row]] = (4 * norm, ranks[key])
+            rank[active[row]] = ranks[key]
         active = active[~found]
         if not len(active):
             break
-    return out
+    return l1, rank
 
 
 def _adjugates(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +242,9 @@ def _adjugates(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_shells(ms: np.ndarray, n: int,
-                  table: tuple[np.ndarray, list] | None = None) -> list[tuple[int, int]]:
+                  table: tuple[np.ndarray, list] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_1^2, shell rank) of the lattice 2M for each integer basis M
-    of |det M| = n in the stack ``ms``, exactly; the values
+    of |det M| = n in the stack ``ms``, exactly, as two arrays; the values
     :func:`shortest_shell` gives.
 
     2u lies in the lattice of 2M exactly when adj(M) u = 0 (mod n)
@@ -243,7 +254,8 @@ def _block_shells(ms: np.ndarray, n: int,
     block's largest min(shortest column of 2M, Minkowski ceiling).  The
     block's lattices 2M are enumerated together by :func:`shortest_shells`
     instead when the table would pass ``_TABLE_CAP`` or int64 cannot be
-    shown to hold the arithmetic.
+    shown to hold the arithmetic; their arrays are of Python integers, since
+    lambda_1^2 of such a lattice may pass int64.
     """
     k = ms.shape[1]
     sq = ms.astype(float) ** 2
@@ -258,7 +270,8 @@ def _block_shells(ms: np.ndarray, n: int,
         col = int((ms * ms).sum(axis=1).min(axis=1).max())
         table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
     if table is None:
-        return shortest_shells([IntegerLattice(2 * m) for m in ms])
+        shells = np.array(shortest_shells([IntegerLattice(2 * m) for m in ms]), dtype=object)
+        return shells[:, 0], shells[:, 1]
     return _shell_hits(_adjugates(ms)[0] % n, n, table)
 
 
@@ -299,10 +312,19 @@ def _climb_trials(m: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return trials
 
 
-def _lex(basis: np.ndarray) -> tuple:
-    # ties go to the lexicographically smallest flattened basis so the
-    # winner is schedule independent
-    return tuple(basis.ravel().tolist())
+def _best(incumbent: tuple | None, ms: np.ndarray, l1: np.ndarray,
+          rank: np.ndarray) -> tuple:
+    """The better of ``incumbent`` (lambda_1^2, rank, basis 2M), or None,
+    and the best candidate 2M of a nonempty block: the largest
+    (lambda_1^2, rank), ties to the lexicographically smallest flattened
+    basis (M and 2M sort alike), so the winner is schedule independent."""
+    top = np.flatnonzero(l1 == l1.max())
+    top = top[rank[top] == rank[top].max()]
+    row = top[np.lexsort(ms[top].reshape(len(top), -1).T[::-1])[0]]
+    best = (int(l1[row]), int(rank[row]), 2 * ms[row])
+    if incumbent is None:
+        return best
+    return min(incumbent, best, key=lambda c: (-c[0], -c[1], c[2].ravel().tolist()))
 
 
 def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchReport]:
@@ -318,9 +340,12 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     (:func:`_hermite_forms`) spend the rest.  With ``hill_climb`` half the
     budget refines the incumbent by elementary index-preserving basis moves
     (:func:`_climb_moves`), climbing on (lambda_1^2, shell rank).  Each
-    block's shortest shells are found at once; after a trial is accepted
-    the rest of its block is evaluated again, so the result is that of a
-    move-by-move climb.
+    block's shortest shells are found at once and its candidates kept in one
+    step (:func:`_best`): each incumbent is the least key over all
+    candidates, so a block's best against it is the result of a
+    one-by-one pass.  A climb block is consumed up to its first trial that
+    beats the incumbent and the rest is evaluated again, so the result is
+    that of a move-by-move climb.
     Deterministic for a fixed seed.  Raises NoFeasibleCandidate when no
     well-rounded candidate shows up; the exception carries the best non-WR
     lattice and the report.
@@ -328,34 +353,21 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed)]))
     k, n = int(cfg.k), int(cfg.target_index)
 
-    best_wr = None   # ((-l1, lex), basis, l1, rank)
-    best_any = None  # ((-l1, -rank, lex), basis, l1, rank) for climbing and fallback
+    best_wr = None   # (l1, rank, basis)
+    best_any = None  # (l1, rank, basis) for climbing and fallback
     feasible = 0
     remaining = cfg.budget
 
-    def consider(l1: int, rank: int, basis_of) -> None:
-        """Count one candidate and keep it where it beats an incumbent.
-
-        ``basis_of()`` gives the candidate's basis.  It is called only when
-        (lambda_1^2, rank) reaches an incumbent's, where the basis breaks
-        the tie or is kept.
-        """
+    def keep(ms: np.ndarray, l1: np.ndarray, rank: np.ndarray) -> None:
+        """Count a block of candidates 2M and keep its best where they beat
+        the incumbents."""
         nonlocal best_wr, best_any, feasible, remaining
-        remaining -= 1
-        basis = lex = None
-        if best_any is None or (-l1, -rank) <= best_any[0][:2]:
-            basis = basis_of()
-            lex = _lex(basis)
-            if best_any is None or (-l1, -rank, lex) < best_any[0]:
-                best_any = ((-l1, -rank, lex), basis, l1, rank)
-        if rank == k:
-            feasible += 1
-            if best_wr is None or -l1 <= best_wr[0][0]:
-                if basis is None:
-                    basis = basis_of()
-                    lex = _lex(basis)
-                if best_wr is None or (-l1, lex) < best_wr[0]:
-                    best_wr = ((-l1, lex), basis, l1, rank)
+        remaining -= len(ms)
+        best_any = _best(best_any, ms, l1, rank)
+        wr = rank == k
+        if wr.any():
+            feasible += int(wr.sum())
+            best_wr = _best(best_wr, ms[wr], l1[wr], rank[wr])
 
     # Hermite's ceiling bounds lambda_1^2 of every index-n lattice, so its
     # table serves every block; the axis points alone pass the table cap
@@ -365,8 +377,8 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
         table = _short_vectors(k, _hermite_ceiling(k, n))
 
     if root ** k == n:  # the balanced diagonal diag(root, ..., root)
-        diag = root * np.eye(k, dtype=np.int64)
-        consider(*_block_shells(diag[None], n, table)[0], lambda: 2 * diag)
+        diag = root * np.eye(k, dtype=np.int64)[None]
+        keep(diag, *_block_shells(diag, n, table))
 
     # the shell stage: k vectors of one norm shell of Z^k, from the ceiling
     # down, on at most half the restarts; a draw of another index is no
@@ -385,38 +397,38 @@ def search_wr_sublattice(cfg: SearchConfig) -> tuple[IntegerLattice, SearchRepor
             continue
         share -= len(ms)
         restarts -= len(ms)
-        shells = _shell_hits(ops, n, table)
-        for m, (l1, rank) in zip(ms, shells):
-            consider(l1, rank, lambda m=m: 2 * m)
-        if (4 * norm, k) in shells:  # well-rounded at the shell's own norm
+        l1, rank = _shell_hits(ops, n, table)
+        keep(ms, l1, rank)
+        if np.any((l1 == 4 * norm) & (rank == k)):  # well-rounded at the shell's own norm
             break
 
     factors = _factorize(n)
     for start in range(0, restarts, _BLOCK):
         hs = _hermite_forms(k, factors, min(_BLOCK, restarts - start), rng)
-        for h, (l1, rank) in zip(hs, _block_shells(hs, n, table)):
-            consider(l1, rank, lambda h=h: 2 * h)
+        keep(hs, *_block_shells(hs, n, table))
 
     if cfg.hill_climb:
-        _, current, cur_l1, cur_rank = best_wr if best_wr is not None else best_any
+        cur_l1, cur_rank, current = best_wr if best_wr is not None else best_any
         m = current // 2
         while remaining > 0:
             moves = _climb_moves(k, min(_BLOCK, remaining), rng)
-            done = 0
-            while done < len(moves):  # evaluated against the current incumbent
-                trials = _climb_trials(m, moves[done:])
-                for trial, (l1, rank) in zip(trials, _block_shells(trials, n, table)):
-                    done += 1
-                    consider(l1, rank, lambda trial=trial: 2 * trial)
-                    if (l1, rank) > (cur_l1, cur_rank):  # the rest is evaluated anew
-                        m, cur_l1, cur_rank = trial, l1, rank
-                        break
+            while len(moves):  # evaluated against the current incumbent
+                trials = _climb_trials(m, moves)
+                l1, rank = _block_shells(trials, n, table)
+                better = (l1 > cur_l1) | (l1 == cur_l1) & (rank > cur_rank)
+                # the block is consumed up to its first better trial; the
+                # rest is evaluated anew
+                done = int(np.argmax(better)) + 1 if better.any() else len(moves)
+                keep(trials[:done], l1[:done], rank[:done])
+                if better[done - 1]:
+                    m, cur_l1, cur_rank = trials[done - 1], l1[done - 1], rank[done - 1]
+                moves = moves[done:]
 
     if best_wr is not None:
-        _, basis, l1, _ = best_wr
+        l1, _, basis = best_wr
         return IntegerLattice(basis), SearchReport(evaluated=cfg.budget, feasible=feasible,
                                                    best_lambda1_sq=l1, best_is_wr=True)
-    _, basis, l1, _ = best_any
+    l1, _, basis = best_any
     report = SearchReport(evaluated=cfg.budget, feasible=0,
                           best_lambda1_sq=l1, best_is_wr=False)
     raise NoFeasibleCandidate(

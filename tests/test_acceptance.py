@@ -3,9 +3,9 @@
 Criteria 8 and 9 stay red; each failure text gives the measured cause.
 
 - Criterion 8 (L1 > L2 > L3 at disjoint CIs): the WR pair is ordered the
-  other way below 0 dB (L2 < L3 with disjoint CIs at 1e6 trials) and tied
-  at 0 and 5 dB.  Nothing in the repository orders L2 against L3, so this
-  waits for the paper's generator matrices or ECDP curves.
+  other way below 0 dB (L2 < L3 with disjoint CIs at 1e6 trials).  The
+  exact ECDP orders L2 > L3 from 0 dB up, by +1.8e-4, +8.3e-5 and +2.0e-5
+  at 0, 2.5 and 5 dB; disjoint CIs at 0 dB need ~9e7 trials per curve.
 - Criterion 9 (bound ordering at sigma_E^2 = 100): the Alamouti pow2
   clause holds once the truncation holds the sum; the Alamouti pow2n
   clause cannot hold at any truncation (equal-covolume sums agree to ~40
@@ -238,11 +238,11 @@ def test_criterion_08_wr_ordering(alamouti_scan):
         "need one scanned point with L1>L2>L3 at disjoint CIs; " + "; ".join(rows)
         + " (at 1e6 trials, seed 123, the WR pair is ordered the other way "
           "below 0 dB with disjoint CIs: -10 dB L2 0.0503 < L3 0.0575, -5 dB "
-          "L2 0.0934 < L3 0.0952; tied at 0 and 5 dB. Nothing in the "
-          "repository orders L2 (lambda_1^2 = 24, 8 minimal vectors) against "
-          "L3 (lambda_1^2 = 32, 24 minimal vectors), and the catalog's L2 "
-          "comes from a randomized search: whether the criterion or L2 is "
-          "wrong needs the paper's generator matrices or ECDP curves. The WR "
+          "L2 0.0934 < L3 0.0952. The exact ECDP (ROADMAP item 1) orders "
+          "L2 > L3 only from 0 dB up: L2 - L3 is +1.8e-4, +8.3e-5 and "
+          "+2.0e-5 at 0, 2.5 and 5 dB, and negative below 0 dB. Disjoint CIs "
+          "at 0 dB need ~9e7 trials per curve, so the trial count against "
+          "the gap, not the decoder or the catalog, keeps this red. The WR "
           "vs non-WR separation L1 > {L2, L3} is asserted in the supplement)")
 
 

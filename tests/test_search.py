@@ -16,7 +16,8 @@ from latcoset import (CapacityError, IntegerLattice, NoFeasibleCandidate, Search
                       successive_minima, volume)
 from latcoset.catalog import builtin_sublattice
 from latcoset.cli import main as cli_main
-from latcoset.lattice import _minkowski_radius_sq, enumerate_shorter_than, int_det, shortest_shell
+from latcoset.lattice import (_minkowski_radius_sq, enumerate_shorter_than, independent_rows,
+                              int_det, shortest_shell)
 
 
 def two_zk(k):
@@ -218,6 +219,13 @@ def _sequential_search(cfg):
     return lat.B.tolist(), report
 
 
+def _pairs(shells):
+    """The (lambda_1^2, rank) tuples of a block's two arrays."""
+    l1, rank = shells
+    assert l1.shape == rank.shape == (len(l1),)
+    return list(zip(l1.tolist(), rank.tolist()))
+
+
 def _diagonals(k, n):
     """Every k-tuple of positive integers with product n."""
     if k == 1:
@@ -256,7 +264,8 @@ class TestBlockEvaluation:
     def test_matches_enumeration_on_random_hnfs(self, k, n, seed, size):
         rng = np.random.default_rng(seed)
         hs = search._hermite_forms(k, search._factorize(n), size, rng)
-        assert search._block_shells(hs, n) == [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+        expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
+        assert _pairs(search._block_shells(hs, n)) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 25), (2, 32), (3, 16), (4, 8)])
     def test_matches_enumeration_on_every_hnf(self, monkeypatch, k, n):
@@ -265,7 +274,7 @@ class TestBlockEvaluation:
         assert any(rank == k for _, rank in expected)
         # the table path alone: no per-candidate enumeration
         monkeypatch.setattr(search, "shortest_shells", None)
-        assert search._block_shells(hs, n) == expected
+        assert _pairs(search._block_shells(hs, n)) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(k=st.sampled_from([2, 3, 4, 6]), n=st.sampled_from([1, 31, 32, 105, 256]),
@@ -278,7 +287,7 @@ class TestBlockEvaluation:
             m = search._climb_trials(m, mv[None])[0]
         trials = search._climb_trials(m, search._climb_moves(k, size, rng))
         expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
-        assert search._block_shells(trials, n) == expected
+        assert _pairs(search._block_shells(trials, n)) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 32), (3, 105), (4, 32), (4, 256), (6, 105)])
     def test_climb_matches_enumeration_on_every_move(self, monkeypatch, k, n):
@@ -291,7 +300,7 @@ class TestBlockEvaluation:
             # the table path alone: no per-trial enumeration
             with monkeypatch.context() as patch:
                 patch.setattr(search, "shortest_shells", None)
-                assert search._block_shells(trials, n) == expected
+                assert _pairs(search._block_shells(trials, n)) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     def test_matches_enumeration_on_non_hermite_stacks(self, monkeypatch, k):
@@ -304,10 +313,10 @@ class TestBlockEvaluation:
                 ms.append(h[::-1])  # a zero leading entry, so rows are pivoted
             ms = np.array(ms)
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
-            assert search._block_shells(ms, n) == expected
+            assert _pairs(search._block_shells(ms, n)) == expected
             with monkeypatch.context() as patch:  # the table path alone
                 patch.setattr(search, "shortest_shells", None)
-                assert search._block_shells(ms, n) == expected
+                assert _pairs(search._block_shells(ms, n)) == expected
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_past_hadamard_bound_falls_back(self, monkeypatch, k):
@@ -329,12 +338,12 @@ class TestBlockEvaluation:
             with monkeypatch.context() as patch:
                 patch.setattr(search, "shortest_shells",
                               lambda lats: calls.append(lats) or real(lats))
-                assert search._block_shells(under[None], n) == expected[:1]
+                assert _pairs(search._block_shells(under[None], n)) == expected[:1]
                 assert calls == []
-                assert search._block_shells(past[None], n) == expected[1:]
+                assert _pairs(search._block_shells(past[None], n)) == expected[1:]
                 assert len(calls) == 1
                 # a block past the bound: one enumeration of all its lattices
-                assert search._block_shells(np.stack([past, past, under]), n) == \
+                assert _pairs(search._block_shells(np.stack([past, past, under]), n)) == \
                     expected[1:] * 2 + expected[:1]
                 assert len(calls) == 2 and len(calls[1]) == 3
 
@@ -352,7 +361,7 @@ class TestBlockEvaluation:
         real = lattice._fincke_pohst_runs
         monkeypatch.setattr(lattice, "_fincke_pohst_runs",
                             lambda *args: runs.append(len(args[0])) or real(*args))
-        assert search._block_shells(hs, n) == expected
+        assert _pairs(search._block_shells(hs, n)) == expected
 
         def width(h):
             lat = IntegerLattice(2 * h)
@@ -376,6 +385,97 @@ class TestBlockEvaluation:
             cfg = SearchConfig(k=4, target_index=index, budget=300, seed=seed,
                                hill_climb=hill_climb)
             assert _outcome(cfg) == _sequential_search(cfg)
+
+    def test_search_wr_shape_matches_sequential_search(self, capsys):
+        # the benchmark's search op: k = 4, index 32, budget 400, with and
+        # without climbing; the stdout digest was taken before the block's
+        # ranks were read from hit counts and its incumbents updated once
+        outs = []
+        for seed in range(4):
+            for hill_climb in (False, True):
+                cfg = SearchConfig(k=4, target_index=32, budget=400, seed=seed,
+                                   hill_climb=hill_climb)
+                assert _outcome(cfg) == _sequential_search(cfg)
+                assert cli_main(["search", "--k", "4", "--index", "32", "--budget", "400",
+                                 "--seed", str(seed)] + ["--hill-climb"] * hill_climb) == 0
+                outs.append(capsys.readouterr().out)
+        assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == (
+            "4d575710345bfe4c9a8c898c6bc2087567f931424a5627bd38237d649b7f964e")
+
+    def test_tie_heavy_blocks_keep_the_smallest_basis(self, monkeypatch):
+        # most rows of each Hermite block are the lambda_1^2 = 32 lattice of
+        # index 32 under distinct bases, so they tie on (32, 4) within and
+        # across blocks; the shell stage draws nothing
+        top = np.array([[-2, 2, 0, 0], [-2, 0, 0, 2], [-2, 0, 2, 0], [2, 0, 0, 2]]).T
+        real, blocks = search._hermite_forms, []
+
+        def tie_heavy(k, factors, count, rng):
+            local = np.random.default_rng(len(blocks))
+            ties = count * 3 // 4
+            ms = np.concatenate([[_unimodular_mix(top, local) for _ in range(ties)],
+                                 real(k, factors, count - ties, local)])
+            blocks.append(ms[local.permutation(count)])
+            return blocks[-1]
+
+        monkeypatch.setattr(search, "_hermite_forms", tie_heavy)
+        monkeypatch.setattr(search, "_shell_bases",
+                            lambda shell, n, rng: (np.zeros((0, 4, 4), dtype=np.int64),) * 2)
+        for hill_climb in (False, True):
+            cfg = SearchConfig(k=4, target_index=32, budget=400, seed=0, hill_climb=hill_climb)
+            blocks.clear()
+            basis, rep = _outcome(cfg)
+            ms = np.concatenate(blocks)
+            blocks.clear()  # the reference draws the same blocks
+            assert (basis, rep) == _sequential_search(cfg)
+            assert rep.best_is_wr and rep.best_lambda1_sq == 32
+            shells = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
+            tied = [m.ravel().tolist() for m, s in zip(ms, shells) if s == (32, 4)]
+            assert len(tied) > len(ms) // 2 and len({tuple(t) for t in tied}) > 50
+            assert tied[0] != min(tied)
+            if not hill_climb:  # every candidate is a Hermite row
+                assert rep.feasible == sum(rank == 4 for _, rank in shells)
+                assert (np.array(basis) // 2).ravel().tolist() == min(tied)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 6), n=st.sampled_from([1, 2, 3, 8, 31, 32, 105]),
+           seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 16))
+    def test_ranks_are_the_ranks_of_the_hits(self, k, n, seed, size):
+        # a rank read from a count of 1 or 2 hits is their rank too
+        rng = np.random.default_rng(seed)
+        ms = np.array([_unimodular_mix(h, rng, moves=2)
+                       for h in search._hermite_forms(k, search._factorize(n), size, rng)])
+        table = search._short_vectors(k, search._hermite_ceiling(k, n))
+        l1, rank = search._shell_hits(search._adjugates(ms)[0] % n, n, table)
+        u, shells = table
+        for m, a, r in zip(ms, l1.tolist(), rank.tolist()):
+            for norm, start, stop in shells:
+                # u lies in the lattice of M when M^-1 u is integral
+                x = np.linalg.solve(m.astype(float), u[start:stop].T.astype(float))
+                hits = np.all(np.abs(x - np.round(x)) < 1e-6, axis=0)
+                assert hits.any() == (4 * norm == a), (m, norm)
+                if 4 * norm == a:
+                    assert r == len(independent_rows(u[start:stop][hits]))
+                    break
+
+    def test_one_or_two_hits_are_not_eliminated(self, monkeypatch):
+        sizes, ranks = [], collections.Counter()
+        real_rows, real_hits = search.independent_rows, search._shell_hits
+        monkeypatch.setattr(search, "independent_rows",
+                            lambda rows, limit=None: sizes.append(len(rows)) or
+                            real_rows(rows, limit))
+
+        def counted(*args):
+            out = real_hits(*args)
+            ranks.update(out[1].tolist())
+            return out
+
+        monkeypatch.setattr(search, "_shell_hits", counted)
+        for k, n in [(4, 32), (3, 105), (6, 8)]:
+            for hill_climb in (False, True):
+                _outcome(SearchConfig(k=k, target_index=n, budget=400, seed=1,
+                                      hill_climb=hill_climb))
+        assert ranks[1] and ranks[2] and sizes
+        assert min(sizes) >= 3
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_long_climb_matches_sequential_search(self, monkeypatch, k):
@@ -523,7 +623,7 @@ class TestRestartDraws:
                  for norm, start, stop in shells if norm ** k >= n * n]
         shell_ms, shell_ops = (np.concatenate(x) for x in zip(*drawn))
         # the shell stage ranks its draws with the operators that selected them
-        assert search._shell_hits(shell_ops, n, table) == \
+        assert _pairs(search._shell_hits(shell_ops, n, table)) == \
             [shortest_shell(IntegerLattice(2 * m)) for m in shell_ms]
         hermite_ms = search._hermite_forms(k, search._factorize(n), 64, rng)
         assert len(shell_ms) > 0
@@ -531,12 +631,12 @@ class TestRestartDraws:
             two = two_zk(k)
             assert all(index_in_superlattice(IntegerLattice(2 * m), two) == n for m in ms)
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
-            assert search._block_shells(ms, n, table) == expected
+            assert _pairs(search._block_shells(ms, n, table)) == expected
             with monkeypatch.context() as patch:  # the table path alone
                 patch.setattr(search, "shortest_shells", None)
                 # the search's ceiling table, and the block's own radius
-                assert search._block_shells(ms, n, table) == expected
-                assert search._block_shells(ms, n) == expected
+                assert _pairs(search._block_shells(ms, n, table)) == expected
+                assert _pairs(search._block_shells(ms, n)) == expected
         # a shell draw has k independent columns of its shell's norm
         for norm, start, stop in shells:
             for m in search._shell_bases(u[start:stop], n, rng)[0]:
@@ -618,7 +718,8 @@ class TestRestartDraws:
         hs = _all_hnfs(4, 32)
         assert len(hs) == 97155
         monkeypatch.setattr(search, "shortest_shells", None)
-        shells = [s for c in range(0, len(hs), 8192) for s in search._block_shells(hs[c:c + 8192], 32)]
+        shells = [s for c in range(0, len(hs), 8192)
+                  for s in _pairs(search._block_shells(hs[c:c + 8192], 32))]
         wr = collections.Counter(l1 for l1, rank in shells if rank == 4)
         assert wr == {24: 324, 28: 8, 32: 1}
         (top,) = [h for h, (l1, rank) in zip(hs, shells) if l1 == 32]
