@@ -109,7 +109,14 @@ def snr_to_sigma(snr_db: float, code_map: STCodeMap, alphabet: PAMAlphabet) -> N
     SNR is defined as E_s / sigma^2 where E_s is the average transmit energy
     per channel use, E_s = E||M z||^2 / T = trace(M^T M) (m^2-1)/3 / T for
     uniform PAM coefficients.  Fading gain is not included (sigma_h is
-    normalized separately).
+    normalized separately).  Raises ValueError where sigma^2 leaves the float
+    range: past it at very low SNR, 0 at very high SNR.
     """
     es = alphabet.mean_square * float(np.trace(code_map.M.T @ code_map.M)) / code_map.T
-    return NoiseModel(sigma_sq=es * 10.0 ** (-snr_db / 10.0))
+    try:
+        sigma_sq = es * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma_sq = math.inf
+    if sigma_sq == math.inf:
+        raise ValueError(f"the noise variance at {snr_db} dB is past the float range")
+    return NoiseModel(sigma_sq=sigma_sq)

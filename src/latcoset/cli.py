@@ -41,8 +41,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: most values one start:stop:step range may list
+_RANGE_POINTS = 10 ** 6
+
+
 def _parse_float_list(text: str) -> list[float]:
-    """Comma list ("0,5,10") or inclusive range ("start:stop:step")."""
+    """Comma list ("0,5,10") or inclusive range ("start:stop:step").
+
+    A range lists start + i step, each rounded to 10 decimals, for i = 0, 1,
+    ... while the value is at most stop + 1e-9.  A step that does not move
+    the start, and a range of more than ``_RANGE_POINTS`` values, raise
+    ValueError.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -51,12 +61,19 @@ def _parse_float_list(text: str) -> list[float]:
         start, stop, step = _finite([float(p) for p in parts])
         if step <= 0:
             raise ValueError("range step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 10))
-            v += step
-        return out
+        if start + step == start:
+            raise ValueError(f"range step {step!r} does not advance its start {start!r}")
+        end = stop + 1e-9
+        span = (end - start) / step  # inf where the range passes the float range
+        if not span < _RANGE_POINTS:
+            raise ValueError(f"range lists more than {_RANGE_POINTS} values")
+        n = max(0, math.floor(span) + 1)
+        # the division can round across a value either way
+        while n and start + (n - 1) * step > end:
+            n -= 1
+        while start + n * step <= end:
+            n += 1
+        return [round(start + i * step, 10) for i in range(n)]
     return _finite([float(p) for p in text.split(",") if p.strip()])
 
 

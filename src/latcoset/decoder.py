@@ -26,6 +26,17 @@ with the cached features of the two half codebooks.  Both kernels share
 one rounding bound, E of :func:`_slack`, and every batched route sends
 what its bound cannot settle to one recheck, :func:`_residual_pick`: the
 residual form sum (y - Heff z)^2, ties to the smallest flat index.
+
+Both product kernels write their large temporaries into workspaces
+(:mod:`latcoset.workspace`), so that a stream of calls of one shape takes
+no fresh pages.  Each view lives inside one call of its kernel: the
+one-product kernel's [Heff | y] column products and distance block, one
+block of problems at a time; the two-level kernel's sorted-QR Gram,
+reordered channel, [Heff | y], Gram of R and top-word scores, one block of
+problems at a time (:class:`_TwoLevelTerms` views the last two through
+:func:`_recheck`), and its pair scores, each read before the next pair
+block is scored; :func:`_slack` its squares.  No call nests a call that
+uses the same key, and every returned word array is fresh.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import numpy as np
 
 from .errors import CodebookTooLarge, RankDeficientChannel
 from .stcode import PAMAlphabet, grid_rows
+from .workspace import workspace
 
 #: hard guard on |S|^k for the exhaustive oracle
 DEFAULT_CODEBOOK_CAP = 1_000_000
@@ -48,8 +60,10 @@ _GEMM_LIMIT = 2048
 
 _RANK_TOL = 1e-10
 
-#: elements of the (problems x codewords) distance block of one product
-_BLOCK_ELEMENTS = 1 << 21
+#: elements of the (problems x codewords) distance block of one product, and
+#: of the (problems x candidates) block of the residual recheck; 1 << 21 (a
+#: 16 MB block) was slower on golden 2-PAM and kept 8.9 MB of workspace
+_BLOCK_ELEMENTS = 1 << 15
 
 #: elements of a (problems x top words) or (survivor pairs x bottom words)
 #: block of the two-level kernel; 1 << 16 was slower on golden 4-PAM
@@ -150,7 +164,9 @@ def _slack(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     problems to :func:`_residual_pick`, so no decision depends on it.
     """
     _, d, k = heff.shape
-    a = np.linalg.norm(y, axis=1) + (m - 1) * np.linalg.norm(heff, axis=1).sum(axis=1)
+    # np.linalg.norm(heff, axis=1), without its two (b, d, k) temporaries
+    sq = np.multiply(heff, heff, out=workspace("slack", heff.shape))
+    a = np.linalg.norm(y, axis=1) + (m - 1) * np.sqrt(sq.sum(axis=1)).sum(axis=1)
     return (4 * d * (k + 1) + 2 * (k + 3) ** 2) * _EPS * a * a
 
 
@@ -162,16 +178,17 @@ def _gemm_terms(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     so that lhs @ features is ||y - Heff z||^2 - ||y||^2 for every word.
     Each entry is the sum over the d rows of the products of two columns of
     [Heff | y], formed for the whole batch with the problems along the last
-    axis.
+    axis.  lhs is a view of a workspace, valid until the next call.
     """
     n, d, k = heff.shape
     rows, cols = _codebook_features(m, k)[2]
-    hy = np.empty((d, k + 1, n))
+    hy = workspace("gemm.hy", (d, k + 1, n))
     hy[:, :k] = heff.transpose(1, 2, 0)
     hy[:, k] = y.T
-    terms = hy[:, rows]
-    terms *= hy[:, cols]
-    return terms.sum(axis=0).T
+    # the indices are in range; "raise" would copy through a buffer
+    terms = np.take(hy, rows, axis=1, out=workspace("gemm.terms", (d, rows.size, n)), mode="clip")
+    terms *= np.take(hy, cols, axis=1, out=workspace("gemm.cols", terms.shape), mode="clip")
+    return terms.sum(axis=0, out=workspace("gemm.lhs", terms.shape[1:])).T
 
 
 def exhaustive_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
@@ -183,7 +200,8 @@ def exhaustive_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     cached features of :func:`_codebook_features` gives
     ||y - Heff z||^2 - ||y||^2 for a block of problems and every word.
     argmin returns the first minimum, the lexicographic tie-break on the
-    ordered codebook.  Blocks keep (b, N) within ``_BLOCK_ELEMENTS``.
+    ordered codebook.  Blocks keep (b, N) within ``_BLOCK_ELEMENTS``, and
+    each block's terms, slack and distances are formed on their own.
     The product loses accuracy to cancellation, so a problem whose scores
     without its best one (set to inf) reach within 2E of the best, E of
     :func:`_slack`, is re-decided by :func:`_residual_pick` over the
@@ -196,16 +214,16 @@ def exhaustive_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     if k > 1 and m ** k > _GEMM_LIMIT:
         return _two_level_words(heff, y, m)
     feats = _codebook_features(m, k)[1]
-    lhs = _gemm_terms(heff, y, m)
-    slack = _slack(heff, y, m)
     block = max(1, _BLOCK_ELEMENTS // feats.shape[1])
     best = np.empty(n, dtype=np.int64)
     near = np.empty(n, dtype=bool)
     for off in range(0, n, block):
-        dist = lhs[off:off + block] @ feats
+        h, v = heff[off:off + block], y[off:off + block]
+        lhs = _gemm_terms(h, v, m)
+        dist = np.matmul(lhs, feats, out=workspace("gemm.dist", (lhs.shape[0], feats.shape[1])))
         at = np.argmin(dist, axis=1)
         pick = (np.arange(at.shape[0]), at)
-        lim = dist[pick] + 2 * slack[off:off + block]
+        lim = dist[pick] + 2 * _slack(h, v, m)
         dist[pick] = np.inf
         best[off:off + block] = at
         # initial=inf: the same minimum by numpy's faster reduction loop
@@ -246,19 +264,21 @@ def _two_level_terms(heff, y, m) -> _TwoLevelTerms:
     The bottom side keeps Gram entries only: :func:`_pair_rows` forms
     R_bb^T r_b = R_bb^T y_b - R_bb^T R_bt z_t for the pairs it is asked for.
     """
-    b, _, k = heff.shape
+    b, d, k = heff.shape
     kb, kt = k // 2, k - k // 2
-    r = np.linalg.qr(np.concatenate([heff, y[:, :, None]], axis=2), mode="r")
+    hy = np.concatenate([heff, y[:, :, None]], axis=2, out=workspace("two_level.hy", (b, d, k + 1)))
+    r = np.linalg.qr(hy, mode="r")
     if r.shape[1] < k:  # fewer rows than coefficients: pad R with zero rows
         r = np.concatenate([r, np.zeros((b, k - r.shape[1], k + 1))], axis=1)
     r = r[:, :k]  # row k holds ||y_perp||, part of the constant c
-    gram = r.transpose(0, 2, 1) @ r
+    gram = np.matmul(r.transpose(0, 2, 1), r, out=workspace("two_level.gram", (b, k + 1, k + 1)))
     low = r[:, kb:, kb:]
     gram_t = low.transpose(0, 2, 1) @ low
     _, feats_t, (rows, cols) = _codebook_features(m, kt)
     rows, cols = np.append(rows, kt), np.append(cols, kt)
     lhs = np.concatenate([gram_t[:, rows, cols], gram[:, rows + kb, cols + kb]])
-    scores = lhs @ _with_ones(feats_t)
+    feats_t = _with_ones(feats_t)
+    scores = np.matmul(lhs, feats_t, out=workspace("two_level.scores", (2 * b, feats_t.shape[1])))
     iu, ju = np.triu_indices(kb)
     head = np.concatenate([gram[:, iu, ju], gram[:, :kb, k], np.zeros((b, 1))], axis=1)
     return _TwoLevelTerms(scores[:b], scores[b:], head, gram[:, :kb, kb:k], _slack(heff, y, m))
@@ -276,6 +296,14 @@ def _pair_rows(terms: _TwoLevelTerms, zt, trial, top) -> np.ndarray:
                                      np.take(zt, top, axis=0))
     rows[:, -1] = terms.base[trial, top]
     return rows
+
+
+def _pair_scores(terms: _TwoLevelTerms, zt, trial, top, feats_b) -> np.ndarray:
+    """:func:`_pair_rows` times [features; 1] of the bottom half codebook: the
+    (pairs, bottom words) scores, a view of the kernel's pair workspace that
+    the next call overwrites."""
+    rows = _pair_rows(terms, zt, trial, top)
+    return np.matmul(rows, feats_b, out=workspace("two_level.pairs", (len(rows), feats_b.shape[1])))
 
 
 def _two_level_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
@@ -313,7 +341,12 @@ def _two_level_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     of its best is re-decided by :func:`_residual_pick` over those
     candidates (:func:`_recheck`).  Problems go in blocks of
     ``_TWO_LEVEL_BLOCK // m^(k - k // 2)`` and survivor pairs in blocks of
-    ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.
+    ``_TWO_LEVEL_BLOCK // m^(k // 2)``; nothing of size m^k is held.  A
+    block's large arrays are views of the kernel's workspaces: the top-word
+    scores and Gram entries of :func:`_two_level_terms` live until the
+    block's last :func:`_recheck` returns, and each block of pair scores
+    (:func:`_pair_scores`) until the next is scored.  On golden 4-PAM (128
+    problems a block) they hold about 1.2 MB between calls.
 
     The halves are split per problem: :func:`_column_order` puts the k // 2
     columns of least norm after projection (sorted QR) at the bottom and the
@@ -356,7 +389,8 @@ def _column_order(heff: np.ndarray) -> np.ndarray:
     """
     b, _, k = heff.shape
     rows = np.arange(b)
-    gram = heff.transpose(0, 2, 1) @ heff
+    gram = np.matmul(heff.transpose(0, 2, 1), heff, out=workspace("two_level.order", (b, k, k)))
+    step = workspace("two_level.step", gram.shape)
     rank = np.full((b, k), k)
     for s in range(k // 2):
         norms = np.where(rank == k, np.diagonal(gram, axis1=1, axis2=2), np.inf)
@@ -365,7 +399,7 @@ def _column_order(heff: np.ndarray) -> np.ndarray:
         col = gram[rows, j]
         # a zero pivot (a rank-deficient channel, or d < k) projects out nothing
         piv = np.where(norms[rows, j] > 0, norms[rows, j], np.inf)
-        gram -= col[:, :, None] * (col / piv[:, None])[:, None, :]
+        gram -= np.multiply(col[:, :, None], (col / piv[:, None])[:, None, :], out=step)
     # a permutation whatever argmin returned, even on non-finite input
     return np.argsort(rank, axis=1, kind="stable")
 
@@ -373,11 +407,16 @@ def _column_order(heff: np.ndarray) -> np.ndarray:
 def _two_level_block(heff, y, m, zb, zt, feats_b):
     """The words of :func:`_two_level_words` for one block of problems, as floats."""
     order = _column_order(heff)
-    terms = _two_level_terms(np.take_along_axis(heff, order[:, None, :], axis=2), y, m)
-    b = terms.tscore.shape[0]
+    b = heff.shape[0]
     rows = np.arange(b)
+    # heff with its columns in ``order``: column c goes to the place inv[c]
+    inv = np.empty_like(order)
+    inv[rows[:, None], order] = np.arange(order.shape[1])
+    ordered = workspace("two_level.heff", heff.shape)
+    np.put_along_axis(ordered, inv[:, None, :], heff, axis=2)
+    terms = _two_level_terms(ordered, y, m)
     t0 = np.argmin(terms.tscore, axis=1)
-    radius = np.min(_pair_rows(terms, zt, rows, t0) @ feats_b, axis=1)
+    radius = np.min(_pair_scores(terms, zt, rows, t0, feats_b), axis=1)
     keep = terms.tscore <= (radius + 2 * terms.slack)[:, None]
     keep[rows, t0] = True
     trial, top = np.nonzero(keep)
@@ -387,7 +426,7 @@ def _two_level_block(heff, y, m, zb, zt, feats_b):
     v2 = np.empty(n_pairs)
     a1 = np.empty(n_pairs, dtype=np.int64)
     for off in range(0, n_pairs, step):
-        s = _pair_rows(terms, zt, trial[off:off + step], top[off:off + step]) @ feats_b
+        s = _pair_scores(terms, zt, trial[off:off + step], top[off:off + step], feats_b)
         at = np.argmin(s, axis=1)
         pick = (np.arange(s.shape[0]), at)
         a1[off:off + step] = at
@@ -417,7 +456,7 @@ def _recheck(heff, y, m, terms, tops, feats_b, zb, zt, p, order, lim, step):
     best = np.empty((0, order.size))
     for off in range(0, tops.shape[0], step):
         t = tops[off:off + step]
-        i, j = np.nonzero(_pair_rows(terms, zt, np.full(t.shape[0], p), t) @ feats_b <= lim)
+        i, j = np.nonzero(_pair_scores(terms, zt, np.full(t.shape[0], p), t, feats_b) <= lim)
         if i.size == 0:
             continue
         words = np.empty((i.size, order.size))

@@ -27,6 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CapacityError, NotASublattice, SingularMatrix
+from .workspace import workspace
 
 #: relative tolerance for equality tests on real lattices
 REL_TOL = 1e-9
@@ -403,7 +404,9 @@ class _Runs:
     the exact partial norms ||B z_p||^2 when the enumeration carried them.
     ``lat`` is the lattice of each column in its stack, and ``r00`` and
     ``bound`` are that lattice's level-0 factor and radius bound: arrays,
-    or numbers where every column is of one lattice (:func:`_at`).
+    or numbers where every column is of one lattice (:func:`_at`).  Where
+    level 0 is wide (:func:`_level_array`), the arrays are views of its
+    workspaces, valid until the enumeration is advanced.
     """
 
     Z: np.ndarray
@@ -426,11 +429,27 @@ def _at(x, idx):
     return x[idx] if isinstance(x, np.ndarray) else x
 
 
-def _grow(Z, q, proj, rii, lo, counts, bound):
+#: enumeration levels narrower than this take fresh arrays: at that size a
+#: workspace call costs more than the allocation it saves
+_WIDE = 512
+
+
+def _level_array(name: str, level, shape, dtype=float) -> np.ndarray:
+    """An array of ``shape`` for enumeration level ``level``, whose columns
+    run along the last axis: for a level of ``_WIDE`` columns or more a
+    view of the workspace (``name``, ``level``), valid until that key is
+    asked for again; a fresh array for a narrower level, or no level."""
+    if level is not None and shape[-1] >= _WIDE:
+        return workspace((name, level), shape, dtype)
+    return np.empty(shape, dtype)
+
+
+def _grow(Z, q, proj, rii, lo, counts, bound, level=None):
     """Extend every partial vector by each value of its run that passes the
     float radius test: (grown Z, its partial norms, parent column and new
     coefficient of each grown column).  ``rii`` and ``bound`` are per
-    column (:func:`_at`)."""
+    column (:func:`_at`).  The grown Z and its norms are arrays of
+    ``level`` (:func:`_level_array`), fresh with no level."""
     # ndarray methods: the np.* wrappers cost ~0.5 us a call on small levels
     rep = np.arange(len(q)).repeat(counts)
     zi = np.arange(len(rep)) + (lo - (counts.cumsum() - counts)).repeat(counts)
@@ -438,11 +457,12 @@ def _grow(Z, q, proj, rii, lo, counts, bound):
     qn = q[rep] + t * t
     keep = (qn <= _at(bound, rep)).nonzero()[0]
     rep, zi = rep[keep], zi[keep]
-    grown = np.empty((len(Z) + 1, len(keep)), dtype=np.int64)
+    grown = _level_array("fp.Z", level, (len(Z) + 1, len(keep)), np.int64)
     # the indices are in range; "raise" would copy through a buffer
     np.take(Z, rep, axis=1, out=grown[:-1], mode="clip")
     grown[-1] = zi
-    return grown, qn[keep], rep, zi
+    qn = qn.take(keep, out=_level_array("fp.q", level, keep.shape), mode="clip")
+    return grown, qn, rep, zi
 
 
 def _slices(counts: np.ndarray) -> list[slice]:
@@ -497,6 +517,17 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
     norm built from them, is exact modulo 2^64 however far its terms pass
     int64 on the way (as they do for long basis columns), and exact outright
     when below 2^63.
+
+    A level of ``_WIDE`` partial vectors or more forms its arrays in
+    workspaces (:func:`_level_array`): the level's float temporaries under
+    one key, which each pass reads before it grows or descends, and the
+    arrays a level keeps while its slices are descended (its Z, norms,
+    projections, runs) under keys of that level, which no deeper level
+    takes.  So a block of a wide level 0 holds views, valid until the
+    iterator is advanced: a consumer reads each block before it asks for
+    the next, as :func:`_coefficients` and the bound do, and two of these
+    iterators are not advanced in turn.  At the bound's radius (golden
+    L'1-L'3, R = 128) the workspaces hold about 1.2 MB between calls.
     """
     n_lat, s = g.shape[:2]
     R = np.linalg.cholesky(g).transpose(0, 2, 1)  # upper triangular, positive diagonal
@@ -505,12 +536,19 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
 
     def row(mat, i, Z, lat):  # <row i of each column's matrix past the diagonal, the column>
         rows = mat[lat, i, i + 1:]
-        return rows[::-1] @ Z if rows.ndim == 1 else np.einsum("nj,jn->n", rows[:, ::-1], Z)
+        if rows.ndim == 2:
+            return np.einsum("nj,jn->n", rows[:, ::-1], Z)
+        if mat.dtype == Z.dtype or Z.shape[1] < _WIDE:
+            return rows[::-1] @ Z
+        # the float copy of Z that matmul would make, in a workspace
+        zf = workspace("fp.Zf", Z.shape)
+        zf[...] = Z
+        return np.matmul(rows[::-1], zf, out=_level_array("fp.proj", i, Z.shape[1:]))
 
     def grow(i, Z, q, proj, rii, bound, lo, counts, norms, lat, zeros):
         # the partial vectors of level i - 1; a zero partial vector's first
         # child (z_i = 0) is its level's zero partial vector
-        grown, qn, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound)
+        grown, qn, rep, zi = _grow(Z, q, proj, rii, lo, counts, bound, i - 1)
         if norms is not None:
             gii = _at(gram[lat, i, i], rep)
             norms = norms[rep] + zi * (2 * row(gram, i, Z, lat)[rep] + gii * zi)
@@ -529,12 +567,26 @@ def _fincke_pohst_runs(g: np.ndarray, r_sq, cap: int, gram=None):
             # every q passed its own bound in _grow, so bound - q >= 0; and as
             # half >= 0 the interval's ends are ordered (rounding is
             # monotone), so hi >= lo - 1 and no count is negative
-            half = np.sqrt(bound - q) / rii
-            center = proj / -rii  # -proj / rii exactly, one array operation fewer
-            lo = np.ceil(center - half - 1e-12).astype(np.int64)
-            hi = np.floor(center + half + 1e-12).astype(np.int64)
+            if len(q) < _WIDE:
+                half = np.sqrt(bound - q) / rii
+                center = proj / -rii  # -proj / rii exactly, one array operation fewer
+                lo = np.ceil(center - half - 1e-12).astype(np.int64)
+                counts = np.floor(center + half + 1e-12).astype(np.int64)  # hi
+            else:  # the same, in workspaces
+                half, center, edge = workspace("fp.level", (3, len(q)))
+                np.sqrt(np.subtract(bound, q, out=half), out=half)
+                half /= rii
+                np.divide(proj, -rii, out=center)
+                lo, counts = _level_array("fp.runs", i, (2, len(q)), np.int64)
+                np.subtract(center, half, out=edge)
+                edge -= 1e-12
+                np.ceil(edge, out=lo, casting="unsafe")
+                np.add(center, half, out=edge)
+                edge += 1e-12
+                np.floor(edge, out=counts, casting="unsafe")
             lo[zeros] = 0  # a zero partial vector (center 0, hi >= 0): one sign of each pair
-            counts = hi - lo + 1
+            counts -= lo
+            counts += 1
             total = int(counts.sum())
             if isinstance(lat, np.ndarray):
                 seen[i] += np.bincount(lat, counts, n_lat).astype(np.int64)

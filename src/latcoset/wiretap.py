@@ -22,6 +22,7 @@ from .errors import CodebookTooLarge, NotASublattice
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
                       coset_label, label_operator, shortest_shells)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
+from .workspace import workspace
 
 #: trials per RNG chunk; fixed, since it is part of the random stream layout
 CHUNK_TRIALS = 1024
@@ -522,6 +523,9 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
     beta; each point then gathers its run's alpha and beta once.  The norms
     are exact: int64 modulo 2^64, as :func:`_fincke_pohst_runs` carries the
     partial norms, and a point within the radius has a norm below 2^62.
+    A block's float arrays ([runs.Z; c], the products with the codeword
+    factors and each point's coefficients) are views of workspaces, valid
+    until the generator resumes; the arrays it yields are fresh.
     """
     basis = _short_first(_enumeration_basis(code.sub, trunc))
     gram = basis.T @ basis  # int64: exact modulo 2^64
@@ -535,18 +539,16 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
                    lin @ mb])[:, ::-1]  # columns s-1 .. 0, matching [runs.Z; c]
     det0 = np.array(_det_form(y0, y0))[:, None]
     limit = math.floor(trunc)
-    zc = np.empty((len(gram), 0))  # [runs.Z; c] as floats, reused while wide enough
     for block, runs in enumerate(blocks):
         n, counts = len(runs.counts), runs.counts
         c = np.rint(-runs.proj / runs.r00).astype(np.int64)
         inner_p = gram[0, 1:][::-1] @ runs.Z  # <x_p, b_0> of the partial vectors x_p
         inner_c = inner_p + b00 * c
         norm_c = runs.norms + c * (inner_p + inner_c)
-        if zc.shape[1] < n:
-            zc = np.empty((len(gram), n))
-        np.copyto(zc[:-1, :n], runs.Z)
-        zc[-1, :n] = c
-        y = w @ zc[:, :n]
+        zc = workspace("bound.zc", (len(gram), n))  # [runs.Z; c] as floats
+        zc[:-1] = runs.Z
+        zc[-1] = c
+        y = np.matmul(w, zc, out=workspace("bound.y", (len(w), n)))
         coef = np.empty((4, n))  # (Re, Im) of alpha, then of beta, per run
         prods = y[4:12].reshape(2, 4, n)
         prods *= y[:4]
@@ -562,7 +564,7 @@ def _bound_terms(code: CosetCode, trunc: float, cap: int):
             keep[0] = False  # x = 0: the zero partial vector's run starts at z_0 = c = 0
         if not keep.all():
             rep, u, norms = rep[keep], u[keep], norms[keep]
-        det = coef.take(rep, axis=1)
+        det = coef.take(rep, axis=1, out=workspace("bound.det", (4, len(rep))), mode="clip")
         uf = u.astype(float)
         det[2:] += det0 * uf
         det[2:] *= uf

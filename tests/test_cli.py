@@ -484,12 +484,55 @@ class TestNumericInputs:
         SIMULATE + ["--snr", ","],
         SIMULATE + ["--snr", "5:0:1"],
         BOUND + ["--sigma-e-sq", "10", "--truncation", "inf"],
+        # a noise variance past the float range (10 ** 400 overflows)
+        ["simulate", "--code", "alamouti", "--lattices", "L1", "--snr=-4000"],
+        ["bound", "--code", "golden", "--lattices", "L'1", "--snr=-4000"],
     ])
     def test_bad_value_exits_2(self, capsys, args):
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("text", ["1e17:2e17:1", "0:1e17:1"])
+    def test_range_whose_step_stops_advancing_exits_2(self, text):
+        # the step is lost in the start (1e17 + 1 == 1e17), or would be once
+        # the values pass 2^53: a range that listed by repeated addition
+        # never ended, so this runs in its own process with a timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "latcoset.cli", "simulate", "--code", "alamouti",
+             "--lattices", "L1", "--trials", "10", f"--snr={text}"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "configuration error" in proc.stderr
+
+    @pytest.mark.parametrize("text,count,head,last", [
+        ("-5:5:2.5", 5, [-5.0, -2.5, 0.0], 5.0),
+        ("0:20:5", 5, [0.0, 5.0, 10.0], 20.0),
+        ("0:30:0.1", 301, [0.0, 0.1, 0.2], 30.0),
+        ("0:100:0.01", 10001, [0.0, 0.01, 0.02], 100.0),
+        ("-60:60:0.7", 172, [-60.0, -59.3, -58.6], 59.7),
+        ("0.1:0.3:0.1", 3, [0.1, 0.2, 0.3], 0.3),
+    ])
+    def test_range_values(self, text, count, head, last):
+        values = _parse_float_list(text)
+        assert len(values) == count
+        assert values[:3] == head and values[-1] == last
+        # the values of the former listing by repeated addition, bit for bit
+        start, stop, step = map(float, text.split(":"))
+        summed, v = [], start
+        while v <= stop + 1e-9:
+            summed.append(round(v, 10))
+            v += step
+        assert [x.hex() for x in values] == [x.hex() for x in summed]
+
+    def test_range_point_limit(self):
+        assert len(_parse_float_list("0:999999:1")) == 10 ** 6
+        with pytest.raises(ValueError, match="more than 1000000 values"):
+            _parse_float_list("0:1000000:1")
+        with pytest.raises(ValueError, match="does not advance"):
+            _parse_float_list("1e17:2e17:1")
 
     @pytest.mark.parametrize("text", ["nan", "0,inf", "-inf,5", "nan:10:5", "0:10:nan"])
     def test_float_list_rejects_non_finite(self, text):

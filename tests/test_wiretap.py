@@ -816,9 +816,12 @@ class TestBound:
         real = lattice._fincke_pohst_runs
 
         def recorded(*args):
-            blocks = list(real(*args))
-            runs.append(sum(block.Z.shape[1] for block in blocks))
-            return iter(blocks)
+            # counted as the blocks stream: a wide level's block is valid
+            # only until the enumeration is advanced
+            runs.append(0)
+            for block in real(*args):
+                runs[-1] += block.Z.shape[1]
+                yield block
 
         monkeypatch.setattr(lattice, "_fincke_pohst_runs", recorded)
         rep = ecdp_bound_report(coset("golden", "L'1", 4), 100.0, 128.0)
