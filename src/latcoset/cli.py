@@ -153,45 +153,46 @@ def cmd_simulate(args) -> int:
     loaded = [_load_lattice(s) for s in args.lattices or []]
     codes = ([] if args.metric == "cer"
              else [_coset_code(args, name, lat) for name, lat in loaded])
+    # one curve per lattice (one CER curve without lattices), and its file in
+    # an output directory
+    names = [name for name, _ in loaded] or [None]
+    fnames = [f"{args.metric}_{args.code}_{args.pam}pam_{_file_tag(n) if n else 'all'}.csv"
+              for n in names]
+    out = None if args.out is None else Path(args.out)
+    single_file = out is not None and len(names) == 1 and out.suffix == ".csv"
+    if out is not None and not single_file and len(set(fnames)) < len(fnames):
+        clash = next(f for f in fnames if fnames.count(f) > 1)
+        raise ValueError(f"two --lattices would write one file, {out / clash}")
     cer, ecdps = simulate_curves(code_map, PAMAlphabet(args.pam), codes, args.snr,
                                  args.trials, args.seed, workers=args.workers,
                                  decoder=args.decoder, n_r=args.n_r)
     if args.metric == "cer":
-        csv = _curve_csv(cer, "cer")
-        outputs = [(name, csv) for name, _ in loaded] or [(None, csv)]
+        csvs = [_curve_csv(cer, "cer")] * len(names)
     else:
-        outputs = [(name, _curve_csv(curve, "ecdp"))
-                   for (name, _), curve in zip(loaded, ecdps)]
+        csvs = [_curve_csv(curve, "ecdp") for curve in ecdps]
 
-    if args.out is None:
-        for name, csv in outputs:
+    if out is None:
+        for name, csv in zip(names, csvs):
             if name is not None:
                 sys.stdout.write(f"# lattice={name}\n")
             sys.stdout.write(csv)
-        return 0
-    out = Path(args.out)
-    single_file = len(outputs) == 1 and out.suffix == ".csv"
-    if single_file:
-        out.write_text(outputs[0][1])
-        return 0
-    out.mkdir(parents=True, exist_ok=True)
-    for name, csv in outputs:
-        tag = _file_tag(name) if name else "all"
-        fname = f"{args.metric}_{args.code}_{args.pam}pam_{tag}.csv"
-        (out / fname).write_text(csv)
+    elif single_file:
+        out.write_text(csvs[0])
+    else:
+        out.mkdir(parents=True, exist_ok=True)
+        for fname, csv in zip(fnames, csvs):
+            (out / fname).write_text(csv)
     return 0
 
 
 def cmd_bound(args) -> int:
-    if args.sigma_e_sq:
+    if args.sigma_e_sq is not None:
         sigmas = args.sigma_e_sq
-    elif args.snr:
+    else:
         from .channel import snr_to_sigma
         code_map = code_map_by_name(args.code)
         alphabet = PAMAlphabet(args.pam)
         sigmas = [snr_to_sigma(s, code_map, alphabet).sigma_sq for s in args.snr]
-    else:
-        raise ValueError("bound needs --sigma-e-sq or --snr")
     modes = ["pow2n", "pow2"] if args.exponent_mode == "both" else [args.exponent_mode]
 
     lines = [_VERSION_LINE,
@@ -357,36 +358,18 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _validate(args: argparse.Namespace):
+    """Checks no library call makes: --code, --lattices, one noise flag, a finite --truncation."""
     cmd = args.command
     if cmd in ("analyze", "simulate", "bound"):
         if not args.code:
             raise ValueError("--code is required")
-        if args.pam is None or args.pam < 2 or args.pam % 2 != 0:
-            raise ValueError("--pam must be an even integer >= 2")
-        if cmd != "simulate" or args.metric != "cer":
-            if not args.lattices:
-                raise ValueError("--lattices is required")
+        if not args.lattices and (cmd != "simulate" or args.metric != "cer"):
+            raise ValueError("--lattices is required")
     if cmd == "bound":
+        if (args.sigma_e_sq is None) == (args.snr is None):
+            raise ValueError("bound needs exactly one of --sigma-e-sq and --snr")
         if args.truncation is not None and not _is_finite(args.truncation):
             raise ValueError(f"--truncation must be finite, not {args.truncation!r}")
-        if args.sigma_e_sq is not None and args.snr is not None:
-            raise ValueError("give --sigma-e-sq or --snr, not both")
-    if cmd == "simulate":
-        if args.trials is None or args.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if args.seed is None or args.seed < 0:
-            raise ValueError("--seed must be a nonnegative integer")
-        if args.workers is None or args.workers < 1:
-            raise ValueError("--workers must be >= 1")
-    if cmd == "search":
-        if not args.k or args.k < 1:
-            raise ValueError("--k must be >= 1")
-        if args.index is None or args.index < 1:
-            raise ValueError("--index must be >= 1")
-        if args.budget is None or args.budget < 1:
-            raise ValueError("--budget must be >= 1")
-        if args.seed is None or args.seed < 0:
-            raise ValueError("--seed must be a nonnegative integer")
 
 
 #: the input to change when a command's enumeration or int64 arithmetic runs out

@@ -40,8 +40,8 @@ _BLOCK = 256
 #: transient memory
 _BLOCK_ELEMENTS = 1 << 16
 
-#: points (both signs) of the short-vector table of Z^k, past which a block's
-#: candidates are enumerated one by one instead
+#: points (both signs) of the short-vector table of Z^k, past which a search
+#: has no table and enumerates its blocks instead
 _TABLE_CAP = 1 << 16
 
 
@@ -242,7 +242,7 @@ def _adjugates(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_shells(ms: np.ndarray, n: int,
-                  table: tuple[np.ndarray, list] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  table: tuple[np.ndarray, list] | None) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_1^2, shell rank) of the lattice 2M for each integer basis M
     of |det M| = n in the stack ``ms``, exactly, as two arrays; the values
     :func:`shortest_shell` gives.
@@ -250,26 +250,21 @@ def _block_shells(ms: np.ndarray, n: int,
     2u lies in the lattice of 2M exactly when adj(M) u = 0 (mod n)
     (:func:`_adjugates`, :func:`_shell_hits`), tested against ``table``,
     which must hold every shortest vector (the search passes the table of
-    :func:`_hermite_ceiling`).  Without one, the table's radius is the
-    block's largest min(shortest column of 2M, Minkowski ceiling).  The
-    block's lattices 2M are enumerated together by :func:`shortest_shells`
-    instead when the table would pass ``_TABLE_CAP`` or int64 cannot be
-    shown to hold the arithmetic; their arrays are of Python integers, since
-    lambda_1^2 of such a lattice may pass int64.
+    :func:`_hermite_ceiling`, or None where it would pass ``_TABLE_CAP``).
+    Without a table, or when int64 cannot be shown to hold the arithmetic,
+    the block's lattices 2M are enumerated together by
+    :func:`shortest_shells` instead; their arrays are of Python integers,
+    since lambda_1^2 of such a lattice may pass int64.
     """
     k = ms.shape[1]
     sq = ms.astype(float) ** 2
     # Hadamard: h^2, the smaller product of M's squared row or column norms,
-    # bounds every squared minor of [M | I], so elimination stays within h^2,
-    # column norms within k h^2 and membership sums within k^1.5 h^2 (table
-    # vectors are no longer than a column); float error is far below 2x
+    # bounds every squared minor of [M | I], so elimination stays within h^2
+    # and membership sums within k^1.5 h^2 (operator entries are below
+    # n <= h, and a vector of the ceiling table has ||u||^2 <= k n^(2/k));
+    # float error is far below 2x
     h_sq = np.minimum(sq.sum(axis=2).prod(axis=1), sq.sum(axis=1).prod(axis=1)).max()
-    if k * k * h_sq >= 2.0 ** 62:
-        table = None
-    elif table is None:
-        col = int((ms * ms).sum(axis=1).min(axis=1).max())
-        table = _short_vectors(k, min(4 * col, _minkowski_radius_sq(k, n << k)))
-    if table is None:
+    if table is None or k * k * h_sq >= 2.0 ** 62:
         shells = np.array(shortest_shells([IntegerLattice(2 * m) for m in ms]), dtype=object)
         return shells[:, 0], shells[:, 1]
     return _shell_hits(_adjugates(ms)[0] % n, n, table)

@@ -20,7 +20,7 @@ from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, exhaustive_words, orthogonal_w
                       sphere_words)
 from .errors import CodebookTooLarge, NotASublattice
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
-                      coset_label, label_operator, shortest_shells)
+                      coset_label, coset_labels, label_operator, shortest_shells)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 from .workspace import workspace
 
@@ -183,7 +183,7 @@ class _CosetTests(NamedTuple):
     d: np.ndarray | None  # their moduli (r,), float
     group: np.ndarray | None  # (r, stacked codes), 1 where the code owns the row
     stacked: list  # positions of the codes in the stacked product
-    wide: list  # (position, u, d) of each code kept on Python integers
+    wide: list  # (position, u, d) of each code labeled by coset_labels
 
 
 def _coset_tests(labelers, m: int) -> _CosetTests:
@@ -197,7 +197,8 @@ def _coset_tests(labelers, m: int) -> _CosetTests:
     an integer of magnitude at most k (m - 1)(d_k - 1).  Operators with
     int64 entries and that bound below 2^53 stack their rows into one
     float64 product, exact in any summation order; the others (object
-    dtype, or past the bound) keep Python integers, one at a time.
+    dtype, or past the bound) are tested one at a time by
+    :func:`coset_labels`, exactly.
     """
     rows, mods, owner, stacked, wide = [], [], [], [], []
     for pos, (u, d) in enumerate(labelers):
@@ -219,7 +220,8 @@ def _coset_tests(labelers, m: int) -> _CosetTests:
 def _message_successes(tests: _CosetTests, half_diff: np.ndarray) -> list[int]:
     """Trials whose (z_hat - z)/2 (int64, trials x k) lies in each code's half
     sublattice.  A stacked code fails where one of its rows leaves a nonzero
-    remainder, so where the sum of its |remainders| is nonzero."""
+    remainder, so where the sum of its |remainders| is nonzero; a wide code
+    where one of its :func:`coset_labels` is nonzero."""
     n = half_diff.shape[0]
     counts = [0] * (len(tests.stacked) + len(tests.wide))
     if tests.stacked:
@@ -227,8 +229,7 @@ def _message_successes(tests: _CosetTests, half_diff: np.ndarray) -> list[int]:
         for pos, fails in zip(tests.stacked, np.count_nonzero(rem @ tests.group, axis=0)):
             counts[pos] = n - int(fails)
     for pos, u, d in tests.wide:
-        rem = (half_diff.astype(object) @ u.T) % d
-        counts[pos] = n - int(np.count_nonzero(np.any(rem != 0, axis=1)))
+        counts[pos] = n - int(np.count_nonzero(coset_labels(half_diff, u, d).any(axis=1)))
     return counts
 
 
@@ -337,9 +338,9 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq:
     return (word, *_message_successes(tests, half_diff))
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def _check_count(name: str, value, low: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def _resolve_strategy(decoder: str, code_map: STCodeMap, m: int) -> str:
@@ -372,8 +373,9 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     the SNR point and the seed only; each code's sublattice enters at the
     message test, whether (z_hat - z)/2 lies in its half sublattice.
     Raises ValueError before any draw when a code's map or alphabet differs
-    from the run's, an SNR is not finite, or ``trials`` or ``workers`` is
-    not an integer >= 1.
+    from the run's, an SNR is not finite, ``trials``, ``workers`` or ``n_r``
+    is not an integer >= 1, or ``seed`` is not an integer >= 0 (a numpy
+    integer seed runs the stream of the equal int).
 
     ``decoder`` is ``auto``, ``exhaustive`` or ``sphere``; ``auto`` is
     ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and for an
@@ -403,6 +405,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     ``workers``.
     """
     _check_count("trials", trials)
+    _check_count("seed", seed, 0)
     _check_count("workers", workers)
     _check_count("n_r", n_r)
     for code in codes:

@@ -7,6 +7,7 @@ import pytest
 
 import latcoset.lattice as lattice
 from latcoset import IntegerLattice
+from latcoset.catalog import builtin_sublattice
 from latcoset.cli import _build_parser, _parse_float_list, main
 
 
@@ -238,6 +239,31 @@ class TestSimulate:
             assert code == 2
             assert "L99" in err
 
+    @pytest.mark.parametrize("st_code,lattices", [("alamouti", "a/x.json,b/x.json"),
+                                                  ("golden", "LP1.json,L'1"),
+                                                  ("alamouti", "L2,L1,L1")])
+    def test_lattices_sharing_a_file_exit_2_before_any_trial(self, monkeypatch, capsys,
+                                                             tmp_path, st_code, lattices):
+        # no curve may overwrite another's file
+        for path, name in [("a/x.json", "L1"), ("b/x.json", "L3"), ("LP1.json", "L'1")]:
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_text(builtin_sublattice(name).to_json())
+
+        def no_chunk(*args):
+            raise AssertionError("a chunk was simulated")
+
+        monkeypatch.setattr("latcoset.wiretap._simulate_chunk", no_chunk)
+        sources = ",".join(str(tmp_path / s) if s.endswith(".json") else s
+                           for s in lattices.split(","))
+        for metric in ["ecdp", "cer"]:
+            out = tmp_path / f"out_{metric}"
+            code, _, err = run_cli(["simulate", "--code", st_code, "--metric", metric,
+                                    "--lattices", sources, "--snr", "0", "--trials", "50",
+                                    "--out", str(out)], capsys)
+            assert code == 2
+            assert "configuration error" in err and "would write one file" in err
+            assert not out.exists()
+
     def test_full_sweep_point_count_and_floor(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["simulate", "--code", "alamouti", "--pam", "4",
@@ -336,10 +362,11 @@ class TestBound:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"snr": "0"}))
         for argv in (bound + ["--snr", "0", "--sigma-e-sq", "1"],
-                     bound + ["--sigma-e-sq", "1", "--config", str(path)]):
+                     bound + ["--sigma-e-sq", "1", "--config", str(path)],
+                     bound):  # and neither
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (2, "")
-            assert "--sigma-e-sq" in err and "--snr" in err
+            assert "exactly one of --sigma-e-sq and --snr" in err
 
     def test_catalog_bases_are_enumerated_unreduced(self, capsys, monkeypatch):
         # every catalog basis and its half pass the float gate of
@@ -487,8 +514,28 @@ class TestNumericInputs:
         # a noise variance past the float range (10 ** 400 overflows)
         ["simulate", "--code", "alamouti", "--lattices", "L1", "--snr=-4000"],
         ["bound", "--code", "golden", "--lattices", "L'1", "--snr=-4000"],
+        # single values, each checked by the library call that takes it
+        SIMULATE + ["--snr", "0", "--trials", "0"],
+        SIMULATE + ["--snr", "0", "--workers", "0"],
+        SIMULATE + ["--snr", "0", "--seed", "-1"],
+        SIMULATE + ["--snr", "0", "--pam", "3"],
+        SIMULATE + ["--snr", "0", "--metric", "cer", "--pam", "0"],
+        BOUND + ["--sigma-e-sq", "10", "--pam", "5"],
+        BOUND + ["--snr", "0", "--pam", "5"],
+        ["analyze", "--code", "alamouti", "--lattices", "L1", "--pam", "3"],
+        ["search", "--index", "32"],
+        ["search", "--k", "0", "--index", "32"],
+        ["search", "--k", "4"],
+        ["search", "--k", "4", "--index", "0"],
+        ["search", "--k", "4", "--index", "32", "--budget", "0"],
+        ["search", "--k", "4", "--index", "32", "--seed", "-1"],
     ])
-    def test_bad_value_exits_2(self, capsys, args):
+    def test_bad_value_exits_2(self, monkeypatch, capsys, args):
+        def no_work(*args):
+            raise AssertionError("a trial or a search started")
+
+        monkeypatch.setattr("latcoset.wiretap._chunk_rng", no_work)
+        monkeypatch.setattr("latcoset.cli.search_wr_sublattice", no_work)
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""

@@ -219,6 +219,12 @@ def _sequential_search(cfg):
     return lat.B.tolist(), report
 
 
+def ceiling_table(k, n):
+    """The search's short-vector table at index n in 2Z^k: Hermite's ceiling
+    (None past ``_TABLE_CAP``)."""
+    return search._short_vectors(k, search._hermite_ceiling(k, n))
+
+
 def _pairs(shells):
     """The (lambda_1^2, rank) tuples of a block's two arrays."""
     l1, rank = shells
@@ -265,7 +271,7 @@ class TestBlockEvaluation:
         rng = np.random.default_rng(seed)
         hs = search._hermite_forms(k, search._factorize(n), size, rng)
         expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
-        assert _pairs(search._block_shells(hs, n)) == expected
+        assert _pairs(search._block_shells(hs, n, ceiling_table(k, n))) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 25), (2, 32), (3, 16), (4, 8)])
     def test_matches_enumeration_on_every_hnf(self, monkeypatch, k, n):
@@ -274,7 +280,7 @@ class TestBlockEvaluation:
         assert any(rank == k for _, rank in expected)
         # the table path alone: no per-candidate enumeration
         monkeypatch.setattr(search, "shortest_shells", None)
-        assert _pairs(search._block_shells(hs, n)) == expected
+        assert _pairs(search._block_shells(hs, n, ceiling_table(k, n))) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(k=st.sampled_from([2, 3, 4, 6]), n=st.sampled_from([1, 31, 32, 105, 256]),
@@ -287,7 +293,7 @@ class TestBlockEvaluation:
             m = search._climb_trials(m, mv[None])[0]
         trials = search._climb_trials(m, search._climb_moves(k, size, rng))
         expected = [shortest_shell(IntegerLattice(2 * t)) for t in trials]
-        assert _pairs(search._block_shells(trials, n)) == expected
+        assert _pairs(search._block_shells(trials, n, ceiling_table(k, n))) == expected
 
     @pytest.mark.parametrize("k,n", [(2, 32), (3, 105), (4, 32), (4, 256), (6, 105)])
     def test_climb_matches_enumeration_on_every_move(self, monkeypatch, k, n):
@@ -300,7 +306,7 @@ class TestBlockEvaluation:
             # the table path alone: no per-trial enumeration
             with monkeypatch.context() as patch:
                 patch.setattr(search, "shortest_shells", None)
-                assert _pairs(search._block_shells(trials, n)) == expected
+                assert _pairs(search._block_shells(trials, n, ceiling_table(k, n))) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
     def test_matches_enumeration_on_non_hermite_stacks(self, monkeypatch, k):
@@ -313,10 +319,10 @@ class TestBlockEvaluation:
                 ms.append(h[::-1])  # a zero leading entry, so rows are pivoted
             ms = np.array(ms)
             expected = [shortest_shell(IntegerLattice(2 * m)) for m in ms]
-            assert _pairs(search._block_shells(ms, n)) == expected
+            assert _pairs(search._block_shells(ms, n, ceiling_table(k, n))) == expected
             with monkeypatch.context() as patch:  # the table path alone
                 patch.setattr(search, "shortest_shells", None)
-                assert _pairs(search._block_shells(ms, n)) == expected
+                assert _pairs(search._block_shells(ms, n, ceiling_table(k, n))) == expected
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_past_hadamard_bound_falls_back(self, monkeypatch, k):
@@ -338,14 +344,29 @@ class TestBlockEvaluation:
             with monkeypatch.context() as patch:
                 patch.setattr(search, "shortest_shells",
                               lambda lats: calls.append(lats) or real(lats))
-                assert _pairs(search._block_shells(under[None], n)) == expected[:1]
+                table = ceiling_table(k, n)
+                assert _pairs(search._block_shells(under[None], n, table)) == expected[:1]
                 assert calls == []
-                assert _pairs(search._block_shells(past[None], n)) == expected[1:]
+                assert _pairs(search._block_shells(past[None], n, table)) == expected[1:]
                 assert len(calls) == 1
                 # a block past the bound: one enumeration of all its lattices
-                assert _pairs(search._block_shells(np.stack([past, past, under]), n)) == \
+                assert _pairs(search._block_shells(np.stack([past, past, under]), n, table)) == \
                     expected[1:] * 2 + expected[:1]
                 assert len(calls) == 2 and len(calls[1]) == 3
+
+    @pytest.mark.parametrize("k,n", [(4, 32), (16, 2)])
+    def test_block_without_a_table_is_enumerated_once(self, monkeypatch, k, n):
+        # no table is built for the block: the caller's table, or one
+        # shortest_shells enumeration of all its lattices
+        hs = search._hermite_forms(k, search._factorize(n), 40, np.random.default_rng(n))
+        expected = lattice.shortest_shells([IntegerLattice(2 * h) for h in hs])
+        tables, calls = [], []
+        real = search.shortest_shells
+        monkeypatch.setattr(search, "_short_vectors", lambda *a: tables.append(a))
+        monkeypatch.setattr(search, "shortest_shells",
+                            lambda lats: calls.append(len(lats)) or real(lats))
+        assert _pairs(search._block_shells(hs, n, None)) == expected
+        assert tables == [] and calls == [40]
 
     @pytest.mark.parametrize("n", [30030, 10 ** 5])
     def test_block_past_the_table_cap_is_enumerated_once(self, monkeypatch, n):
@@ -356,12 +377,13 @@ class TestBlockEvaluation:
         rng = np.random.default_rng(n)
         hs = search._hermite_forms(4, search._factorize(n), 40, rng)
         assert search._short_vectors(4, _minkowski_radius_sq(4, n << 4)) is None
+        assert ceiling_table(4, n) is None
         expected = [shortest_shell(IntegerLattice(2 * h)) for h in hs]
         runs = []
         real = lattice._fincke_pohst_runs
         monkeypatch.setattr(lattice, "_fincke_pohst_runs",
                             lambda *args: runs.append(len(args[0])) or real(*args))
-        assert _pairs(search._block_shells(hs, n)) == expected
+        assert _pairs(search._block_shells(hs, n, ceiling_table(4, n))) == expected
 
         def width(h):
             lat = IntegerLattice(2 * h)
@@ -634,9 +656,11 @@ class TestRestartDraws:
             assert _pairs(search._block_shells(ms, n, table)) == expected
             with monkeypatch.context() as patch:  # the table path alone
                 patch.setattr(search, "shortest_shells", None)
-                # the search's ceiling table, and the block's own radius
+                # the search's ceiling table, and one past it: a lattice
+                # leaves at its first shell with a hit
                 assert _pairs(search._block_shells(ms, n, table)) == expected
-                assert _pairs(search._block_shells(ms, n)) == expected
+                wider = search._short_vectors(k, search._hermite_ceiling(k, n) + 8)
+                assert _pairs(search._block_shells(ms, n, wider)) == expected
         # a shell draw has k independent columns of its shell's norm
         for norm, start, stop in shells:
             for m in search._shell_bases(u[start:stop], n, rng)[0]:
@@ -719,7 +743,7 @@ class TestRestartDraws:
         assert len(hs) == 97155
         monkeypatch.setattr(search, "shortest_shells", None)
         shells = [s for c in range(0, len(hs), 8192)
-                  for s in _pairs(search._block_shells(hs[c:c + 8192], 32))]
+                  for s in _pairs(search._block_shells(hs[c:c + 8192], 32, ceiling_table(4, 32)))]
         wr = collections.Counter(l1 for l1, rank in shells if rank == 4)
         assert wr == {24: 324, 28: 8, 32: 1}
         (top,) = [h for h, (l1, rank) in zip(hs, shells) if l1 == 32]

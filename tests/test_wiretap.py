@@ -436,6 +436,14 @@ class TestSimulateInputs:
         with pytest.raises(ValueError, match="SNR values must be finite"):
             bob_cer_monte_carlo(alamouti_map(), PAMAlphabet(4), [snr], 64, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, 0.0, True, "3", -1, np.float64(2.0)])
+    def test_seed_must_be_an_integer_of_at_least_zero(self, seed):
+        # no float seed runs the stream of its integer part
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ecdp_monte_carlo(coset("alamouti", "L2", 4), [0.0], 20, seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            bob_cer_monte_carlo(alamouti_map(), PAMAlphabet(4), [0.0], 20, seed)
+
     def test_code_alphabet_must_be_the_runs(self):
         with pytest.raises(ValueError, match="code map and alphabet"):
             simulate_curves(alamouti_map(), PAMAlphabet(4), [coset("alamouti", "L2", 8)],
@@ -452,6 +460,11 @@ def test_numpy_integer_counts_accepted():
     codes = [coset("alamouti", "L2", 4)]
     assert (simulate_curves(cm, alpha, codes, [0.0], np.int64(300), 1, workers=np.int32(1))
             == simulate_curves(cm, alpha, codes, [0.0], 300, 1))
+    # a numpy integer seed runs the stream of the equal int
+    assert (ecdp_monte_carlo(codes[0], [0.0, 10.0], 200, np.int64(3))
+            == ecdp_monte_carlo(codes[0], [0.0, 10.0], 200, 3))
+    assert (bob_cer_monte_carlo(cm, alpha, [0.0], 200, np.uint8(3))
+            == bob_cer_monte_carlo(cm, alpha, [0.0], 200, 3))
 
 
 def old_chunk_counts(code_map, alphabet, labelers, sigma_sq, n_r, seed, point_idx, chunk_idx,
