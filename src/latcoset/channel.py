@@ -110,11 +110,12 @@ def snr_to_sigma(snr_db: float, code_map: STCodeMap, alphabet: PAMAlphabet) -> N
     per channel use, E_s = E||M z||^2 / T = trace(M^T M) (m^2-1)/3 / T for
     uniform PAM coefficients.  Fading gain is not included (sigma_h is
     normalized separately).  Raises ValueError where sigma^2 leaves the float
-    range: past it at very low SNR, 0 at very high SNR.
+    range: past it at very low SNR, 0 at very high SNR.  A numpy scalar SNR
+    is taken as the equal Python float.
     """
     es = alphabet.mean_square * float(np.trace(code_map.M.T @ code_map.M)) / code_map.T
     try:
-        sigma_sq = es * 10.0 ** (-snr_db / 10.0)
+        sigma_sq = es * 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         sigma_sq = math.inf
     if sigma_sq == math.inf:

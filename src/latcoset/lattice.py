@@ -297,6 +297,14 @@ class IntegerLattice:
     def smith(self) -> "SmithDecomposition":
         return smith_normal_form(self.B)
 
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`label_operator` of the lattice, computed once; read-only."""
+        u, d = label_operator(self)
+        u.setflags(write=False)
+        d.setflags(write=False)
+        return u, d
+
     def to_json(self) -> str:
         """Serialize as ``{"k": ..., "basis": [...]}`` with column-major basis."""
         cols = [[int(self.B[i, j]) for i in range(self.k)] for j in range(self.k)]
@@ -721,6 +729,8 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
         raise ValueError("r_sq must be positive")
     if isinstance(lat, IntegerLattice):
         return _half_in_basis(_enumeration_basis(lat, r_sq)[None], [r_sq], cap)[0]
+    if r_sq == math.inf:
+        raise ValueError("r_sq must be finite for a real lattice")
     try:
         Z = _coefficients(_fincke_pohst_runs(gram(lat)[None], [float(r_sq)], cap))[0][1:]
     except np.linalg.LinAlgError as exc:
@@ -750,7 +760,8 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
     nonzero basis coefficient is positive, then their negations in the same
     order.  For integer lattices the radius test is exact, in the basis
     :func:`_enumeration_basis` picks; for real lattices it is taken with
-    relative tolerance REL_TOL.  Raises CapacityError when the point count
+    relative tolerance REL_TOL.  Raises ValueError for a radius that is not
+    positive, or infinite on a real lattice, and CapacityError when the point count
     would exceed ``cap``, and for an integer lattice when the radius reaches
     2^62, past which exact int64 norms could wrap, or when floats cannot
     carry even its exactly reduced basis.
@@ -902,7 +913,7 @@ def index_in_superlattice(sub: IntegerLattice, sup: IntegerLattice) -> int:
     """
     if sub.k != sup.k:
         raise NotASublattice("dimension mismatch between sub- and superlattice")
-    if np.any(coset_labels(sub.B.T, *label_operator(sup)) != 0):
+    if np.any(coset_labels(sub.B.T, *sup.labels) != 0):
         raise NotASublattice(
             "a claimed sublattice generator lies outside the superlattice")
     return abs(sub.det) // abs(sup.det)
@@ -1028,4 +1039,4 @@ def coset_label(t, sub: IntegerLattice) -> tuple:
     tv = [int(x) for x in t]
     if len(tv) != sub.k:
         raise ValueError("vector length does not match the lattice dimension")
-    return tuple(int(x) for x in coset_labels([tv], *label_operator(sub))[0])
+    return tuple(int(x) for x in coset_labels([tv], *sub.labels)[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from .decoder import (_EPS, DEFAULT_CODEBOOK_CAP, exhaustive_words, orthogonal_w
                       sphere_words)
 from .errors import CodebookTooLarge, NotASublattice
 from .lattice import (ENUMERATION_CAP, IntegerLattice, _enumeration_basis, _integer_runs,
-                      coset_label, coset_labels, label_operator, shortest_shells)
+                      coset_label, coset_labels, shortest_shells)
 from .stcode import PAMAlphabet, STCodeMap, first_coding_gain
 from .workspace import workspace
 
@@ -41,7 +41,8 @@ class CosetCode:
     """An ST code map, a PAM alphabet, and a coefficient-space sublattice.
 
     The sublattice must live inside 2Z^k (every entry even): cosets are then
-    constant on the odd-integer signaling grid.
+    constant on the odd-integer signaling grid, and a message is a coset of
+    the sublattice itself, labeled by its :attr:`IntegerLattice.labels`.
     """
 
     map: STCodeMap
@@ -56,36 +57,10 @@ class CosetCode:
                                  "(the lattice must be contained in 2Z^k)")
 
     @property
-    def half_sub(self) -> IntegerLattice:
-        """The sublattice scaled by 1/2, acting on (z - 1)/2 coordinates."""
-        return _half_setup(self.B_half.tobytes(), self.sub.k)[0]
-
-    @property
-    def labeler(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`label_operator` of :attr:`half_sub`, read-only."""
-        return _half_setup(self.B_half.tobytes(), self.sub.k)[1:]
-
-    @property
-    def B_half(self) -> np.ndarray:
-        return self.sub.B // 2
-
-    @property
     def index(self) -> int:
         """Number of cosets inside 2Z^k, exactly: |det sub| / 2^k, as the
         even entries put sub inside 2Z^k."""
         return abs(self.sub.det) >> self.map.k
-
-
-@lru_cache(maxsize=64)
-def _half_setup(basis: bytes, k: int) -> tuple[IntegerLattice, np.ndarray, np.ndarray]:
-    """The half sublattice of the int64 half basis ``basis`` (k x k, C order)
-    and its label operator (U, d), computed once per basis: every job and
-    every code built on one sublattice shares them, so U and d are read-only."""
-    half = IntegerLattice(np.frombuffer(basis, dtype=np.int64).reshape(k, k))
-    u, d = label_operator(half)
-    u.setflags(write=False)
-    d.setflags(write=False)
-    return half, u, d
 
 
 @dataclass(frozen=True)
@@ -115,7 +90,8 @@ def rates(code: CosetCode) -> RateReport:
 
 
 def message_of(code: CosetCode, z) -> tuple:
-    """Coset label of a signaling word; equal labels mean equal messages.
+    """Coset label of a signaling word modulo the sublattice; equal labels
+    mean equal messages.
 
     z must lie on the alphabet grid (odd integers, ValueError otherwise).
     Labels of z and z' coincide exactly when z - z' is a sublattice vector.
@@ -124,8 +100,7 @@ def message_of(code: CosetCode, z) -> tuple:
     syms = code.alphabet.symbols
     if zv.shape != (code.map.k,) or np.any(np.abs(zv) > syms[-1]) or np.any(zv % 2 != 1):
         raise ValueError("invalid symbol vector for this alphabet")
-    t = (zv.astype(np.int64) - 1) // 2
-    return coset_label(t, code.half_sub)
+    return coset_label(zv, code.sub)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +161,25 @@ class _CosetTests(NamedTuple):
     wide: list  # (position, u, d) of each code labeled by coset_labels
 
 
-def _coset_tests(labelers, m: int) -> _CosetTests:
+def _coset_tests(labels, m: int) -> _CosetTests:
     """The message tests of :func:`_simulate_chunk`, prepared once per job.
 
-    ``labelers`` holds one :func:`label_operator` (U, d) per code.  With
-    t = (z - 1)/2 the labels (U t) mod d of z_hat and z agree exactly when
-    U D = 0 mod d for D = t_hat - t = (z_hat - z)/2, that is when D lies in
-    the half sublattice.  Rows with d_i = 1 hold for every D and are
-    dropped.  As |D_i| <= m - 1 and 0 <= U_ij < d_k, each entry of U D is
-    an integer of magnitude at most k (m - 1)(d_k - 1).  Operators with
-    int64 entries and that bound below 2^53 stack their rows into one
-    float64 product, exact in any summation order; the others (object
-    dtype, or past the bound) are tested one at a time by
-    :func:`coset_labels`, exactly.
+    ``labels`` holds each code's sublattice :attr:`IntegerLattice.labels`
+    (U, d).  The labels (U z) mod d of z_hat and z agree exactly when
+    U D = 0 mod d for D = z_hat - z, that is when D lies in the sublattice.
+    D is even, so rows with d_i <= 2 hold for every D and are dropped.  As
+    |D_i| <= 2(m - 1) and 0 <= U_ij < d_k, each entry of U D is an integer
+    of magnitude at most 2k (m - 1)(d_k - 1).  Operators with int64 entries
+    and that bound below 2^53 stack their rows into one float64 product,
+    exact in any summation order; the others (object dtype, or past the
+    bound) are tested one at a time by :func:`coset_labels`, exactly.
     """
     rows, mods, owner, stacked, wide = [], [], [], [], []
-    for pos, (u, d) in enumerate(labelers):
-        if u.dtype != np.int64 or u.shape[1] * (m - 1) * (int(d[-1]) - 1) >= 1 << 53:
+    for pos, (u, d) in enumerate(labels):
+        if u.dtype != np.int64 or 2 * u.shape[1] * (m - 1) * (int(d[-1]) - 1) >= 1 << 53:
             wide.append((pos, u, d))
             continue
-        keep = d > 1
+        keep = d > 2
         rows.append(u[keep])
         mods.append(d[keep])
         owner += [len(stacked)] * int(keep.sum())
@@ -217,19 +191,19 @@ def _coset_tests(labelers, m: int) -> _CosetTests:
                        group, stacked, wide)
 
 
-def _message_successes(tests: _CosetTests, half_diff: np.ndarray) -> list[int]:
-    """Trials whose (z_hat - z)/2 (int64, trials x k) lies in each code's half
+def _message_successes(tests: _CosetTests, diff: np.ndarray) -> list[int]:
+    """Trials whose z_hat - z (int64, trials x k) lies in each code's
     sublattice.  A stacked code fails where one of its rows leaves a nonzero
     remainder, so where the sum of its |remainders| is nonzero; a wide code
     where one of its :func:`coset_labels` is nonzero."""
-    n = half_diff.shape[0]
+    n = diff.shape[0]
     counts = [0] * (len(tests.stacked) + len(tests.wide))
     if tests.stacked:
-        rem = np.abs(np.fmod(half_diff.astype(float) @ tests.u.T, tests.d))
+        rem = np.abs(np.fmod(diff.astype(float) @ tests.u.T, tests.d))
         for pos, fails in zip(tests.stacked, np.count_nonzero(rem @ tests.group, axis=0)):
             counts[pos] = n - int(fails)
     for pos, u, d in tests.wide:
-        counts[pos] = n - int(np.count_nonzero(coset_labels(half_diff, u, d).any(axis=1)))
+        counts[pos] = n - int(np.count_nonzero(coset_labels(diff, u, d).any(axis=1)))
     return counts
 
 
@@ -297,21 +271,18 @@ def _design_gram_error(code_map: STCodeMap) -> float | None:
     return 5 * t * math.sqrt(t * k) * _EPS
 
 
-def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq: float,
-                    n_r: int, seed: int, point_idx: int, chunk_idx: int, n_trials: int,
-                    strategy: str) -> tuple[int, ...]:
+def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, n_r: int, seed: int,
+                    decode, sigma_sq: float, point_idx: int, chunk_idx: int,
+                    n_trials: int) -> tuple[int, ...]:
     """Run one chunk of trials; returns (word successes, *message successes).
 
     Draw order is fixed: symbol indices, channel block, noise block.  Heff
-    is one product of the channel draws with :func:`_channel_map`.  The
-    ``exhaustive`` strategy slices each coordinate (:func:`orthogonal_words`)
-    for an orthogonal design (:func:`_design_gram_error`) and runs
-    :func:`exhaustive_words` for any other map; ``sphere`` runs
-    :func:`sphere_words`.  All three return the decoded words.  Both
-    success tests read D = (z_hat - z)/2: the word is right when D = 0, the
-    message when D lies in the code's half sublattice, the same predicate
-    as equal coset labels (:func:`_message_successes`; ``tests`` comes from
-    :func:`_coset_tests`).
+    is one product of the channel draws with :func:`_channel_map`, and
+    ``decode(heff, y, m)`` (from :func:`_resolve_decoder`) returns the
+    decoded words.  Both success tests read D = z_hat - z: the word is
+    right when D = 0, the message when D lies in the code's sublattice, the
+    same predicate as equal coset labels (:func:`_message_successes`;
+    ``tests`` comes from :func:`_coset_tests`).
     """
     rng = _chunk_rng(seed, point_idx, chunk_idx)
     m = alphabet.m
@@ -327,15 +298,9 @@ def _simulate_chunk(code_map: STCodeMap, alphabet: PAMAlphabet, tests, sigma_sq:
     heff = _effective_channels(code_map, hblock)
     y = np.einsum("bik,bk->bi", heff, z.astype(float)) + noise
 
-    if strategy == "sphere":
-        zhat = sphere_words(heff, y, m)
-    elif (gram_error := _design_gram_error(code_map)) is not None:
-        zhat = orthogonal_words(heff, y, m, gram_error)
-    else:
-        zhat = exhaustive_words(heff, y, m)
-    half_diff = (zhat - z) >> 1
-    word = n_trials - int(np.count_nonzero(half_diff.any(axis=1)))
-    return (word, *_message_successes(tests, half_diff))
+    diff = decode(heff, y, m) - z
+    word = n_trials - int(np.count_nonzero(diff.any(axis=1)))
+    return (word, *_message_successes(tests, diff))
 
 
 def _check_count(name: str, value, low: int = 1) -> None:
@@ -343,18 +308,22 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
-def _resolve_strategy(decoder: str, code_map: STCodeMap, m: int) -> str:
+def _resolve_decoder(decoder: str, code_map: STCodeMap, m: int):
+    """The job's decode function: :func:`sphere_words` for ``sphere``;
+    otherwise :func:`orthogonal_words` bound to :func:`_design_gram_error`
+    for an orthogonal design, and for any other map :func:`exhaustive_words`
+    up to ``DEFAULT_CODEBOOK_CAP`` words and :func:`sphere_words` past it."""
     if decoder not in ("auto", "sphere", "exhaustive"):
         raise ValueError("decoder must be one of auto|sphere|exhaustive")
     words = m ** code_map.k
     if decoder == "exhaustive" and words > DEFAULT_CODEBOOK_CAP:
         raise CodebookTooLarge(f"|S|^k = {words} exceeds the exhaustive-decoding "
                                f"cap {DEFAULT_CODEBOOK_CAP}; use the sphere decoder")
-    if decoder != "auto":
-        return decoder
-    if words <= DEFAULT_CODEBOOK_CAP or _design_gram_error(code_map) is not None:
-        return "exhaustive"
-    return "sphere"
+    if decoder == "sphere":
+        return sphere_words
+    if (gram_error := _design_gram_error(code_map)) is not None:
+        return partial(orthogonal_words, gram_error=gram_error)
+    return exhaustive_words if words <= DEFAULT_CODEBOOK_CAP else sphere_words
 
 
 def _curve(snr_db_list, successes, trials: int) -> ECDPCurve:
@@ -371,7 +340,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     Every code in ``codes`` must use ``code_map`` and ``alphabet``.  The
     draws and ML decisions of a trial depend on the code map, the alphabet,
     the SNR point and the seed only; each code's sublattice enters at the
-    message test, whether (z_hat - z)/2 lies in its half sublattice.
+    message test, whether z_hat - z lies in it.
     Raises ValueError before any draw when a code's map or alphabet differs
     from the run's, an SNR is not finite, ``trials``, ``workers`` or ``n_r``
     is not an integer >= 1, or ``seed`` is not an integer >= 0 (a numpy
@@ -380,24 +349,24 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     ``decoder`` is ``auto``, ``exhaustive`` or ``sphere``; ``auto`` is
     ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and for an
     orthogonal design at any size, ``sphere`` otherwise, and ``exhaustive``
-    past the cap raises CodebookTooLarge.  The
-    ``exhaustive`` strategy decodes an orthogonal design such as alamouti,
-    whose Heff^T Heff is g I for every channel (decided once per map from
-    the blocks of its channel map), by per-coordinate slicing at any m
-    (:func:`orthogonal_words`, ~0.1-0.5 us per trial in chunks of 64-1024),
-    and every other map by the batched product kernels of
+    past the cap raises CodebookTooLarge.  The job's decode function is
+    resolved once (:func:`_resolve_decoder`).  ``exhaustive`` decodes an
+    orthogonal design such as alamouti, whose Heff^T Heff is g I for every
+    channel (decided once per map from the blocks of its channel map), by
+    per-coordinate slicing at any m (:func:`orthogonal_words`, ~0.1-0.5 us
+    per trial in chunks of 64-1024), and every other map by the batched product kernels of
     :func:`exhaustive_words`.  Both give the residual form's decisions,
     lexicographic ties included.
-    Each code's half sublattice and label operator are built once per
-    sublattice basis and shared by later jobs.
+    Each sublattice's label operator is its cached
+    :attr:`IntegerLattice.labels`, so later jobs on it reuse it.
 
     The job splits into one task per SNR point and chunk of
     ``CHUNK_TRIALS`` trials.  With ``workers > 1`` it runs on a pool of
     ``min(workers, tasks)`` processes, except that a job runs in process
-    when it has one task, or when it decodes with the batched kernels
-    (strategy ``exhaustive``) and holds at most ``CHUNK_TRIALS`` trials in
-    all (trials times SNR points): starting and stopping a pool costs
-    ~11 ms, more than such a job takes.  The per-trial ``sphere`` strategy
+    when it has one task, or when it decodes with the batched kernels (any
+    decoder but :func:`sphere_words`) and holds at most ``CHUNK_TRIALS``
+    trials in all (trials times SNR points): starting and stopping a pool
+    costs ~11 ms, more than such a job takes.  The per-trial sphere decoder
     costs 0.3 ms (golden, 20 dB) to 1.3 s (8-PAM, -10 dB) per trial and
     pools from two tasks.  ``numpy.random`` is imported just before the
     pool starts: forked workers then inherit it, where each would otherwise
@@ -413,17 +382,14 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
             raise ValueError("every code must use the run's code map and alphabet")
     if not all(math.isfinite(snr_db) for snr_db in snr_db_list):
         raise ValueError("SNR values must be finite")
-    strategy = _resolve_strategy(decoder, code_map, alphabet.m)
-    tests = _coset_tests([code.labeler for code in codes], alphabet.m)
+    decode = _resolve_decoder(decoder, code_map, alphabet.m)
+    tests = _coset_tests([code.sub.labels for code in codes], alphabet.m)
+    chunk = partial(_simulate_chunk, code_map, alphabet, tests, n_r, seed, decode)
     n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    tasks = []
-    for point_idx, snr_db in enumerate(snr_db_list):
-        sigma_sq = snr_to_sigma(snr_db, code_map, alphabet).sigma_sq
-        for chunk_idx in range(n_chunks):
-            n = min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS)
-            tasks.append((code_map, alphabet, tests, sigma_sq, n_r, seed,
-                          point_idx, chunk_idx, n, strategy))
-    small = strategy == "exhaustive" and trials * len(snr_db_list) <= CHUNK_TRIALS
+    sigmas = [snr_to_sigma(snr_db, code_map, alphabet).sigma_sq for snr_db in snr_db_list]
+    tasks = [(sigma_sq, point_idx, chunk_idx, min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS))
+             for point_idx, sigma_sq in enumerate(sigmas) for chunk_idx in range(n_chunks)]
+    small = decode is not sphere_words and trials * len(snr_db_list) <= CHUNK_TRIALS
     if workers > 1 and len(tasks) > 1 and not small:
         # imported here: multiprocessing and concurrent.futures add ~2.1 MB of
         # RSS that serial runs never use, and numpy.random ~2.4 MB that analyze
@@ -431,9 +397,9 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
         import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_simulate_chunk, *zip(*tasks)))
+            results = list(pool.map(chunk, *zip(*tasks)))
     else:
-        results = [_simulate_chunk(*task) for task in tasks]
+        results = [chunk(*task) for task in tasks]
 
     counts = np.array(results, dtype=np.int64).reshape(
         len(snr_db_list), n_chunks, 1 + len(codes)).sum(axis=1).T.tolist()

@@ -4,6 +4,7 @@ import pytest
 from latcoset import (ChannelParams, NoiseModel, PAMAlphabet, alamouti_map,
                       golden_map, realify, sample_channel, snr_to_sigma,
                       transmit, vectorize)
+from latcoset.wiretap import simulate_curves
 
 
 class TestSampling:
@@ -107,3 +108,20 @@ class TestSnrCalibration:
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)
+
+    def test_numpy_scalar_snr_is_its_float(self):
+        cm, alpha = alamouti_map(), PAMAlphabet(4)
+        for snr in (-400.0, 2.5, 10.0):
+            noise = snr_to_sigma(np.float32(snr), cm, alpha)
+            assert type(noise.sigma_sq) is float
+            assert noise.sigma_sq == snr_to_sigma(snr, cm, alpha).sigma_sq
+        assert snr_to_sigma(np.float32(-400.0), cm, alpha).sigma_sq == pytest.approx(1e41)
+
+    @pytest.mark.parametrize("snr", [np.float64(-4000.0), np.float32(-4000.0)])
+    def test_past_the_float_range_raises_without_a_warning(self, snr):
+        # RuntimeWarnings are errors in this suite: numpy's overflow warning would fail first
+        cm, alpha = alamouti_map(), PAMAlphabet(4)
+        with pytest.raises(ValueError, match="past the float range"):
+            snr_to_sigma(snr, cm, alpha)
+        with pytest.raises(ValueError, match="past the float range"):
+            simulate_curves(cm, alpha, [], np.array([snr]), 1, 0)

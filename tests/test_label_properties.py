@@ -1,10 +1,10 @@
 """Property tests of the exact core against sympy's rational arithmetic.
 
-Coset labels, containment and the sublattice index are checked against a
-rational solve, the greedy independent-row scan against sympy's rank, and
-the determinant and the Smith form against sympy's determinant and
-invariant factors, with entries up to 2^20 (past the int64 label range, so
-both the int64 and the Python-integer paths run).
+Coset labels, coset-code messages, containment and the sublattice index
+are checked against a rational solve, the greedy independent-row scan
+against sympy's rank, and the determinant and the Smith form against
+sympy's determinant and invariant factors, with entries up to 2^20 (past
+the int64 label range, so both the int64 and the Python-integer paths run).
 """
 
 import numpy as np
@@ -15,8 +15,9 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from latcoset import (IntegerLattice, NotASublattice, coset_label,  # noqa: E402
-                      index_in_superlattice)
+from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,  # noqa: E402
+                      alamouti_map, coset_label, golden_map, index_in_superlattice,
+                      message_of)
 from latcoset.lattice import (independent_rows, int_det,  # noqa: E402
                               smith_normal_form)
 
@@ -85,6 +86,39 @@ def test_equal_labels_iff_difference_in_lattice(case):
     l1, l2 = coset_label(t1, lat), coset_label(t2, lat)
     assert (l1 == l2) == member
     assert all(0 <= v < d for v, d in zip(l1, lat.smith.diagonal))
+
+
+@st.composite
+def codes_and_words(draw):
+    """(sublattice rows, z1, z2) of a coset code on 256-PAM; half the draws
+    put z1 - z2 in the sublattice, and half the sublattices have a last
+    column scaled by 2^31, so their label operator needs Python integers."""
+    k = draw(st.sampled_from([4, 8]))
+    wide = draw(st.booleans())
+    b = [[2 * v for v in row] for row in draw(nonsingular(k, 3))]
+    if wide:
+        b = [row[:-1] + [row[-1] << 31] for row in b]
+    odd = st.integers(-64, 63).map(lambda v: 2 * v + 1)  # |z| <= 127
+    z1 = draw(st.lists(odd, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        c = draw(vectors(k, 5))
+        if wide:
+            c[-1] = 0
+        z2 = [x + sum(b[i][j] * c[j] for j in range(k)) for i, x in enumerate(z1)]  # |z2| <= 247
+    else:
+        z2 = draw(st.lists(odd, min_size=k, max_size=k))
+    return b, z1, z2
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_and_words())
+def test_equal_messages_iff_difference_in_sublattice(case):
+    b, z1, z2 = case
+    code_map = alamouti_map() if len(b) == 4 else golden_map()
+    code = CosetCode(map=code_map, alphabet=PAMAlphabet(256), sub=IntegerLattice(np.array(b)))
+    diff = sympy.Matrix([x - y for x, y in zip(z1, z2)])
+    member = is_integral(sympy.Matrix(b).inv() * diff)
+    assert (message_of(code, np.array(z1)) == message_of(code, np.array(z2))) == member
 
 
 @settings(max_examples=150, deadline=None)

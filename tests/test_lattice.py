@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestHalfEnumeration:
     def test_radius_must_be_positive(self, r_sq):
         with pytest.raises(ValueError, match="positive"):
             enumerate_shorter_than(TWO_Z4, r_sq)
+
+    @pytest.mark.parametrize("r_sq", [math.inf, np.float64(math.inf)])
+    def test_real_radius_must_be_finite(self, r_sq):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                enumerate_shorter_than(RealLattice(np.eye(2)), r_sq)
+            # the integer path keeps its CapacityError past exact int64 norms
+            with pytest.raises(CapacityError, match="2\\^62"):
+                enumerate_shorter_than(TWO_Z4, r_sq)
 
 
 class TestBlocks:

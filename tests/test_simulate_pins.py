@@ -17,11 +17,10 @@ import pytest
 
 from latcoset import IntegerLattice
 from latcoset.cli import main
-from latcoset.lattice import label_operator
 
 
 def wide_lattice(k: int) -> IntegerLattice:
-    """A sublattice of 2Z^k whose half has Smith form diag(1, ..., 1, 2^31).
+    """A sublattice of 2Z^k with Smith form diag(2, ..., 2, 2^32).
 
     k * d_k^2 >= 2^63, so its label operator is object dtype.
     """
@@ -107,7 +106,7 @@ def lattice_files(tmp_path_factory):
     paths = {}
     for k in (4, 8):
         lat = wide_lattice(k)
-        assert label_operator(IntegerLattice(lat.B // 2))[0].dtype == object
+        assert lat.labels[0].dtype == object
         path = root / f"wide{k}.json"
         path.write_text(lat.to_json())
         paths[f"wide{k}"] = str(path)

@@ -335,31 +335,37 @@ class TestMonteCarlo:
         assert cli_main(argv) == 2 and "cap" in capsys.readouterr().err
 
     def test_setup_is_built_once_per_sublattice(self, monkeypatch):
-        calls = []
-        smith = lattice.smith_normal_form
+        smiths, built = [], []
+        smith, post_init = lattice.smith_normal_form, IntegerLattice.__post_init__
 
-        def counted(mat):
-            calls.append(mat)
+        def counted_smith(mat):
+            smiths.append(mat)
             return smith(mat)
 
-        monkeypatch.setattr(lattice, "smith_normal_form", counted)
-        wiretap._half_setup.cache_clear()
+        def counted_post_init(lat):
+            built.append(lat)
+            post_init(lat)
+
+        # fresh lattices: the catalog's own objects keep their cache across tests
+        subs = [IntegerLattice(builtin_sublattice(name).B) for name in ("L1", "L2", "L5")]
+        monkeypatch.setattr(lattice, "smith_normal_form", counted_smith)
+        monkeypatch.setattr(IntegerLattice, "__post_init__", counted_post_init)
         cm, alpha = alamouti_map(), PAMAlphabet(4)
 
         def run():
-            codes = [coset("alamouti", name, 4) for name in ("L1", "L2", "L5")]
+            codes = [CosetCode(map=cm, alphabet=alpha, sub=sub) for sub in subs]
             return simulate_curves(cm, alpha, codes, [0.0, 10.0], 200, seed=25)
 
         first = run()
-        assert len(calls) == 3
-        calls.clear()
+        assert [id(mat) for mat in smiths] == [id(sub.B) for sub in subs]
+        assert built == []
+        smiths.clear()
         assert run() == first
-        assert calls == []
-        code = coset("alamouti", "L2", 4)
-        u, d = code.labeler
-        assert code.half_sub is coset("alamouti", "L2", 4).half_sub
-        assert not (u.flags.writeable or d.flags.writeable or code.half_sub.B.flags.writeable)
-        assert calls == []
+        assert smiths == [] and built == []
+        for sub in subs:
+            u, d = sub.labels
+            assert sub.labels[0] is u
+            assert not (u.flags.writeable or d.flags.writeable)
 
     def test_bob_cer_ignores_sublattice(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)
@@ -470,7 +476,8 @@ def test_numpy_integer_counts_accepted():
 def old_chunk_counts(code_map, alphabet, labelers, sigma_sq, n_r, seed, point_idx, chunk_idx,
                      n_trials, strategy):
     """A chunk's counts by the earlier path: Heff by einsum over the real
-    expansion, and coset labels of the decoded and sent words compared."""
+    expansion, and the labels of (z - 1)/2 of the decoded and sent words
+    compared modulo each half sublattice H of ``labelers``."""
     rng = wiretap._chunk_rng(seed, point_idx, chunk_idx)
     m, k, n_t, t_uses = alphabet.m, code_map.k, code_map.n, code_map.T
     sym_idx = rng.integers(0, m, size=(n_trials, k))
@@ -496,8 +503,9 @@ def old_chunk_counts(code_map, alphabet, labelers, sigma_sq, n_r, seed, point_id
 
 @st.composite
 def half_sublattices(draw, k):
-    """Half bases: a catalog lattice's, a random triangular one, or one whose
-    label operator needs Python integers (last invariant 2^31 or more)."""
+    """Half bases H of the sublattices 2H: a catalog lattice's, a random
+    triangular one, or one whose label operator needs Python integers (last
+    invariant 2^31 or more)."""
     kind = draw(st.sampled_from(["catalog", "triangular", "wide"]))
     if kind == "catalog":
         names = (["L1", "L2", "L3", "L4", "L5"] if k == 4
@@ -536,23 +544,25 @@ class TestChunkKernel:
                       n_r=2, snr_db=0.0, seed=7, chunk=0))
     def test_counts_match_the_label_comparison(self, job):
         code_map, alphabet = job["code_map"], PAMAlphabet(job["m"])
-        labelers = [lattice.label_operator(IntegerLattice(b)) for b in job["halves"]]
+        subs = [IntegerLattice(2 * b) for b in job["halves"]]
+        tests = wiretap._coset_tests([sub.labels for sub in subs], alphabet.m)
+        decode = wiretap._resolve_decoder(job["strategy"], code_map, alphabet.m)
         sigma_sq = snr_to_sigma(job["snr_db"], code_map, alphabet).sigma_sq
-        args = (sigma_sq, job["n_r"], job["seed"], 1, job["chunk"], job["n_trials"],
-                job["strategy"])
-        got = wiretap._simulate_chunk(code_map, alphabet,
-                                      wiretap._coset_tests(labelers, alphabet.m), *args)
-        assert got == old_chunk_counts(code_map, alphabet, labelers, *args)
+        got = wiretap._simulate_chunk(code_map, alphabet, tests, job["n_r"], job["seed"],
+                                      decode, sigma_sq, 1, job["chunk"], job["n_trials"])
+        halves = [lattice.label_operator(IntegerLattice(b)) for b in job["halves"]]
+        assert got == old_chunk_counts(code_map, alphabet, halves, sigma_sq, job["n_r"],
+                                       job["seed"], 1, job["chunk"], job["n_trials"],
+                                       job["strategy"])
 
     def test_object_operators_stay_off_the_stacked_product(self):
-        halves = [builtin_sublattice("L2").B // 2, np.diag([1, 1, 1, 2 ** 33]).astype(np.int64),
-                  builtin_sublattice("L3").B // 2]
-        labelers = [lattice.label_operator(IntegerLattice(b)) for b in halves]
-        tests = wiretap._coset_tests(labelers, 4)
+        subs = [builtin_sublattice("L2"), IntegerLattice(np.diag([2, 2, 2, 2 ** 34])),
+                builtin_sublattice("L3")]
+        tests = wiretap._coset_tests([sub.labels for sub in subs], 4)
         assert tests.stacked == [0, 2] and [pos for pos, *_ in tests.wide] == [1]
         assert tests.wide[0][1].dtype == object
-        # rows with invariant 1 hold for every D and are dropped
-        assert tests.d.tolist() == [2.0, 16.0] + [float(x) for x in labelers[2][1] if x > 1]
+        # D = z_hat - z is even: rows with invariant 1 or 2 hold for every D and are dropped
+        assert tests.d.tolist() == [4.0, 32.0] + [float(x) for x in subs[2].labels[1] if x > 2]
 
 
 def record_pools(monkeypatch) -> list:
