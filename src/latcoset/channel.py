@@ -51,8 +51,8 @@ class NoiseModel:
     sigma_sq: float
 
     def __post_init__(self):
-        if self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be positive")
+        if not 0 < self.sigma_sq < math.inf:  # a NaN fails too
+            raise ValueError("sigma_sq must be positive and finite")
 
 
 def sample_channel(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:

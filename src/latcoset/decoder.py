@@ -3,14 +3,16 @@
 Every route returns words: for ``heff`` (b, d, k) and ``y`` (b, d), the
 (b, k) int64 argmins of ||y - Heff z||^2 over z in S^k.  Exact ties resolve
 lexicographically only where the float residual form is exact (integer
-channels); elsewhere the batched kernels follow its rounding and
-:func:`sphere_decode` compares QR-domain floats.
+channels); elsewhere every route follows its rounding.
 
 :func:`orthogonal_words` slices each coordinate of an orthogonal design
 (Heff^T Heff = g I for every channel, decided by the caller once per code
 map): z_i is the symbol nearest (Heff^T y)_i / g, clamped to the box, at
-any m.  :func:`sphere_words` runs the per-trial :func:`sphere_decode` and
-sends a rank-deficient channel to :func:`exhaustive_words`, which has two
+any m.  :func:`sphere_words` runs a layered box search over blocks of
+trials (:func:`_box_search`), each level grown by the Fincke-Pohst level
+step of :func:`lattice._grow`; :func:`sphere_decode` is its batch of one.
+It sends a rank-deficient channel, and a trial past its node budget, to
+:func:`exhaustive_words`, which has two
 kernels, chosen by codebook size.  Up to ``_GEMM_LIMIT`` words it scores
 every word with one matrix product, using the expansion
 ||y - Heff z||^2 = ||y||^2 + <w * vech(Heff^T Heff), vech(z z^T)> - 2 <Heff^T y, z>
@@ -22,10 +24,10 @@ orders each problem's columns by sorted QR (the weakest half at the
 bottom), takes a QR of [Heff | y] in that order, prunes the top half of
 the coordinates against the radius of the greedy leaf and completes each
 surviving top word over the bottom half, all in the same product form
-with the cached features of the two half codebooks.  Both kernels share
-one rounding bound, E of :func:`_slack`, and every batched route sends
-what its bound cannot settle to one recheck, :func:`_residual_pick`: the
-residual form sum (y - Heff z)^2, ties to the smallest flat index.
+with the cached features of the two half codebooks.  Both kernels and the
+box search share one rounding bound, E of :func:`_slack`, and every route
+sends what its bound cannot settle to one recheck, :func:`_residual_pick`:
+the residual form sum (y - Heff z)^2, ties to the smallest flat index.
 
 Both product kernels write their large temporaries into workspaces
 (:mod:`latcoset.workspace`), so that a stream of calls of one shape takes
@@ -35,8 +37,11 @@ block of problems at a time; the two-level kernel's sorted-QR Gram,
 reordered channel, [Heff | y], Gram of R and top-word scores, one block of
 problems at a time (:class:`_TwoLevelTerms` views the last two through
 :func:`_recheck`), and its pair scores, each read before the next pair
-block is scored; :func:`_slack` its squares.  No call nests a call that
-uses the same key, and every returned word array is fresh.
+block is scored; :func:`_slack` its squares.  The box search takes its
+column order (:func:`_column_order`) and slack from the same workspaces,
+one block at a time, and calls :func:`exhaustive_words` only after its
+last block.  No call nests a call that uses the same key, and every
+returned word array is fresh.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CodebookTooLarge, RankDeficientChannel
+from .lattice import _grow
 from .stcode import PAMAlphabet, grid_rows
 from .workspace import workspace
 
@@ -69,6 +75,14 @@ _BLOCK_ELEMENTS = 1 << 15
 #: block of the two-level kernel; 1 << 16 was slower on golden 4-PAM
 _TWO_LEVEL_BLOCK = 1 << 15
 
+#: candidates, over all levels, one trial of the box search of
+#: :func:`sphere_words` may expand before it goes to :func:`exhaustive_words`
+_NODE_BUDGET = 1 << 13
+
+#: trials one block of that search takes: a level of it holds at most
+#: 2^18 candidates
+_SEARCH_TRIALS = 32
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -86,6 +100,8 @@ class DecodingProblem:
         h = np.asarray(self.Heff, dtype=float)
         if h.ndim != 2 or y.shape != (h.shape[0],):
             raise ValueError("y must be a vector matching Heff's row count")
+        if not (np.isfinite(y).all() and np.isfinite(h).all()):
+            raise ValueError("y and Heff must be finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "Heff", h)
 
@@ -377,22 +393,25 @@ def _two_level_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _column_order(heff: np.ndarray) -> np.ndarray:
-    """Per-problem column order of the two-level kernel, by sorted QR, (b, k).
+def _column_order(heff: np.ndarray, steps: int | None = None) -> np.ndarray:
+    """Per-problem column order by sorted QR, (b, k), in ``steps`` steps:
+    k // 2 (None) for the two-level kernel, k - 1 for the box search of
+    :func:`sphere_words`.
 
-    The first k // 2 entries are the bottom columns, taken greedily as in
-    the sorted QR of Wübben, Böhnke, Rinas, Kühn & Kammeyer (Electronics
-    Letters 2001): each is the column of least norm after projecting out the
-    columns already taken, read off the diagonal of the Schur complement of
-    their block in Heff^T Heff.  The other columns follow in ascending order;
-    they are the strong ones, and on top they tighten T(z_t).
+    The first ``steps`` entries are taken greedily as in the sorted QR of
+    Wübben, Böhnke, Rinas, Kühn & Kammeyer (Electronics Letters 2001): each
+    is the column of least norm after projecting out the columns already
+    taken, read off the diagonal of the Schur complement of their block in
+    Heff^T Heff.  The other columns follow in ascending order; they are the
+    strong ones.  In the two-level kernel the first k // 2 are the bottom
+    columns, and the strong ones on top tighten T(z_t).
     """
     b, _, k = heff.shape
     rows = np.arange(b)
     gram = np.matmul(heff.transpose(0, 2, 1), heff, out=workspace("two_level.order", (b, k, k)))
     step = workspace("two_level.step", gram.shape)
     rank = np.full((b, k), k)
-    for s in range(k // 2):
+    for s in range(k // 2 if steps is None else steps):
         norms = np.where(rank == k, np.diagonal(gram, axis1=1, axis2=2), np.inf)
         j = np.argmin(norms, axis=1)
         rank[rows, j] = s
@@ -549,68 +568,105 @@ def ml_decode_exhaustive(problem: DecodingProblem,
     return exhaustive_words(problem.Heff[None], problem.y[None], problem.alphabet.m)[0]
 
 
+def _full_rank(heff: np.ndarray) -> np.ndarray:
+    """Whether each channel of ``heff`` (..., d, k) has full column rank
+    numerically: k singular values, the least above ``_RANK_TOL`` times the
+    largest; never so with fewer rows than columns."""
+    sv = np.linalg.svd(heff, compute_uv=False)
+    return (sv.shape[-1] == heff.shape[-1]) & (sv[..., -1] > _RANK_TOL * sv[..., 0])
+
+
 def sphere_decode(problem: DecodingProblem) -> np.ndarray:
-    """Depth-first sphere decoder over the alphabet box, exact ML output.
+    """:func:`sphere_words` of one problem: its ML word over the alphabet box.
 
-    QR-reduces the channel and walks symbols at each level in increasing
-    partial-distance order, shrinking the radius at every leaf.  The first
-    leaf reached is the alphabet-clamped Babai point, so the search always
-    starts with a finite radius.  Output matches :func:`ml_decode_exhaustive`,
-    lexicographic ties included where the distances are exact.
-
-    Raises RankDeficientChannel when Heff is numerically rank deficient,
-    which it always is with fewer rows than columns.
+    Output matches :func:`ml_decode_exhaustive`, lexicographic ties included
+    where the distances are exact.  Raises RankDeficientChannel when Heff is
+    numerically rank deficient (:func:`_full_rank`), which it always is
+    with fewer rows than columns.
     """
-    y, h = problem.y, problem.Heff
-    k = h.shape[1]
-    q, r = np.linalg.qr(h)
-    diag = np.diag(r)
-    if r.shape[0] < k or np.min(np.abs(diag)) <= _RANK_TOL * max(float(np.max(np.abs(r))), 1e-300):
+    if not _full_rank(problem.Heff):
         raise RankDeficientChannel("effective channel is rank deficient")
-    signs = np.where(diag < 0, -1.0, 1.0)
-    r = r * signs[:, None]
-    ytilde = (q.T @ y) * signs
-
-    syms = problem.alphabet.symbols.astype(float)
-    sym_ints = problem.alphabet.symbols
-    best = {"dist": np.inf, "z": None}
-    z = np.zeros(k)
-
-    def visit(level: int, acc: float):
-        rhs = ytilde[level] - r[level, level + 1:] @ z[level + 1:]
-        vals = r[level, level] * syms
-        errs = np.abs(vals - rhs)
-        order = np.lexsort((sym_ints, errs))
-        for idx in order:
-            d = acc + (vals[idx] - rhs) ** 2
-            if d > best["dist"]:
-                break  # children are visited in increasing distance
-            z[level] = syms[idx]
-            if level == 0:
-                cand = z.astype(np.int64)
-                if d < best["dist"] or (d == best["dist"] and
-                                        (best["z"] is None or tuple(cand) < tuple(best["z"]))):
-                    best["dist"] = d
-                    best["z"] = cand.copy()
-            else:
-                visit(level - 1, d)
-
-    visit(k - 1, 0.0)
-    return best["z"]
+    return sphere_words(problem.Heff[None], problem.y[None], problem.alphabet.m)[0]
 
 
 def sphere_words(heff: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """:func:`sphere_decode` of each problem of a batch, as (b, k) int64 words.
+    """The words of :func:`exhaustive_words` by a layered search over the alphabet box.
 
-    A trial whose channel :func:`sphere_decode` finds rank deficient (always
-    so with fewer rows than columns) is decoded by :func:`exhaustive_words`,
-    with no codebook cap, so it gets the exhaustive strategy's answer.
+    The trials of full rank (:func:`_full_rank`) go through
+    :func:`_box_search` in blocks of ``_SEARCH_TRIALS``, so no level of the
+    search holds more than ``_SEARCH_TRIALS * _NODE_BUDGET`` candidates,
+    whatever the number of trials.  The rest, a rank-deficient trial
+    (always so with fewer rows than columns) or one that passes the node
+    budget, are decoded by :func:`exhaustive_words`, with no codebook cap,
+    so they get the exhaustive strategy's answer.
     """
-    alphabet = PAMAlphabet(m)
-    out = np.empty((heff.shape[0], heff.shape[2]), dtype=np.int64)
-    for i in range(heff.shape[0]):
-        try:
-            out[i] = sphere_decode(DecodingProblem(y=y[i], Heff=heff[i], alphabet=alphabet))
-        except RankDeficientChannel:
-            out[i] = exhaustive_words(heff[i:i + 1], y[i:i + 1], m)[0]
+    out = np.empty((len(heff), heff.shape[2]), dtype=np.int64)
+    rest = ~_full_rank(heff)
+    full = np.flatnonzero(~rest)
+    for t in (full[off:off + _SEARCH_TRIALS] for off in range(0, full.size, _SEARCH_TRIALS)):
+        out[t], rest[t] = _box_search(heff[t], y[t], m)
+    if rest.any():
+        out[rest] = exhaustive_words(heff[rest], y[rest], m)
     return out
+
+
+def _box_search(heff: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sphere_words` of a block of full-rank trials: (b, k) int64
+    words, and whether each trial passed ``_NODE_BUDGET`` (its word is then
+    not its own).
+
+    With z = 2w - (m - 1), ||y - Heff z|| = ||y' - 2 Heff w||, y' = y +
+    (m - 1) Heff 1, and the symbols are the integer box w in [0, m - 1]^k.
+    The columns go in the order of a full sorted QR (:func:`_column_order`
+    in k - 1 steps), and the R factor of [2 Heff | y'] is that of
+    [Heff | y] with its first k columns doubled and its last moved by
+    (m - 1) times their sum: one QR of [Heff | y] per block, as in
+    :func:`_two_level_terms`, gives every trial's QR-domain distance
+    D(w) = sum_i t_i^2, t_i = (R w - y~)_i, over levels i = k-1 .. 0.  Each
+    level is expanded by :func:`lattice._grow`, the level step of the
+    Fincke-Pohst enumeration, over each partial word's run of w_i values.
+    A first pass takes the nearest integer, clamped to the box (successive
+    interference cancellation; both of two equally near), and its least
+    leaf's D plus 2E, E of :func:`_slack`, is the radius of the second,
+    whose runs are the intervals the radius allows, cut to the box.  A
+    trial whose candidates over both passes pass ``_NODE_BUDGET`` keeps no
+    node.
+
+    D and the residual form sum (y - Heff z)^2 lie within E / 2 of the
+    exact distance (less a constant) for every word of the box, by the
+    argument of :func:`_two_level_words`: the column order and the doubling
+    leave its QR term as it is, and the shift of y~ and the level sums t_i,
+    off by at most k eps A and 3(k + 1) eps A in norm over the levels, move
+    D by at most (9k + 6) eps A^2 to first order, below its
+    (k + 3)^2 eps A^2.  So no level drops the residual form's argmin, and it
+    lies within 2E of its trial's least D.  Those leaves of every trial, in
+    the original coordinates, are the candidates of one
+    :func:`_residual_pick` for the block: the words of other trials only
+    add candidates, and the first word stands in for a block whose every
+    trial passed the budget.
+    """
+    n, _, k = heff.shape
+    order = _column_order(heff, k - 1)
+    r = np.linalg.qr(np.dstack([np.take_along_axis(heff, order[:, None], 2), y]), mode="r")
+    rr, yt = 2 * r[:, :k, :k], r[:, :k, k] + (m - 1) * r[:, :k, :k].sum(axis=2)
+    bound, used, slack = np.full(n, np.inf), np.zeros(n), _slack(heff, y, m)
+    for greedy in (True, False):
+        Z, q, tr = np.zeros((0, n), dtype=np.int64), np.zeros(n), np.arange(n)
+        for i in range(k - 1, -1, -1):
+            rii = rr[tr, i, i]
+            proj = np.einsum("nj,jn->n", rr[tr, i, i + 1:][:, ::-1], Z) - yt[tr, i]
+            center = np.clip(proj / -rii, 0, m - 1) if greedy else proj / -rii
+            # the margin covers the rounding of the radius test in _grow
+            half = 0.5 if greedy else np.sqrt(bound[tr] * (1 + 1e-9) - q) / np.abs(rii)
+            lo = np.clip(np.ceil(center - half), 0, m)
+            counts = (np.clip(np.floor(center + half), lo - 1, m - 1) - lo + 1).astype(np.int64)
+            used += np.bincount(tr, counts, n)
+            counts[used[tr] > _NODE_BUDGET] = 0
+            Z, q, rep, _ = _grow(Z, q, proj, rii, lo.astype(np.int64), counts, bound[tr])
+            tr = tr[rep]
+        bound = np.full(n, np.inf)
+        np.minimum.at(bound, tr, q + 2 * slack[tr])
+    near = q <= bound[tr]
+    leaves = np.full((near.sum() + 1, k), 1 - m)
+    np.put_along_axis(leaves[1:], order[tr[near]], 2 * Z[::-1, near].T - (m - 1), 1)
+    return _residual_pick(heff, y, leaves, m), used > _NODE_BUDGET

@@ -51,6 +51,8 @@ def _as_int_rows(mat) -> list[list[int]]:
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if arr.dtype.kind not in "iuO":
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
         if not np.all(arr == np.rint(arr)):
             raise ValueError("matrix entries must be integers")
     return [[int(round(float(x))) if not isinstance(x, (int, np.integer)) else int(x)
@@ -731,8 +733,13 @@ def _half_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np.nda
         return _half_in_basis(_enumeration_basis(lat, r_sq)[None], [r_sq], cap)[0]
     if r_sq == math.inf:
         raise ValueError("r_sq must be finite for a real lattice")
+    g = gram(lat)
     try:
-        Z = _coefficients(_fincke_pohst_runs(gram(lat)[None], [float(r_sq)], cap))[0][1:]
+        # |z_i| <= sqrt(r_sq (G^-1)_ii), and from 2^62 the int64 run bounds
+        # of the enumeration could wrap
+        if float(r_sq) * float(np.linalg.inv(g).diagonal().max()) >= 2.0 ** 124:
+            raise CapacityError(f"squared radius {r_sq} puts coefficients past int64 runs")
+        Z = _coefficients(_fincke_pohst_runs(g[None], [float(r_sq)], cap))[0][1:]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("Gram matrix is not positive definite") from exc
     pts = Z @ lat.basis.T
@@ -764,7 +771,9 @@ def enumerate_shorter_than(lat: Lattice, r_sq, cap: int = ENUMERATION_CAP) -> np
     positive, or infinite on a real lattice, and CapacityError when the point count
     would exceed ``cap``, and for an integer lattice when the radius reaches
     2^62, past which exact int64 norms could wrap, or when floats cannot
-    carry even its exactly reduced basis.
+    carry even its exactly reduced basis; for a real lattice when a
+    coefficient bound sqrt(r_sq (G^-1)_ii) reaches 2^62, past which the
+    enumeration's int64 runs could wrap.
     """
     half = _half_shorter_than(lat, r_sq, cap)
     return np.concatenate([half, -half])

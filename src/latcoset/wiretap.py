@@ -348,8 +348,9 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
 
     ``decoder`` is ``auto``, ``exhaustive`` or ``sphere``; ``auto`` is
     ``exhaustive`` up to ``DEFAULT_CODEBOOK_CAP`` words and for an
-    orthogonal design at any size, ``sphere`` otherwise, and ``exhaustive``
-    past the cap raises CodebookTooLarge.  The job's decode function is
+    orthogonal design at any size, ``sphere`` (the batched box search of
+    :func:`sphere_words`) otherwise, and ``exhaustive`` past the cap raises
+    CodebookTooLarge.  The job's decode function is
     resolved once (:func:`_resolve_decoder`).  ``exhaustive`` decodes an
     orthogonal design such as alamouti, whose Heff^T Heff is g I for every
     channel (decided once per map from the blocks of its channel map), by
@@ -363,12 +364,10 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     The job splits into one task per SNR point and chunk of
     ``CHUNK_TRIALS`` trials.  With ``workers > 1`` it runs on a pool of
     ``min(workers, tasks)`` processes, except that a job runs in process
-    when it has one task, or when it decodes with the batched kernels (any
-    decoder but :func:`sphere_words`) and holds at most ``CHUNK_TRIALS``
-    trials in all (trials times SNR points): starting and stopping a pool
-    costs ~11 ms, more than such a job takes.  The per-trial sphere decoder
-    costs 0.3 ms (golden, 20 dB) to 1.3 s (8-PAM, -10 dB) per trial and
-    pools from two tasks.  ``numpy.random`` is imported just before the
+    when it has one task, or when it holds at most ``CHUNK_TRIALS`` trials
+    in all (trials times SNR points), whatever its decoder: every decoder
+    is batched, and starting and stopping a pool costs ~11 ms, more than
+    such a job takes.  ``numpy.random`` is imported just before the
     pool starts: forked workers then inherit it, where each would otherwise
     import it again (~15 ms) on its first draw.  Results do not depend on
     ``workers``.
@@ -389,8 +388,7 @@ def simulate_curves(code_map: STCodeMap, alphabet: PAMAlphabet, codes, snr_db_li
     sigmas = [snr_to_sigma(snr_db, code_map, alphabet).sigma_sq for snr_db in snr_db_list]
     tasks = [(sigma_sq, point_idx, chunk_idx, min(CHUNK_TRIALS, trials - chunk_idx * CHUNK_TRIALS))
              for point_idx, sigma_sq in enumerate(sigmas) for chunk_idx in range(n_chunks)]
-    small = decode is not sphere_words and trials * len(snr_db_list) <= CHUNK_TRIALS
-    if workers > 1 and len(tasks) > 1 and not small:
+    if workers > 1 and len(tasks) > 1 and trials * len(snr_db_list) > CHUNK_TRIALS:
         # imported here: multiprocessing and concurrent.futures add ~2.1 MB of
         # RSS that serial runs never use, and numpy.random ~2.4 MB that analyze
         # and bound never use

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,13 @@ class TestSnrCalibration:
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)
+
+    def test_non_finite_noise_raises(self):
+        for sigma_sq in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseModel(sigma_sq)
+        with pytest.raises(ValueError, match="finite"):
+            snr_to_sigma(math.nan, alamouti_map(), PAMAlphabet(4))
 
     def test_numpy_scalar_snr_is_its_float(self):
         cm, alpha = alamouti_map(), PAMAlphabet(4)

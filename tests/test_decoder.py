@@ -518,6 +518,25 @@ class TestRoutesAgree:
         assert np.array_equal(exhaustive_words(heff, y, 2), gemm)
         assert np.array_equal(gemm, residual_words(heff, y, 2))
 
+    @settings(max_examples=30, deadline=None)
+    @given(code=st.sampled_from(["alamouti", "golden"]), m=st.sampled_from([2, 4]),
+           n_r=st.sampled_from([1, 2]), on_grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_box_search_and_residual_argmin(self, code, m, n_r, on_grid, seed):
+        # integer orthogonal-design channels for alamouti, integer 8-column
+        # ones for golden (4 rows for 8 columns with n_r = 1: all rank
+        # deficient), with y = Heff v, v integer, or half-integer y
+        rng = np.random.default_rng(seed)
+        k = 4 if code == "alamouti" else 8
+        if code == "alamouti":
+            heff = quaternion_channels(rng, 16, n_r)
+        else:
+            heff = rng.integers(-2, 3, (16, 4 * n_r, 8)).astype(float)
+        if on_grid:
+            y = np.einsum("bik,bk->bi", heff, rng.integers(-m, m + 1, (16, k)).astype(float))
+        else:
+            y = rng.integers(-6, 7, (16, 4 * n_r)) / 2.0
+        assert np.array_equal(sphere_words(heff, y, m), residual_words(heff, y, m))
+
     def test_sphere_and_exhaustive_on_one_receive_antenna(self):
         # golden with n_r = 1: 4 rows for 8 coefficients, so every trial is
         # rank deficient and goes to the two-level kernel
@@ -596,6 +615,25 @@ class TestSphere:
             sphere_decode(DecodingProblem(y=np.zeros(8), Heff=heff,
                                           alphabet=PAMAlphabet(4)))
 
+    def test_a_budget_of_one_node_sends_every_trial_to_the_exhaustive_kernel(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        heff, y = golden_trials(rng, 40, 0.0)
+        want = exhaustive_words(heff, y, 4)
+        fallen = []
+        monkeypatch.setattr(decoder, "_NODE_BUDGET", 1)
+        monkeypatch.setattr(decoder, "exhaustive_words",
+                            lambda h, v, m: fallen.append(len(h)) or exhaustive_words(h, v, m))
+        assert np.array_equal(sphere_words(heff, y, 4), want)
+        assert fallen == [40]
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             DecodingProblem(y=np.zeros(7), Heff=np.eye(8), alphabet=PAMAlphabet(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["y", "Heff"])
+    def test_non_finite_problems_are_refused(self, bad, where):
+        y, heff = np.zeros(4), np.eye(4)
+        (y if where == "y" else heff)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DecodingProblem(y=y, Heff=heff, alphabet=PAMAlphabet(2))

@@ -519,6 +519,27 @@ class TestInt64Edge:
         with pytest.raises(CapacityError):
             enumerate_shorter_than(lat, 1 << 62)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_sq,basis", [(1e300, np.eye(2)), (2.0 ** 124, np.eye(2)),
+                                            (2.0 ** 108, np.diag([1.0, 1 / 256]))])
+    def test_real_radius_past_int64_runs_raises_capacity_error(self, r_sq, basis):
+        # the coefficient bound r_sq (G^-1)_ii reaches 2^124, where the int64
+        # run bounds would wrap with "invalid value encountered in cast"
+        with pytest.raises(CapacityError, match="int64 runs"):
+            enumerate_shorter_than(RealLattice(basis), r_sq, cap=100)
+        # below it the cap refuses the radius, as before
+        limit = 2.0 ** 124 / np.linalg.inv(basis.T @ basis).diagonal().max()
+        with pytest.raises(CapacityError, match="cap of 100"):
+            enumerate_shorter_than(RealLattice(basis), limit / 2.01, cap=100)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_basis_entries_raise_value_error(self, bad):
+        mat = np.array([[bad, 0], [0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            IntegerLattice(mat)
+        with pytest.raises(ValueError, match="finite"):
+            smith_normal_form(mat)
+
     def test_radius_below_limit_is_exact(self):
         lat = IntegerLattice(np.diag([2 ** 30, 2 ** 30]))
         assert successive_minima(lat).lambda_sq == (2 ** 60, 2 ** 60)

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet,
-                      RankDeficientChannel, STCodeMap, alamouti_map,
-                      bob_cer_monte_carlo, builtin_sublattice, design_report,
+from latcoset import (CosetCode, IntegerLattice, NotASublattice, PAMAlphabet, STCodeMap,
+                      alamouti_map, bob_cer_monte_carlo, builtin_sublattice, design_report,
                       ecdp_bound, ecdp_bound_report, ecdp_bound_reports,
                       ecdp_monte_carlo, golden_map, message_of, rates,
                       wilson_interval)
@@ -26,6 +25,7 @@ from latcoset.channel import _real_expand, snr_to_sigma
 from latcoset.cli import main as cli_main
 from latcoset.search import random_sublattice_with_index
 from latcoset.wiretap import simulate_curves
+from test_decoder import residual_words
 
 
 def brute_force_terms(code, trunc, sigma, mode, n_r):
@@ -158,9 +158,24 @@ class TestWilson:
 GOLDEN_SNRS = [-10.0, 0.0, 20.0]
 
 
+def engine_draws(code_map, alphabet, snr_db, seed, n, n_r=2):
+    """Heff and y of the first ``n`` trials of the first chunk of a job, as
+    the Monte-Carlo engine draws them."""
+    got = []
+
+    def keep(heff, y, m):
+        got.append((heff, y))
+        return np.zeros((len(heff), heff.shape[2]), dtype=np.int64)
+
+    sigma_sq = snr_to_sigma(snr_db, code_map, alphabet).sigma_sq
+    wiretap._simulate_chunk(code_map, alphabet, wiretap._coset_tests([], alphabet.m), n_r, seed,
+                            keep, sigma_sq, 0, 0, n)
+    return got[0]
+
+
 @lru_cache(maxsize=None)
 def golden_sphere_curve():
-    """Golden 4-PAM L'2 through the per-trial sphere decoder, one process."""
+    """Golden 4-PAM L'2 through the layered box search, one process."""
     return ecdp_monte_carlo(coset("golden", "L'2", 4), GOLDEN_SNRS, 1100, seed=21,
                             decoder="sphere")
 
@@ -191,15 +206,22 @@ class TestMonteCarlo:
         assert e == s
 
     def test_rank_deficient_sphere_trials_decode_exhaustively(self, monkeypatch):
-        def rank_deficient(problem):
-            raise RankDeficientChannel("forced")
-
-        monkeypatch.setattr("latcoset.decoder.sphere_decode", rank_deficient)
-        c = coset("alamouti", "L2", 4)
+        # golden with n_r = 1: Heff has 4 rows for 8 coefficients, so every
+        # trial is rank deficient; then channels with a zero column
+        c = coset("golden", "L'2", 4)
         snrs = [-5.0, 5.0, 15.0]
-        s = ecdp_monte_carlo(c, snrs, 700, seed=13, decoder="sphere")
-        e = ecdp_monte_carlo(c, snrs, 700, seed=13, decoder="exhaustive")
-        assert s == e
+        s = ecdp_monte_carlo(c, snrs, 300, seed=13, n_r=1, decoder="sphere")
+        assert s == ecdp_monte_carlo(c, snrs, 300, seed=13, n_r=1, decoder="exhaustive")
+        heff, y = engine_draws(golden_map(), PAMAlphabet(4), 5.0, 13, 40)
+        heff[::2, :, 3] = 0.0
+        fallen = []
+        exhaustive = decoder.exhaustive_words
+        monkeypatch.setattr(decoder, "exhaustive_words",
+                            lambda h, v, m: fallen.append(h) or exhaustive(h, v, m))
+        assert np.array_equal(decoder.sphere_words(heff, y, 4), exhaustive(heff, y, 4))
+        # every trial with the zero column is among them (a trial past the
+        # node budget may be too)
+        assert [np.count_nonzero(~h[:, :, 3].any(axis=1)) for h in fallen] == [20]
 
     def test_floor_lower_bound_invariant(self):
         c = coset("alamouti", "L2", 4)
@@ -260,6 +282,16 @@ class TestMonteCarlo:
                                workers=workers, decoder=decoder_name)
         assert got == golden_sphere_curve()
 
+    @pytest.mark.parametrize("code,m,snr_db,seed,n", [
+        ("golden", 4, -10.0, 21, 24), ("golden", 4, 0.0, 21, 24), ("golden", 4, 20.0, 21, 24),
+        ("alamouti", 10, 0.0, 29, 40), ("alamouti", 30, 0.0, 29, 6)])
+    def test_box_search_matches_the_residual_argmin(self, code, m, snr_db, seed, n):
+        # the first trials of the golden job above and the alamouti jobs
+        # below, against the brute force over the full codebook
+        code_map = golden_map() if code == "golden" else alamouti_map()
+        heff, y = engine_draws(code_map, PAMAlphabet(m), snr_db, seed, n)
+        assert np.array_equal(decoder.sphere_words(heff, y, m), residual_words(heff, y, m))
+
     @pytest.mark.parametrize("m", [10, 30])
     def test_alamouti_two_level_matches_sphere(self, m):
         # 10^4 and 8.1 * 10^5 words: auto decodes both by per-coordinate slicing,
@@ -271,7 +303,8 @@ class TestMonteCarlo:
                                decoder="sphere") == auto
 
     def test_golden_one_receive_antenna_decodes_with_either_strategy(self):
-        # Heff has 4 rows for 8 coefficients: the sphere strategy falls back per trial
+        # Heff has 4 rows for 8 coefficients: the sphere strategy decodes
+        # every trial exhaustively
         c = coset("golden", "L'2", 4)
         auto = ecdp_monte_carlo(c, [0.0], 40, seed=23, n_r=1)
         assert ecdp_monte_carlo(c, [0.0], 40, seed=23, n_r=1, decoder="sphere") == auto
@@ -321,15 +354,16 @@ class TestMonteCarlo:
 
     def test_alamouti_32_pam_auto_slices(self, monkeypatch, capsys):
         # 32^4 = 1 048 576 words, past the exhaustive cap: auto slices the
-        # orthogonal design all the same, with the recursion's decisions
+        # orthogonal design all the same, with the box search's decisions
         c = coset("alamouti", "L2", 32)
         calls = []
-        real = decoder.sphere_decode
-        monkeypatch.setattr(decoder, "sphere_decode", lambda p: calls.append(p) or real(p))
+        real = wiretap.sphere_words
+        monkeypatch.setattr(wiretap, "sphere_words",
+                            lambda h, v, m: calls.append(len(h)) or real(h, v, m))
         auto = ecdp_monte_carlo(c, [0.0, 20.0], 64, seed=1)
         assert calls == []
         assert ecdp_monte_carlo(c, [0.0, 20.0], 64, seed=1, decoder="sphere") == auto
-        assert len(calls) == 128
+        assert calls == [64, 64]  # one batch per chunk
         argv = ["simulate", "--code", "alamouti", "--pam", "32", "--lattices", "L2",
                 "--snr", "0", "--trials", "1", "--decoder", "exhaustive"]
         assert cli_main(argv) == 2 and "cap" in capsys.readouterr().err
@@ -525,11 +559,9 @@ def chunk_jobs(draw):
     code_map = alamouti_map() if code == "alamouti" else golden_map()
     m = draw(st.sampled_from([2, 4, 8] if code == "alamouti" else [2, 4]))
     strategy = draw(st.sampled_from(["exhaustive", "sphere"]))
-    # the per-trial sphere decoder takes milliseconds a trial on golden 4-PAM
-    most = 30 if (code, m, strategy) == ("golden", 4, "sphere") else 300
     halves = draw(st.lists(half_sublattices(code_map.k), max_size=4))
     return dict(code_map=code_map, m=m, strategy=strategy, halves=halves,
-                n_trials=draw(st.integers(1, most)), n_r=draw(st.integers(1, 2)),
+                n_trials=draw(st.integers(1, 300)), n_r=draw(st.integers(1, 2)),
                 snr_db=draw(st.sampled_from([-60.0, -10.0, 0.0, 10.0, 30.0])),
                 seed=draw(st.integers(0, 2 ** 32 - 1)), chunk=draw(st.integers(0, 3)))
 
@@ -617,13 +649,17 @@ class TestPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert ecdp_monte_carlo(c, [0.0, 20.0], 256, seed=24, workers=2) == serial
 
-    def test_two_task_sphere_job_pools(self, monkeypatch):
-        built = record_pools(monkeypatch)
+    def test_small_sphere_job_runs_in_process(self, monkeypatch):
+        # the box search is batched too: no decoder has a pool rule of its own
         c = coset("alamouti", "L2", 4)
         serial = ecdp_monte_carlo(c, [0.0, 10.0], 64, seed=25, decoder="sphere")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for a small sphere job")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert ecdp_monte_carlo(c, [0.0, 10.0], 64, seed=25, workers=2,
                                 decoder="sphere") == serial
-        assert built == [2]
 
     def test_pool_starts_after_numpy_random_is_loaded(self):
         # a fresh process, so nothing earlier has imported numpy.random
